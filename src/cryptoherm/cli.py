@@ -21,8 +21,8 @@ Exit codes
 ==== =======================================================
 
 Success paths print nothing to the error stream.  The environment
-variable ``CRYPTO_METRIC_THREADS`` caps scan parallelism (unset = serial,
-0 = one thread per CPU).
+variable ``CRYPTO_METRIC_THREADS`` is deprecated: scans always run
+serially, and the value is only validated (a negative value exits 2).
 """
 
 from __future__ import annotations
@@ -115,14 +115,11 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _scan_workers() -> int:
+def _check_scan_threads() -> None:
+    """Validate the deprecated CRYPTO_METRIC_THREADS; its value is unused."""
     raw = os.environ.get("CRYPTO_METRIC_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 0:
-        raise ValueError(f"CRYPTO_METRIC_THREADS must be >= 0, got {n}")
-    return os.cpu_count() or 1 if n == 0 else n
+    if raw is not None and int(raw) < 0:
+        raise ValueError(f"CRYPTO_METRIC_THREADS must be >= 0, got {raw}")
 
 
 def _load_hamiltonian(args) -> np.ndarray:
@@ -335,7 +332,8 @@ def cmd_scan(args, config: RunConfig) -> int:
     except (ValueError, MatrixFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = reality_scan(spec, config.tolerance, workers=_scan_workers())
+    _check_scan_threads()
+    report = reality_scan(spec, config.tolerance)
     text = scan_csv(report)
     if args.find_boundary:
         bracket = _parse_bracket(args.find_boundary)

@@ -52,7 +52,7 @@ def matrix_from_doc(doc) -> np.ndarray:
         data = doc["data"]
     except KeyError as exc:
         raise MatrixFileError(f"matrix document missing key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise MatrixFileError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(data, list) or len(data) != dim:
         raise MatrixFileError(f"data must hold {dim} rows")

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSpectrumError,
@@ -278,13 +277,21 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
     return MetricSeries(tuple(t_coeffs), GAUGE_TAG, tuple(residuals))
 
 
-def _cho(theta: np.ndarray):
+def _metric_inverse(theta: np.ndarray) -> np.ndarray:
+    """Theta^{-1} = L^{-dag} L^{-1} from the Cholesky factor Theta = L L^dag.
+
+    The factorization doubles as the positive-definiteness gate; the
+    triangular factor is inverted once so every right-hand side costs one
+    matrix product.
+    """
     try:
-        return scipy.linalg.cho_factor(theta)
+        l = np.linalg.cholesky(theta)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"metric inversion failed: {exc}"
         ) from exc
+    l_inv = np.linalg.inv(l)
+    return l_inv.conj().T @ l_inv
 
 
 def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
@@ -302,13 +309,11 @@ def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
     th = 0.5 * (th + th.conj().T)
     deltas = []
     if series.order >= 1:
-        factor = _cho(th)
-        d0 = 0.5 * scipy.linalg.cho_solve(factor, series.t_coeffs[1])
+        th_inv = _metric_inverse(th)
+        d0 = 0.5 * (th_inv @ series.t_coeffs[1])
         deltas.append(d0)
         if series.order >= 2:
-            d1 = 0.5 * scipy.linalg.cho_solve(
-                factor, series.t_coeffs[2] - d0.conj().T @ th @ d0
-            )
+            d1 = 0.5 * (th_inv @ (series.t_coeffs[2] - d0.conj().T @ th @ d0))
             deltas.append(d1)
     return DysonSeries(tuple(deltas))
 
@@ -343,8 +348,7 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
     s, kernel_res, _ = _sylvester_gauge_solve(system, rhs, tol)
     if kernel_res > tol:
         raise SolvabilityViolatedError(1, kernel_res)
-    factor = _cho(0.5 * (th + th.conj().T))
-    return scipy.linalg.cho_solve(factor, s)
+    return _metric_inverse(0.5 * (th + th.conj().T)) @ s
 
 
 def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:

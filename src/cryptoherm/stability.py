@@ -8,8 +8,6 @@ series against exactly constructed metrics.
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,20 +179,11 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
     non-degenerate, so a single witness decides existence.  Per-point
     failures are recorded in the row and never abort the scan.
 
-    Grid points are independent; ``workers > 1`` evaluates them in a
-    thread pool.  Rows are always returned in grid order, so reports are
-    deterministic.
+    Rows are returned in grid order, so reports are deterministic.
+    ``workers`` is deprecated and ignored; points are evaluated serially.
     """
     tol = _check_tol(tol)
-    points = spec.grid()
-    eval_one = functools.partial(_scan_point, spec, tol)
-    if workers == 1 or len(points) == 1:
-        rows = [eval_one(p) for p in points]
-    else:
-        max_workers = max(1, int(workers))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(eval_one, points))
-    return ScanReport(tuple(rows))
+    return ScanReport(tuple(_scan_point(spec, tol, p) for p in spec.grid()))
 
 
 def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> float:
@@ -206,7 +195,8 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     real axis.  ``direction = -1`` probes H(-x) instead of H(x).  The
     bracket endpoints must straddle the transition: real spectrum at the
     lower end, non-real at the upper.  ``tol`` bounds the final bracket
-    width and doubles as the relative reality threshold at probe points.
+    width (never below the float spacing at the boundary) and doubles as
+    the relative reality threshold at probe points.
 
     Raises
     ------
@@ -239,6 +229,8 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket is down to adjacent floats; tol is below their spacing
         if is_real(mid):
             lo = mid
         else:

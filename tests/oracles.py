@@ -1,6 +1,6 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here is raw numpy/scipy so that expected values never flow
+Everything here is raw numpy so that expected values never flow
 through the code paths under test.
 """
 

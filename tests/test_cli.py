@@ -336,3 +336,42 @@ def test_console_entry_point_module():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spectrum_real"] is True
     assert proc.stderr == ""
+
+
+def run_cli_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "cryptoherm.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cli_import_skips_scipy_and_thread_pool():
+    probe = (
+        "import sys, cryptoherm.cli; "
+        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
+def test_scan_find_boundary_tol_below_float_spacing(matrices):
+    h = matrices("h", [[0, 1], [1, 0]])
+    w = matrices("w", [[0, -1], [0, 0]])
+    proc = run_cli_process(
+        "scan", "--family", "linear", "--h", h, "--w", w,
+        "--lambda", "0:2:41", "--find-boundary", "0:2", "--tol", "1e-20",
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip().split("\n")[-1].startswith("# lambda_max,")
+    assert proc.stderr == ""
+
+
+def test_bool_dim_file_exits_2(tmp_path):
+    path = tmp_path / "bool_dim.json"
+    path.write_text('{"dim": true, "data": [[[1.0, 0.0]]]}\n')
+    proc = run_cli_process("diag", "--h", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

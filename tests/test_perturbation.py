@@ -5,6 +5,7 @@ from cryptoherm import (
     GAUGE_TAG,
     DegenerateSpectrumError,
     MetricSeries,
+    NotPositiveDefiniteError,
     NotQuasiHermitianError,
     PerturbationProblem,
     SingularResolventError,
@@ -275,6 +276,18 @@ def test_route_equivalence_on_random_solvable_problems():
         d_direct = leading_delta(w, h, theta, 1e-8)
         d_series = dyson_from_metric(metric_series(prob, 1), prob.theta).delta_coeffs[0]
         assert np.linalg.norm(d_direct - d_series) <= 1e-7
+
+
+def test_indefinite_raw_metric_rejected():
+    # Hermitian with eigenvalues 3 and -1: the Cholesky gate must refuse it
+    theta = np.array([[1.0, 2.0j], [-2.0j, 1.0]])
+    series = MetricSeries((theta, np.eye(2, dtype=complex)), GAUGE_TAG, (0.0, 0.0))
+    with pytest.raises(NotPositiveDefiniteError):
+        dyson_from_metric(series, theta)
+    # a zero perturbation is always solvable, so only the metric gate can fail
+    h = np.diag([1.0, 2.5]).astype(complex)
+    with pytest.raises(NotPositiveDefiniteError):
+        leading_delta(np.zeros((2, 2)), h, theta, TOL)
 
 
 def test_solvability_iff_real_first_order_shifts():
