@@ -23,6 +23,12 @@ Exit codes
 Success paths print nothing to the error stream.  The environment
 variable ``CRYPTO_METRIC_THREADS`` is deprecated: scans always run
 serially, and the value is only validated (a negative value exits 2).
+
+Work is capped so every accepted input finishes in bounded time and
+memory: a scan grid holds at most :data:`MAX_GRID_POINTS` points (tau
+count times lambda count, checked before any grid is built), and
+``perturb --order`` is at most :data:`MAX_ORDER`, since the series costs
+O(K^2) products.  Exceeding a cap exits 2.
 """
 
 from __future__ import annotations
@@ -70,6 +76,11 @@ SCAN_CSV_HEADER = (
     "lambda,tau,spectrum_real,max_imag,min_gap,eigvec_cond,metric_exists,theta_min_eig"
 )
 
+#: Most points one ``scan`` may evaluate (tau count times lambda count).
+MAX_GRID_POINTS = 1_000_000
+#: Highest metric-series order ``perturb --order`` accepts.
+MAX_ORDER = 100
+
 
 @dataclass
 class RunConfig:
@@ -104,8 +115,16 @@ def _parse_grid(text: str) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
+        _check_grid_size(count)
         return [float(x) for x in np.linspace(lo, hi, count)]
     return [float(x) for x in text.split(",")]
+
+
+def _check_grid_size(points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"scan grid has {points} points, above the cap of {MAX_GRID_POINTS}"
+        )
 
 
 def _parse_bracket(text: str) -> tuple[float, float]:
@@ -265,6 +284,8 @@ def cmd_hermitize(args, config: RunConfig) -> int:
 
 
 def cmd_perturb(args, config: RunConfig) -> int:
+    if args.order > MAX_ORDER:
+        raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     h = _load_hamiltonian(args)
     theta = _load_metric(args, config)
     w_coeffs = [read_matrix(p) for p in args.w or []]
@@ -319,8 +340,10 @@ def _build_family(args) -> FamilySpec:
     if args.family == "kg":
         if not args.tau:
             raise ValueError("--family kg requires --tau")
+        taus = _parse_grid(args.tau)
+        _check_grid_size(len(taus) * len(lambdas))
         w0 = read_matrix(args.w) if args.w else None
-        return FamilySpec.kg(_parse_grid(args.tau), lambdas, w0=w0)
+        return FamilySpec.kg(taus, lambdas, w0=w0)
     if not (args.h and args.w):
         raise ValueError("--family linear requires --h and --w")
     return FamilySpec.linear(read_matrix(args.h), read_matrix(args.w), lambdas)

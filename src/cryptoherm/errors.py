@@ -21,7 +21,20 @@ class ShapeMismatchError(CryptohermError):
 class DefectiveError(CryptohermError):
     """The eigenvector basis is numerically defective (near a Jordan
     block / exceptional point), so no reliable biorthogonal system
-    exists."""
+    exists.
+
+    The failed gate's measured value sits next to its threshold:
+    ``condition_number`` and ``bound`` for the eigenvector-basis condition
+    gate, ``residual`` and ``bound`` for the biorthogonal residual gate.
+    Fields of the other gate are ``None``.
+    """
+
+    def __init__(self, message: str, *, condition_number: float | None = None,
+                 residual: float | None = None, bound: float | None = None):
+        self.condition_number = condition_number
+        self.residual = residual
+        self.bound = bound
+        super().__init__(message)
 
 
 class SpectrumNotRealError(CryptohermError):

@@ -7,7 +7,8 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +50,34 @@ def _check_tol(tol: float) -> float:
 
 
 def _spectral_scale(eigenvalues: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(eigenvalues))))
+    return max(1.0, float(np.abs(eigenvalues).max()))
+
+
+def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
+    """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``.
+
+    ``tol`` is not validated here: bisection accepts any positive value.
+    """
+    max_imag = float(np.abs(eigenvalues.imag).max())
+    return max_imag <= tol * _spectral_scale(eigenvalues), max_imag
+
+
+def _eigvec_cond(vr: np.ndarray) -> float:
+    """Spectral condition number of the column-normalized eigenvectors;
+    ``inf`` for a singular basis."""
+    sv = np.linalg.svd(vr / np.linalg.norm(vr, axis=0), compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+
+
+def _min_gap(eigenvalues: np.ndarray) -> float:
+    """Smallest pairwise eigenvalue separation; ``inf`` below two values."""
+    if eigenvalues.size < 2:
+        return float("inf")
+    # Halving is exact for normal floats and keeps the differences of
+    # near-overflow eigenvalues finite; doubling a Python float cannot warn.
+    half = 0.5 * eigenvalues
+    diff = np.abs(half[:, None] - half[None, :])
+    return 2.0 * float(diff[~np.eye(eigenvalues.size, dtype=bool)].min())
 
 
 @dataclass(frozen=True)
@@ -61,12 +89,18 @@ class BiorthogonalSystem:
     L^dag H = diag(E) L^dag and the biorthonormalization L^dag R = I within
     ``tolerance``.  Eigenvalues are sorted by (real, imaginary) part, so
     repeated runs order identically.
+
+    ``condition_number`` is the spectral condition number of the
+    right-eigenvector matrix measured by :func:`diagonalize`'s gate; it is
+    ``None`` for a hand-built system, and :func:`ep_proximity` then
+    computes it.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     tolerance: float
+    condition_number: float | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -106,37 +140,44 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     n = h.shape[0]
 
     evals, vr = np.linalg.eig(h)
+    cond = _eigvec_cond(vr)
+    if cond > 1.0 / tol:
+        raise DefectiveError(
+            "eigenvector-basis condition number exceeds "
+            f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
+            condition_number=cond,
+            bound=1.0 / tol,
+        )
     order = np.lexsort((evals.imag, evals.real))
     evals = evals[order]
     vr = vr[:, order]
     vr = vr / np.linalg.norm(vr, axis=0)
-
-    sv = np.linalg.svd(vr, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > 1.0 / tol:
-        raise DefectiveError(
-            "eigenvector-basis condition number exceeds "
-            f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective"
-        )
-    cond = float(sv[0] / sv[-1])
     vl = np.linalg.inv(vr).conj().T
 
     # Residuals can only be as good as eps * cond allows; gate on the
-    # achievable bound so well-posed inputs never fail spuriously.
-    scale = max(1.0, float(np.linalg.norm(h)))
+    # achievable bound so well-posed inputs never fail spuriously.  They are
+    # formed on H * 2^-e with 2^e above max |H| (e >= 0): power-of-two
+    # scaling is exact, so the ratios equal those of the unscaled H, and
+    # nothing overflows for entries near the float limit.
+    s = 2.0 ** -max(math.frexp(float(np.abs(h).max()))[1], 0)
+    hs, es = h * s, evals * s
+    scale = max(s, float(np.linalg.norm(hs)))
     bound = max(tol, 100.0 * n * _EPS * cond)
-    right_res = float(np.linalg.norm(h @ vr - vr * evals, axis=0).max()) / scale
-    left_res = float(np.linalg.norm(vl.conj().T @ h - evals[:, None] * vl.conj().T)) / scale
+    right_res = float(np.linalg.norm(hs @ vr - vr * es, axis=0).max()) / scale
+    left_res = float(np.linalg.norm(vl.conj().T @ hs - es[:, None] * vl.conj().T)) / scale
     bi_res = float(np.linalg.norm(vl.conj().T @ vr - np.eye(n)))
     worst = max(right_res, left_res, bi_res)
     if worst > bound:
         raise DefectiveError(
             f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; "
-            "eigenbasis is unreliable"
+            "eigenbasis is unreliable",
+            residual=worst,
+            bound=bound,
         )
 
     for arr in (evals, vr, vl):
         arr.setflags(write=False)
-    return BiorthogonalSystem(evals, vr, vl, tol)
+    return BiorthogonalSystem(evals, vr, vl, tol, cond)
 
 
 def spectrum_is_real(system: BiorthogonalSystem, tol: float) -> tuple[bool, float]:
@@ -145,9 +186,7 @@ def spectrum_is_real(system: BiorthogonalSystem, tol: float) -> tuple[bool, floa
     Returns ``(flag, max_imag)``; the flag is true iff
     ``max |Im E| <= tol * max(1, max |E|)``.
     """
-    tol = _check_tol(tol)
-    max_imag = float(np.max(np.abs(system.eigenvalues.imag)))
-    return max_imag <= tol * _spectral_scale(system.eigenvalues), max_imag
+    return _reality(system.eigenvalues, _check_tol(tol))
 
 
 def ep_proximity(system: BiorthogonalSystem) -> tuple[float, float]:
@@ -156,16 +195,15 @@ def ep_proximity(system: BiorthogonalSystem) -> tuple[float, float]:
     Returns ``(min_gap, eigvec_cond)``: the smallest pairwise eigenvalue
     separation (``inf`` for a 1x1 system) and the spectral condition
     number of the right-eigenvector matrix, which blows up as an
-    exceptional point is approached.
+    exceptional point is approached.  The condition number is the one
+    :func:`diagonalize` measured; only a hand-built system without one
+    pays for an SVD here.
     """
-    e = system.eigenvalues
-    if e.size < 2:
-        min_gap = float("inf")
-    else:
-        diff = np.abs(e[:, None] - e[None, :])
-        min_gap = float(np.min(diff[~np.eye(e.size, dtype=bool)]))
-    sv = np.linalg.svd(system.right_vectors, compute_uv=False)
-    return min_gap, float(sv[0] / sv[-1])
+    cond = system.condition_number
+    if cond is None:
+        sv = np.linalg.svd(system.right_vectors, compute_uv=False)
+        cond = float(sv[0] / sv[-1])
+    return _min_gap(system.eigenvalues), cond
 
 
 def require_real_nondegenerate(system: BiorthogonalSystem) -> None:

@@ -375,3 +375,30 @@ def test_bool_dim_file_exits_2(tmp_path):
     proc = run_cli_process("diag", "--h", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_diag_near_overflow_entries_keep_stderr_empty(matrices):
+    # norms of H overflow, and eigenvalue differences reach 2e308
+    for name, m in (("h1", [[0.0, 1e308], [1e307, 0.0]]),
+                    ("h2", [[1e308, 1e307], [1e307, -1e308]])):
+        proc = run_cli_process("diag", "--h", matrices(name, m))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["spectrum_real"] is True
+
+
+def test_input_caps_exit_2():
+    from cryptoherm.cli import MAX_GRID_POINTS, MAX_ORDER
+
+    over = MAX_GRID_POINTS + 1
+    side = int(MAX_GRID_POINTS**0.5)
+    for argv in (
+        ("scan", "--family", "kg", "--tau", f"0:1:{over}"),
+        ("scan", "--family", "kg", "--tau", "0.5", "--lambda", f"0:1:{over}"),
+        ("scan", "--family", "kg", "--tau", f"0:1:{side}", "--lambda", f"0:1:{side + 1}"),
+        ("perturb", "--kg", "0.2", "--order", str(MAX_ORDER + 1)),
+    ):
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv

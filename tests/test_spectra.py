@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import (
     DefectiveError,
@@ -152,3 +156,101 @@ def test_require_real_nondegenerate_gates():
         require_real_nondegenerate(diagonalize(np.array([[0.0, -1.0], [1.0, 0.0]]), TOL))
     with pytest.raises(DegenerateSpectrumError):
         require_real_nondegenerate(diagonalize(np.eye(2), TOL))
+
+
+def test_ep_proximity_reuses_diagonalize_condition_number():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 8):
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        system = diagonalize(h, TOL)
+        sv = np.linalg.svd(system.right_vectors, compute_uv=False)
+        assert system.condition_number is not None
+        assert ep_proximity(system)[1] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+def test_ep_proximity_hand_built_system_computes_condition_number():
+    from cryptoherm import BiorthogonalSystem
+
+    rng = np.random.default_rng(19)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    system = diagonalize(h, TOL)
+    hand = BiorthogonalSystem(
+        system.eigenvalues, system.right_vectors, system.left_vectors, system.tolerance
+    )
+    assert hand.condition_number is None
+    sv = np.linalg.svd(system.right_vectors, compute_uv=False)
+    min_gap, cond = ep_proximity(hand)
+    assert cond == float(sv[0] / sv[-1])
+    assert min_gap == ep_proximity(system)[0]
+
+
+def test_defective_error_carries_condition_gate_fields():
+    eps = 1e-12
+    h = np.array([[0.0, eps**2], [1.0, 0.0]])  # eigenvalues +-eps, cond 1/eps
+    with pytest.raises(DefectiveError) as info:
+        diagonalize(h, TOL)
+    exc = info.value
+    assert exc.bound == 1.0 / TOL
+    assert exc.condition_number == pytest.approx(1.0 / eps, rel=1e-3)
+    assert exc.residual is None
+    assert str(exc) == (
+        "eigenvector-basis condition number exceeds 1/tol = 1.000e+10; "
+        "matrix is (near-)defective"
+    )
+
+
+def test_defective_error_fields_name_the_failed_gate():
+    # similarity-transformed Jordan blocks plus noise trip both gates
+    gates = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        j = np.diag(np.full(n, rng.standard_normal())) + np.diag(np.ones(n - 1), 1)
+        s = rng.standard_normal((n, n))
+        h = s @ j @ np.linalg.inv(s) + 10.0 ** rng.uniform(-16, -4) * rng.standard_normal((n, n))
+        tol = 10.0 ** rng.uniform(-15, -3)
+        try:
+            diagonalize(h, tol)
+        except DefectiveError as exc:
+            if exc.residual is None:
+                gates.add("condition")
+                assert exc.condition_number > exc.bound == 1.0 / tol
+            else:
+                gates.add("residual")
+                assert exc.condition_number is None
+                assert exc.residual > exc.bound
+                assert str(exc) == (
+                    f"biorthogonal residual {exc.residual:.3e} exceeds {exc.bound:.3e}; "
+                    "eigenbasis is unreliable"
+                )
+    assert gates == {"condition", "residual"}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    jordan=st.booleans(),
+    k=st.integers(-40, 1000),
+)
+def test_diagonalize_scale_covariance(seed, n, jordan, k):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if jordan and n >= 2:
+        h = np.triu(h)
+        h[1, 1] = h[0, 0]  # exact Jordan block: defective at every scale
+
+    def attempt(m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a success path must not warn
+            try:
+                return diagonalize(m, TOL)
+            except DefectiveError:
+                return None
+
+    base, scaled = attempt(h), attempt(2.0**k * h)
+    assert (base is None) == (scaled is None)
+    if base is not None:
+        expected = 2.0**k * base.eigenvalues
+        dist = np.abs(scaled.eigenvalues[:, None] - expected[None, :]).min(axis=1)
+        assert dist.max() <= TOL * np.abs(expected).max()

@@ -153,3 +153,51 @@ def test_series_vs_exact_slope(order):
     lams = np.log10([row[0] for row in table])
     slope = np.polyfit(lams, logs, 1)[0]
     assert abs(slope - (order + 1)) <= 0.3
+
+
+def per_point_spectrum(h, tol):
+    """The scan's spectral columns from scratch: eig, then the SVD of the
+    column-normalized, unsorted eigenvectors."""
+    evals, vr = np.linalg.eig(h)
+    max_imag = float(np.abs(evals.imag).max())
+    real = bool(max_imag <= tol * max(1.0, float(np.abs(evals).max())))
+    if evals.size < 2:
+        min_gap = float("inf")
+    else:
+        diff = np.abs(evals[:, None] - evals[None, :])
+        min_gap = float(np.min(diff[~np.eye(evals.size, dtype=bool)]))
+    sv = np.linalg.svd(vr / np.linalg.norm(vr, axis=0), compute_uv=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    return real, max_imag, min_gap, cond
+
+
+def linear_ep_family(lambdas):
+    """N = 4, S (diag(-1, 1, 2, 3) + lam B) S^-1 with B coupling the first two
+    levels anti-symmetrically: eigenvalues +-sqrt(1 - lam^2), 2, 3; EP at 1."""
+    rng = np.random.default_rng(4)
+    s = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    s_inv = np.linalg.inv(s)
+    b = np.zeros((4, 4))
+    b[0, 1], b[1, 0] = 1.0, -1.0
+    return FamilySpec.linear(s @ np.diag([-1.0, 1.0, 2.0, 3.0]) @ s_inv, s @ b @ s_inv, lambdas)
+
+
+@pytest.mark.parametrize(
+    "spec, defective",
+    [
+        # H(tau) + lam W0 has its EP at lam = e^(2 tau): (1, 0) is on this grid
+        (FamilySpec.kg(np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 4.0, 9), w0=NILPOTENT_COUPLING),
+         [(1.0, 0.0)]),
+        (linear_ep_family(np.linspace(0.0, 2.0, 41)), []),
+        (sqrt_family(np.linspace(0.0, 2.0, 61)), [(1.0, None)]),
+    ],
+    ids=["kg", "linear4", "sqrt"],
+)
+def test_scan_rows_match_per_point_formula(spec, defective):
+    report = reality_scan(spec, TOL)
+    assert len(report) == len(spec.grid())
+    for p in report.points:
+        expected = per_point_spectrum(spec.hamiltonian_at(p.lam, p.tau), TOL)
+        assert (p.spectrum_real, p.max_imag, p.min_gap, p.eigvec_cond) == expected
+    # exceptional points take the path on which diagonalize raised
+    assert [(p.lam, p.tau) for p in report.points if p.note == "Defective"] == defective
