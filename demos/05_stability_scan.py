@@ -2,8 +2,8 @@
 
 Scans H(lam) = [[0, 1 - lam], [1, 0]], whose eigenvalues +-sqrt(1 - lam)
 collide at lam = 1: spectral reality, metric existence and the coalescence
-diagnostics all flip together at the exceptional point, and bisection
-recovers its location to eight digits.
+diagnostics all flip together at the exceptional point, and Brent's
+method on a signed discriminant recovers its location to eight digits.
 
 Usage:
     python3 demos/05_stability_scan.py
@@ -29,7 +29,7 @@ for p in report.points:
           f"{theta_min:>10}  {p.note}")
 
 boundary = lambda_max(spec, (0.0, 2.0), 1e-8)
-print(f"\nreality boundary by bisection: lambda_max = {boundary:.9f} (exact: 1)")
+print(f"\nreality boundary by Brent's method: lambda_max = {boundary:.9f} (exact: 1)")
 print("interpretation: the perturbation series around lam = 0 converges "
       f"inside |lam| < {boundary:.3f}")
 

@@ -20,6 +20,10 @@ Exit codes
 8    any other domain error
 ==== =======================================================
 
+JSON reports are strict JSON: a non-finite number (an infinite
+``min_gap``, say) is written as the string ``"inf"``, ``"-inf"`` or
+``"nan"``, each of which ``float()`` parses.
+
 Success paths print nothing to the error stream.  The environment
 variable ``CRYPTO_METRIC_THREADS`` is deprecated: scans always run
 serially, and the value is only validated (a negative value exits 2).
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -88,7 +93,6 @@ class RunConfig:
 
     tolerance: float = 1e-10
     out: str | None = None
-    fmt: str = "report"
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1e-2:
@@ -160,8 +164,20 @@ def _load_metric(args, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by its ``repr``
+    (``"inf"``, ``"-inf"`` or ``"nan"``), which ``float()`` parses back."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _emit_report(config: RunConfig, report: dict, summary: str) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(_finite_json(report), indent=2, allow_nan=False)
     if config.out:
         Path(config.out).write_text(text + "\n")
         print(summary)
@@ -375,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10, help="working tolerance, in (0, 1e-2)")
     common.add_argument("--out", type=str, default=None, help="write the machine artifact here")
-    common.add_argument(
-        "--format",
-        choices=("report", "csv"),
-        default="report",
-        dest="fmt",
-        help="output format (csv applies to scan only)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="crypto-metric",
@@ -426,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=str, default=None, help="base Hamiltonian file (linear family)")
     p.add_argument("--w", type=str, default=None, help="perturbation direction file")
     p.add_argument("--find-boundary", type=str, default=None, metavar="LO:HI",
-                   help="append the bisected reality boundary as a trailing comment line")
+                   help="append the reality boundary (Brent's method on the bracket) "
+                   "as a trailing comment line")
     p.set_defaults(func=cmd_scan)
 
     return parser
@@ -436,7 +446,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(tolerance=args.tol, out=args.out, fmt=args.fmt)
+        config = RunConfig(tolerance=args.tol, out=args.out)
         return args.func(args, config)
     except (MatrixFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

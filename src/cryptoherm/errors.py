@@ -107,8 +107,21 @@ class SingularResolventError(CryptohermError):
 
 
 class InvalidBracketError(CryptohermError):
-    """A bisection bracket does not straddle a spectral-reality
-    transition."""
+    """A boundary-search bracket does not straddle a spectral-reality
+    transition.
+
+    ``lo`` and ``hi`` are the bracket endpoints; ``real_at_lo`` and
+    ``real_at_hi`` are the reality verdicts measured there (a valid
+    bracket is real at ``lo`` and non-real at ``hi``).
+    """
+
+    def __init__(self, message: str, *, lo: float | None = None, hi: float | None = None,
+                 real_at_lo: bool | None = None, real_at_hi: bool | None = None):
+        self.lo = lo
+        self.hi = hi
+        self.real_at_lo = real_at_lo
+        self.real_at_hi = real_at_hi
+        super().__init__(message)
 
 
 class MatrixFileError(CryptohermError):

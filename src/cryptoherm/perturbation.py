@@ -35,6 +35,7 @@ under the exact deformation (V) are related by the intertwining identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ __all__ = [
 GAUGE_TAG = "zero-diagonal-biorthogonal"
 
 _RESOLVENT_COND_LIMIT = 1e12
+# Entries up to this size square and sum to a finite Frobenius norm.
+_SQUARES_FINITE = 2.0**400
 
 
 def _theta_matrix(theta) -> np.ndarray:
@@ -199,15 +202,32 @@ def _sylvester_gauge_solve(system: BiorthogonalSystem, rhs: np.ndarray, tol: flo
         )
     r = system.right_vectors
     ct = r.conj().T @ rhs @ r
-    denom = max(1.0, float(np.linalg.norm(ct)))
-    kernel_res = float(np.linalg.norm(np.diag(ct))) / denom
+    kernel_res = _relative_norm(np.diag(ct), ct)
     y = np.zeros_like(ct)
     y[off] = ct[off] / gaps[off]
     l = system.left_vectors
     x = l @ y @ l.conj().T
-    asym = float(np.linalg.norm(x - x.conj().T)) / (2.0 * max(1.0, float(np.linalg.norm(x))))
+    asym = 0.5 * _relative_norm(x - x.conj().T, x)
     x = 0.5 * (x + x.conj().T)
     return x, kernel_res, asym
+
+
+def _relative_norm(part: np.ndarray, whole: np.ndarray) -> float:
+    """``||part|| / max(1, ||whole||)`` in the Frobenius norm, for a
+    ``part`` derived from ``whole`` and of comparable size.
+
+    High-order series coefficients grow like r**-k past the convergence
+    radius r, and their squared entries overflow long before the entries
+    do.  Above max |whole| = 2**400 both norms are therefore formed on
+    copies scaled by 2**-e, with 2**e above max |whole|; power-of-two
+    scaling is exact, so the ratio is the unscaled one, made finite.
+    """
+    peak = float(np.abs(whole).max(initial=0.0))
+    if peak <= _SQUARES_FINITE:
+        return float(np.linalg.norm(part)) / max(1.0, float(np.linalg.norm(whole)))
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    # ||whole|| >= peak > 1, so the max(1, .) is the norm itself
+    return float(np.linalg.norm(part * scale) / np.linalg.norm(whole * scale))
 
 
 def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):

@@ -56,7 +56,7 @@ def _spectral_scale(eigenvalues: np.ndarray) -> float:
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
     """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``.
 
-    ``tol`` is not validated here: bisection accepts any positive value.
+    ``tol`` is not validated here: ``lambda_max`` accepts any positive value.
     """
     max_imag = float(np.abs(eigenvalues.imag).max())
     return max_imag <= tol * _spectral_scale(eigenvalues), max_imag

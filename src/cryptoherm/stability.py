@@ -1,13 +1,14 @@
 """Stability maps for parametrized Hamiltonian families.
 
-Spectral-reality scans over parameter grids, bisection for the
-exceptional-point boundary where reality breaks down (the convergence
-radius of the perturbation series), and validation of truncated metric
-series against exactly constructed metrics.
+Spectral-reality scans over parameter grids, a Brent-method search for
+the exceptional-point boundary where reality breaks down (the
+convergence radius of the perturbation series), and validation of
+truncated metric series against exactly constructed metrics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,16 +187,27 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
 
 
 def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> float:
-    """Bisection estimate of the spectral-reality breakdown parameter.
+    """Brent-method estimate of the spectral-reality breakdown parameter.
 
     The reality of the spectrum flips at an exceptional point, and the
     distance from lambda = 0 to the nearest such point is the convergence
     radius of the perturbation series; this routine locates it along the
     real axis.  ``direction = -1`` probes H(-x) instead of H(x).  The
     bracket endpoints must straddle the transition: real spectrum at the
-    lower end, non-real at the upper.  ``tol`` bounds the final bracket
-    width (never below the float spacing at the boundary) and doubles as
-    the relative reality threshold at probe points.
+    lower end, non-real at the upper.  When the bracket holds several
+    transitions, any one of them may be returned.  ``tol`` bounds the
+    final bracket width (never below the float spacing at the boundary)
+    and doubles as the relative reality threshold at probe points; the
+    result is the midpoint of the final real/non-real pair.
+
+    Each probe diagonalizes H once and evaluates the signed discriminant
+    ``-min_gap**2`` where the spectrum is real and ``(2 max|Im E|)**2``
+    where it is not.  Near a generic exceptional point the eigenvalues
+    split as ``E0 +- c sqrt(lambda - lambda_EP)``, so both branches are
+    close to linear in lambda and Brent's zeroin (Brent 1973, ch. 4)
+    converges in a few probes.  Every step keeps one real and one non-real
+    point; three steps in a row that fail to halve that pair force a
+    bisection step.
 
     Raises
     ------
@@ -217,22 +229,73 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
             raise ValueError("boundary search on a kg family needs a single tau")
         tau = float(spec.taus[0])
 
-    def is_real(x: float) -> bool:
-        return _reality(np.linalg.eigvals(spec.hamiltonian_at(direction * x, tau)), tol)[0]
+    def probe(x: float) -> tuple[bool, float]:
+        evals = np.linalg.eigvals(spec.hamiltonian_at(direction * x, tau))
+        real, max_imag = _reality(evals, tol)
+        gap = _min_gap(evals)
+        # products, not ** 2: a float power raises OverflowError
+        return real, -(gap * gap) if real else (2.0 * max_imag) * (2.0 * max_imag)
 
-    if not is_real(lo) or is_real(hi):
+    real_lo, f_lo = probe(lo)
+    real_hi, f_hi = probe(hi)
+    if not real_lo or real_hi:
         raise InvalidBracketError(
-            "bracket endpoints do not straddle a reality transition"
+            "bracket endpoints do not straddle a reality transition",
+            lo=lo, hi=hi, real_at_lo=real_lo, real_at_hi=real_hi,
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket is down to adjacent floats; tol is below their spacing
-        if is_real(mid):
-            lo = mid
+
+    # b is the best point so far, c the kept point of the other reality
+    # class (so b and c always straddle the transition), a the previous b.
+    b, fb = hi, f_hi
+    a = c = lo
+    fa = fc = f_lo
+    real_c = True
+    d = e = b - a
+    slow = 0  # consecutive steps that failed to halve |c - b|
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+            real_c = not real_c
+        width = abs(c - b)
+        mid = 0.5 * (b + c)
+        if width <= tol or mid in (b, c):
+            return mid  # within tol, or the pair is down to adjacent floats
+        xm = mid - b
+        step = max(0.5 * tol, math.ulp(b))
+        if (slow < 3 and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
+                and math.isfinite(fa) and math.isfinite(fc)):
+            # secant when a == c, inverse quadratic interpolation otherwise
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if p == 0.0:
+                e, d = d, 0.0  # b is an exact zero: the minimum step toward c
+            elif 2.0 * p < min(3.0 * xm * q - abs(step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = xm
+            slow = 0
+        a, fa = b, fb
+        x = b + d if abs(d) > step else b + math.copysign(step, xm)
+        if not min(b, c) < x < max(b, c):
+            x = mid  # the float spacing, or a non-finite step, reached c
+        real_x, fx = probe(x)
+        if real_x == real_c:
+            # x replaces c's side; the old b becomes the kept point
+            c, fc, real_c = b, fb, not real_c
+            d = e = x - b
+        b, fb = x, fx
+        slow = slow + 1 if abs(c - b) > 0.5 * width else 0
 
 
 def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray:

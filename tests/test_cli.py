@@ -5,7 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from cryptoherm import kg_metric, matrix_from_doc, matrix_to_doc, read_matrix, write_matrix
+from cryptoherm import (
+    MetricFamily,
+    assemble_metric,
+    diagonalize,
+    kg_metric,
+    matrix_from_doc,
+    matrix_to_doc,
+    read_matrix,
+    write_matrix,
+)
 from cryptoherm.cli import SCAN_CSV_HEADER, main
 
 EXPECTED_HEADER = "lambda,tau,spectrum_real,max_imag,min_gap,eigvec_cond,metric_exists,theta_min_eig"
@@ -402,3 +411,50 @@ def test_input_caps_exit_2():
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_reports_are_strict_json_with_string_non_finite_numbers(matrices):
+    # one eigenvalue has no gap; eigenvalues +-1.005e308 have a gap past the float range
+    for name, m in (("one", [[2.0]]), ("h2", [[1e308, 1e307], [1e307, -1e308]])):
+        proc = run_cli_process("diag", "--h", matrices(name, m))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert report["min_gap"] == "inf"
+        assert float(report["min_gap"]) == float("inf")
+
+
+def test_format_flag_is_gone(capsys):
+    code, out, _ = run_cli(capsys, "diag", "--kg", "0.3", "--format", "report")
+    assert code == 2
+    assert out == ""
+
+
+def test_perturb_high_order_past_convergence_radius(tmp_path):
+    # coefficients grow like r^-k and reach 1e185 at K = 100: their squared
+    # entries overflow, the entries do not
+    rng = np.random.default_rng(0)
+    n = 8
+    s = np.eye(n) + (0.3 / np.sqrt(n)) * rng.standard_normal((n, n))
+    s_inv = np.linalg.inv(s)
+    h0 = s @ np.diag(np.linspace(-1.0, 1.0, n)) @ s_inv
+    m = 10.0 * rng.standard_normal((n, n))
+    np.fill_diagonal(m, 0.0)
+    system = diagonalize(h0, 1e-10)
+    theta = assemble_metric(MetricFamily(system), np.ones(n)).theta
+    paths = {}
+    for name, mat in (("h", h0), ("w", s @ m @ s_inv), ("theta", theta)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        write_matrix(paths[name], mat, name)
+    proc = run_cli_process("perturb", "--h", paths["h"], "--metric", paths["theta"],
+                           "--w", paths["w"], "--order", "100")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout, parse_constant=reject_constant)
+    residuals = report["solvability_residuals"]
+    assert len(residuals) == 101
+    assert all(isinstance(r, float) and 0.0 <= r <= 1e-10 for r in residuals)

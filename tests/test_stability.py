@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import (
     FamilySpec,
@@ -121,6 +125,19 @@ def test_lambda_max_invalid_bracket_for_hermitian_family():
         lambda_max(FamilySpec.linear(h, w, [0.0, 10.0]), (0.0, 10.0), 1e-8)
 
 
+def test_invalid_bracket_error_carries_bracket_fields():
+    rng = np.random.default_rng(73)
+    h = rng.standard_normal((3, 3))
+    h = h + h.T
+    w = rng.standard_normal((3, 3))
+    w = w + w.T
+    with pytest.raises(InvalidBracketError) as info:
+        lambda_max(FamilySpec.linear(h, w, [0.0, 10.0]), (0.0, 10.0), 1e-8)
+    exc = info.value
+    assert str(exc) == "bracket endpoints do not straddle a reality transition"
+    assert (exc.lo, exc.hi, exc.real_at_lo, exc.real_at_hi) == (0.0, 10.0, True, True)
+
+
 def test_lambda_max_antihermitian_coupling():
     h = np.diag([-1.0, 1.0]).astype(complex)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -201,3 +218,58 @@ def test_scan_rows_match_per_point_formula(spec, defective):
         assert (p.spectrum_real, p.max_imag, p.min_gap, p.eigvec_cond) == expected
     # exceptional points take the path on which diagonalize raised
     assert [(p.lam, p.tau) for p in report.points if p.note == "Defective"] == defective
+
+
+def reality_predicate(spec, x, tol):
+    e = np.linalg.eigvals(spec.hamiltonian_at(x))
+    return np.abs(e.imag).max() <= tol * max(1.0, np.abs(e).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(-5.0, 5.0),
+    gap=st.floats(0.1, 10.0),
+    b=st.floats(0.1, 10.0),
+    c=st.floats(0.1, 10.0),
+    # k -> 1 puts hi inside the predicate's tolerance band around the EP,
+    # where the spectrum still counts as real and the bracket is invalid
+    k=st.floats(1.001, 50.0),
+)
+def test_lambda_max_closed_form_ep_property(a, gap, b, c, k):
+    # diag(a, d) + lam [[0, b], [-c, 0]]: eigenvalues
+    # (a + d)/2 +- sqrt((a - d)^2/4 - lam^2 b c), EP at |a - d| / (2 sqrt(b c))
+    d = a + gap
+    tol = 1e-8
+    spec = FamilySpec.linear(np.diag([a, d]), np.array([[0.0, b], [-c, 0.0]]), [0.0])
+    ep = gap / (2.0 * math.sqrt(b * c))
+    boundary = lambda_max(spec, (0.0, k * ep), tol)
+    assert abs(boundary - ep) <= tol
+    assert reality_predicate(spec, boundary - tol, tol)
+    assert not reality_predicate(spec, boundary + tol, tol)
+
+
+def count_probes(monkeypatch, spec, bracket, tol):
+    calls = []
+    original = FamilySpec.hamiltonian_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(FamilySpec, "hamiltonian_at", counted)
+    boundary = lambda_max(spec, bracket, tol)
+    monkeypatch.undo()
+    return boundary, len(calls)
+
+
+def test_lambda_max_probe_counts(monkeypatch):
+    # bisection needs 2 + ceil(log2(width / tol)) probes: 30 and 56 here
+    boundary, probes = count_probes(monkeypatch, sqrt_family([0.0]), (0.0, 2.0), 1e-8)
+    assert abs(boundary - 1.0) <= 1e-8
+    assert probes <= 12
+
+    h = np.diag([-1.0, 1.0]).astype(complex)
+    w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    boundary, probes = count_probes(monkeypatch, FamilySpec.linear(h, w, [0.0]), (0.0, 1e6), 1e-10)
+    assert abs(boundary - 1.0) <= 1e-10
+    assert probes <= 56
