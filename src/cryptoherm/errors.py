@@ -115,8 +115,8 @@ class InvalidBracketError(CryptohermError):
     bracket is real at ``lo`` and non-real at ``hi``).
     """
 
-    def __init__(self, message: str, *, lo: float | None = None, hi: float | None = None,
-                 real_at_lo: bool | None = None, real_at_hi: bool | None = None):
+    def __init__(self, message: str, *, lo: float, hi: float,
+                 real_at_lo: bool, real_at_hi: bool):
         self.lo = lo
         self.hi = hi
         self.real_at_lo = real_at_lo

@@ -35,7 +35,6 @@ under the exact deformation (V) are related by the intertwining identity
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from .metric import MetricOperator, metric_from_matrix, quasi_hermiticity_residu
 from .spectra import (
     BiorthogonalSystem,
     _check_tol,
+    _pow2_scale,
     _spectral_scale,
     as_matrix,
     diagonalize,
@@ -76,8 +76,6 @@ __all__ = [
 GAUGE_TAG = "zero-diagonal-biorthogonal"
 
 _RESOLVENT_COND_LIMIT = 1e12
-# Entries up to this size square and sum to a finite Frobenius norm.
-_SQUARES_FINITE = 2.0**400
 
 
 def _theta_matrix(theta) -> np.ndarray:
@@ -218,16 +216,10 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray) -> float:
 
     High-order series coefficients grow like r**-k past the convergence
     radius r, and their squared entries overflow long before the entries
-    do.  Above max |whole| = 2**400 both norms are therefore formed on
-    copies scaled by 2**-e, with 2**e above max |whole|; power-of-two
-    scaling is exact, so the ratio is the unscaled one, made finite.
+    do, so both norms are formed on copies scaled by ``_pow2_scale(whole)``.
     """
-    peak = float(np.abs(whole).max(initial=0.0))
-    if peak <= _SQUARES_FINITE:
-        return float(np.linalg.norm(part)) / max(1.0, float(np.linalg.norm(whole)))
-    scale = math.ldexp(1.0, -math.frexp(peak)[1])
-    # ||whole|| >= peak > 1, so the max(1, .) is the norm itself
-    return float(np.linalg.norm(part * scale) / np.linalg.norm(whole * scale))
+    s = _pow2_scale(whole)
+    return float(np.linalg.norm(part * s)) / max(s, float(np.linalg.norm(whole * s)))
 
 
 def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):

@@ -53,6 +53,16 @@ def _spectral_scale(eigenvalues: np.ndarray) -> float:
     return max(1.0, float(np.abs(eigenvalues).max()))
 
 
+def _pow2_scale(a: np.ndarray) -> float:
+    """``2**-e`` with ``2**e`` above max |a| and ``e >= 0``.
+
+    Multiplying by a power of two is exact, so norms and residual ratios
+    formed on ``a * _pow2_scale(a)`` equal those of ``a`` but cannot
+    overflow, even for entries near the float limit.
+    """
+    return 2.0 ** -max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], 0)
+
+
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
     """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``.
 
@@ -156,10 +166,9 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
 
     # Residuals can only be as good as eps * cond allows; gate on the
     # achievable bound so well-posed inputs never fail spuriously.  They are
-    # formed on H * 2^-e with 2^e above max |H| (e >= 0): power-of-two
-    # scaling is exact, so the ratios equal those of the unscaled H, and
-    # nothing overflows for entries near the float limit.
-    s = 2.0 ** -max(math.frexp(float(np.abs(h).max()))[1], 0)
+    # formed on the power-of-two-scaled H, so they equal the unscaled
+    # ratios and nothing overflows for entries near the float limit.
+    s = _pow2_scale(h)
     hs, es = h * s, evals * s
     scale = max(s, float(np.linalg.norm(hs)))
     bound = max(tol, 100.0 * n * _EPS * cond)

@@ -206,8 +206,11 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     split as ``E0 +- c sqrt(lambda - lambda_EP)``, so both branches are
     close to linear in lambda and Brent's zeroin (Brent 1973, ch. 4)
     converges in a few probes.  Every step keeps one real and one non-real
-    point; three steps in a row that fail to halve that pair force a
-    bisection step.
+    point.  The pair is held to half bisection's pace: after k probes past
+    the endpoints a pair wider than ``2 (hi - lo) 2**(-k/2)`` takes a
+    bisection step.  A search above the float spacing therefore needs at
+    most ``2 ceil(log2((hi - lo) / tol)) + 5`` probes, one more than twice
+    bisection's count.
 
     Raises
     ------
@@ -232,9 +235,11 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     def probe(x: float) -> tuple[bool, float]:
         evals = np.linalg.eigvals(spec.hamiltonian_at(direction * x, tau))
         real, max_imag = _reality(evals, tol)
-        gap = _min_gap(evals)
         # products, not ** 2: a float power raises OverflowError
-        return real, -(gap * gap) if real else (2.0 * max_imag) * (2.0 * max_imag)
+        if real:
+            gap = _min_gap(evals)
+            return real, -(gap * gap)
+        return real, (2.0 * max_imag) * (2.0 * max_imag)
 
     real_lo, f_lo = probe(lo)
     real_hi, f_hi = probe(hi)
@@ -251,7 +256,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     fa = fc = f_lo
     real_c = True
     d = e = b - a
-    slow = 0  # consecutive steps that failed to halve |c - b|
+    pace = 2.0 * (hi - lo)  # widest allowed |c - b|; shrinks by sqrt(2) per probe
     while True:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
@@ -263,7 +268,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
             return mid  # within tol, or the pair is down to adjacent floats
         xm = mid - b
         step = max(0.5 * tol, math.ulp(b))
-        if (slow < 3 and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
+        if (width <= pace and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
                 and math.isfinite(fa) and math.isfinite(fc)):
             # secant when a == c, inverse quadratic interpolation otherwise
             s = fb / fa
@@ -284,7 +289,6 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
                 d = e = xm
         else:
             d = e = xm
-            slow = 0
         a, fa = b, fb
         x = b + d if abs(d) > step else b + math.copysign(step, xm)
         if not min(b, c) < x < max(b, c):
@@ -295,7 +299,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
             c, fc, real_c = b, fb, not real_c
             d = e = x - b
         b, fb = x, fx
-        slow = slow + 1 if abs(c - b) > 0.5 * width else 0
+        pace *= math.sqrt(0.5)
 
 
 def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray:

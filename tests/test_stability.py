@@ -273,3 +273,20 @@ def test_lambda_max_probe_counts(monkeypatch):
     boundary, probes = count_probes(monkeypatch, FamilySpec.linear(h, w, [0.0]), (0.0, 1e6), 1e-10)
     assert abs(boundary - 1.0) <= 1e-10
     assert probes <= 56
+
+
+def test_lambda_max_probe_bound_with_real_side_crossing(monkeypatch):
+    # A 2x2 block with an EP at lambda = 1 beside a diagonal block whose
+    # eigenvalues 3.5 - lambda and 2.5 + lambda cross at lambda = 0.5, on
+    # the real side: min_gap has a kink there and touches zero, so the
+    # discriminant is far from linear across the bracket.
+    h = np.diag([1.0, -1.0, 3.5, 2.5]).astype(complex)
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 1], w[1, 0], w[2, 2], w[3, 3] = 1.0, -1.0, -1.0, 1.0
+    spec = FamilySpec.linear(h, w, [0.0])
+    for bracket in [(0.0, 2.0), (0.3, 1.5), (0.0, 10.0), (0.0, 1e3)]:
+        for tol in (1e-6, 1e-10):
+            boundary, probes = count_probes(monkeypatch, spec, bracket, tol)
+            assert abs(boundary - 1.0) <= tol
+            bisection = 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
+            assert probes <= 2 * bisection + 1, (bracket, tol, probes)
