@@ -25,6 +25,7 @@ from .errors import (
     NoPositiveSolutionError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
+    SeriesOverflowError,
     ShapeMismatchError,
     SingularResolventError,
     SolvabilityViolatedError,
@@ -101,6 +102,7 @@ __all__ = [
     "PerturbationProblem",
     "ScanPoint",
     "ScanReport",
+    "SeriesOverflowError",
     "ShapeMismatchError",
     "SingularResolventError",
     "SolvabilityViolatedError",

@@ -31,8 +31,10 @@ serially, and the value is only validated (a negative value exits 2).
 Work is capped so every accepted input finishes in bounded time and
 memory: a scan grid holds at most :data:`MAX_GRID_POINTS` points (tau
 count times lambda count, checked before any grid is built), and
-``perturb --order`` is at most :data:`MAX_ORDER`, since the series costs
-O(K^2) products.  Exceeding a cap exits 2.
+``perturb --order`` is at most :data:`MAX_ORDER`: the series costs
+O(K*M) products for M supplied W coefficients, and a coefficient that
+leaves the double-precision range past the convergence radius exits 8.
+Exceeding a cap exits 2.
 """
 
 from __future__ import annotations
@@ -85,6 +87,19 @@ SCAN_CSV_HEADER = (
 MAX_GRID_POINTS = 1_000_000
 #: Highest metric-series order ``perturb --order`` accepts.
 MAX_ORDER = 100
+
+#: ``(error classes, exit code)`` in match order: the first entry whose
+#: classes include the raised error gives the exit code, so
+#: ``MatrixFileError`` exits 2 before ``CryptohermError`` exits 8.
+_EXIT_CODES = (
+    ((ValueError, MatrixFileError), 2),
+    ((DefectiveError,), 3),
+    ((NoPositiveSolutionError,), 4),
+    ((UnderdeterminedError,), 5),
+    ((SolvabilityViolatedError,), 6),
+    ((NotQuasiHermitianError, NotPositiveDefiniteError), 7),
+    ((CryptohermError,), 8),
+)
 
 
 @dataclass
@@ -177,12 +192,7 @@ def _finite_json(value):
 
 
 def _emit_report(config: RunConfig, report: dict, summary: str) -> None:
-    text = json.dumps(_finite_json(report), indent=2, allow_nan=False)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
-        print(summary)
-    else:
-        print(text)
+    _emit_text(config, json.dumps(_finite_json(report), indent=2, allow_nan=False), summary)
 
 
 def _emit_text(config: RunConfig, text: str, summary: str) -> None:
@@ -366,11 +376,7 @@ def _build_family(args) -> FamilySpec:
 
 
 def cmd_scan(args, config: RunConfig) -> int:
-    try:
-        spec = _build_family(args)
-    except (ValueError, MatrixFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _build_family(args)
     _check_scan_threads()
     report = reality_scan(spec, config.tolerance)
     text = scan_csv(report)
@@ -448,27 +454,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(tolerance=args.tol, out=args.out)
         return args.func(args, config)
-    except (MatrixFileError, ValueError) as exc:
+    except (ValueError, CryptohermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DefectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoPositiveSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UnderdeterminedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except SolvabilityViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except (NotQuasiHermitianError, NotPositiveDefiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
-    except CryptohermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

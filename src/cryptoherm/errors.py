@@ -101,6 +101,18 @@ class SolvabilityViolatedError(CryptohermError):
         )
 
 
+class SeriesOverflowError(CryptohermError):
+    """The metric coefficient T^(order) lies outside the double-precision
+    range: past the convergence radius r the coefficients grow like r**-k."""
+
+    def __init__(self, order: int):
+        self.order = int(order)
+        super().__init__(
+            f"order-{order} metric coefficient exceeds the double-precision "
+            "range (series past its convergence radius)"
+        )
+
+
 class SingularResolventError(CryptohermError):
     """1 + lambda*Delta is numerically singular; the perturbation map is
     not invertible at this parameter value."""

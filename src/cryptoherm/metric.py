@@ -37,7 +37,13 @@ from .errors import (
     ShapeMismatchError,
     UnderdeterminedError,
 )
-from .spectra import BiorthogonalSystem, _check_tol, as_matrix, require_real_nondegenerate
+from .spectra import (
+    BiorthogonalSystem,
+    _check_tol,
+    _pow2_scale,
+    as_matrix,
+    require_real_nondegenerate,
+)
 
 __all__ = [
     "MetricFamily",
@@ -64,16 +70,19 @@ def metric_from_matrix(theta, tol: float) -> MetricOperator:
     """Validate a raw matrix as a metric operator.
 
     Raises NotPositiveDefiniteError if the matrix is not Hermitian within
-    ``tol`` or has a non-positive eigenvalue.
+    ``tol`` or has a non-positive eigenvalue.  The Hermiticity gate runs
+    on a copy scaled by a power of two, so it holds near the float limit.
     """
     th = as_matrix(theta, "theta")
     tol = _check_tol(tol)
-    defect = float(np.linalg.norm(th - th.conj().T))
-    if defect > tol * max(1.0, float(np.linalg.norm(th))):
+    s = _pow2_scale(th)
+    ths = th * s
+    defect = float(np.linalg.norm(ths - ths.conj().T))
+    if defect > tol * max(s, float(np.linalg.norm(ths))):
         raise NotPositiveDefiniteError(
-            f"metric is not Hermitian: defect {defect:.3e} exceeds tolerance"
+            f"metric is not Hermitian: defect {defect / s:.3e} exceeds tolerance"
         )
-    th = 0.5 * (th + th.conj().T)
+    th = 0.5 * (ths + ths.conj().T) / s
     smallest = float(np.linalg.eigvalsh(th).min())
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
@@ -138,13 +147,17 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
 
 def quasi_hermiticity_residual(h, theta) -> float:
     """Relative Frobenius residual of the quasi-Hermiticity relation,
-    ||H^dag Theta - Theta H|| / (||H|| ||Theta||)."""
+    ||H^dag Theta - Theta H|| / (||H|| ||Theta||), formed on copies of H
+    and Theta each scaled by a power of two (exact, and free of overflow).
+    """
     h = as_matrix(h, "H")
     th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
     if th.shape != h.shape:
         raise ShapeMismatchError(
             f"H has shape {h.shape} but theta has shape {th.shape}"
         )
+    h = h * _pow2_scale(h)
+    th = th * _pow2_scale(th)
     num = float(np.linalg.norm(h.conj().T @ th - th @ h))
     denom = float(np.linalg.norm(h)) * float(np.linalg.norm(th))
     if denom == 0.0:

@@ -35,6 +35,7 @@ under the exact deformation (V) are related by the intertwining identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .errors import (
     DegenerateSpectrumError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
+    SeriesOverflowError,
     ShapeMismatchError,
     SingularResolventError,
     SolvabilityViolatedError,
@@ -182,13 +184,14 @@ class DysonSeries:
     delta_coeffs: tuple
 
 
-def _sylvester_gauge_solve(system: BiorthogonalSystem, rhs: np.ndarray, tol: float):
+def _sylvester_gauge_solve(system: BiorthogonalSystem, rhs: np.ndarray, tol: float, unit: float):
     """Solve H^dag X - X H = rhs in the zero-diagonal biorthogonal gauge.
 
     Returns ``(X, kernel_residual, asymmetry)``: the Hermitian-symmetrized
     solution, the relative norm of the diagonal (solvability-obstruction)
     components of the transformed right side, and the relative asymmetry
-    removed by the symmetrization.
+    removed by the symmetrization.  ``unit`` is the value that 1 takes in
+    the scale of ``rhs``; both residuals are relative to ``max(unit, .)``.
     """
     e = system.eigenvalues.real
     n = e.size
@@ -200,30 +203,37 @@ def _sylvester_gauge_solve(system: BiorthogonalSystem, rhs: np.ndarray, tol: flo
         )
     r = system.right_vectors
     ct = r.conj().T @ rhs @ r
-    kernel_res = _relative_norm(np.diag(ct), ct)
+    kernel_res = _relative_norm(np.diag(ct), ct, unit)
     y = np.zeros_like(ct)
     y[off] = ct[off] / gaps[off]
     l = system.left_vectors
     x = l @ y @ l.conj().T
-    asym = 0.5 * _relative_norm(x - x.conj().T, x)
+    asym = 0.5 * _relative_norm(x - x.conj().T, x, unit)
     x = 0.5 * (x + x.conj().T)
     return x, kernel_res, asym
 
 
-def _relative_norm(part: np.ndarray, whole: np.ndarray) -> float:
-    """``||part|| / max(1, ||whole||)`` in the Frobenius norm, for a
-    ``part`` derived from ``whole`` and of comparable size.
+def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
+    """``||part|| / max(unit, ||whole||)`` in the Frobenius norm, for a
+    ``part`` derived from ``whole`` and of comparable size (0 when
+    ``part`` is 0).
 
-    High-order series coefficients grow like r**-k past the convergence
-    radius r, and their squared entries overflow long before the entries
-    do, so both norms are formed on copies scaled by ``_pow2_scale(whole)``.
+    Both norms are formed on copies scaled by ``_pow2_scale(whole)``, so
+    their squared entries cannot overflow.
     """
     s = _pow2_scale(whole)
-    return float(np.linalg.norm(part * s)) / max(s, float(np.linalg.norm(whole * s)))
+    num = float(np.linalg.norm(part * s))
+    return num / max(unit * s, float(np.linalg.norm(whole * s))) if num else 0.0
 
 
 def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
     """Metric correction T^(k) from the corrections below it.
+
+    Only the M supplied coefficients W^(i) enter, so one order costs
+    O(min(k, M)) products.  The equation is linear in the T^(j) and in the
+    W^(i), so it is solved on copies of both scaled by powers of two
+    (exact), and no product can overflow; T^(k) is range-checked before
+    the scale is undone.
 
     Parameters
     ----------
@@ -248,6 +258,8 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
         no Hermitian T^(k) exists.
     DegenerateSpectrumError
         Eigenvalue gaps below tolerance make the division ill-posed.
+    SeriesOverflowError
+        T^(k) lies outside the double-precision range.
     """
     k = int(k)
     if k < 1:
@@ -256,16 +268,21 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
         raise ValueError(
             f"need T^(0..{k - 1}) to solve order {k}, got {len(lower.t_coeffs)} coefficients"
         )
+    # W^(i) pairs with T^(k-1-i); the sum runs in increasing T order.
+    pairs = [(lower.t_coeffs[k - 1 - i], w) for i, w in enumerate(problem.w_coeffs[:k])][::-1]
+    t_scale = min((_pow2_scale(t) for t, _ in pairs), default=1.0)
+    w_scale = min((_pow2_scale(w) for _, w in pairs), default=1.0)
     n = problem.dim
     rhs = np.zeros((n, n), dtype=complex)
-    for j in range(k):
-        w = problem.w_coeff(k - 1 - j)
-        t = lower.t_coeffs[j]
+    for t, w in pairs:
+        t, w = t * t_scale, w * w_scale
         rhs += t @ w - w.conj().T @ t
-    x, kernel_res, asym = _sylvester_gauge_solve(problem.system, rhs, problem.tol)
+    x, kernel_res, asym = _sylvester_gauge_solve(problem.system, rhs, problem.tol, t_scale * w_scale)
     if kernel_res > problem.tol:
         raise SolvabilityViolatedError(k, kernel_res)
-    return x, kernel_res + asym
+    if not math.isfinite(float(np.abs(x).max()) / t_scale / w_scale):
+        raise SeriesOverflowError(k)
+    return x / t_scale / w_scale, kernel_res + asym
 
 
 def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
@@ -338,29 +355,26 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
 
         W0 + Delta_0 H - H Delta_0
 
-    quasi-Hermitian with respect to Theta.  Equivalently S = Theta Delta_0
-    solves H^dag S - S H = (Theta W0 - W0^dag Theta) / 2, which is half the
-    order-1 right-hand side, so this route and
-    ``dyson_from_metric(metric_series(...), Theta)`` agree.
+    quasi-Hermitian with respect to Theta.  It is the order-1 term of the
+    metric series, T^(1) = Delta_0^dag Theta + Theta Delta_0, and is
+    computed by that route:
+    ``dyson_from_metric(metric_series(problem, 1), Theta).delta_coeffs[0]``
+    for ``problem = PerturbationProblem.build(H, Theta, [W0], tol)``.
 
     Raises
     ------
+    NotQuasiHermitianError
+        Theta is not quasi-Hermitian for H.
+    NotPositiveDefiniteError
+        A raw Theta fails :func:`metric_from_matrix`, or Theta fails the
+        Cholesky gate of the inversion.
     SolvabilityViolatedError
         Same kernel obstruction as :func:`solve_order` at order 1.
+    CryptohermError
+        Any other precondition of :meth:`PerturbationProblem.build`.
     """
-    h = as_matrix(h, "H")
-    w0 = as_matrix(w0, "W0")
-    th = _theta_matrix(theta)
-    if w0.shape != h.shape or th.shape != h.shape:
-        raise ShapeMismatchError("W0, H and theta must share one square shape")
-    tol = _check_tol(tol)
-    system = diagonalize(h, tol)
-    require_real_nondegenerate(system)
-    rhs = 0.5 * (th @ w0 - w0.conj().T @ th)
-    s, kernel_res, _ = _sylvester_gauge_solve(system, rhs, tol)
-    if kernel_res > tol:
-        raise SolvabilityViolatedError(1, kernel_res)
-    return _metric_inverse(0.5 * (th + th.conj().T)) @ s
+    problem = PerturbationProblem.build(h, theta, [w0], tol)
+    return dyson_from_metric(metric_series(problem, 1), problem.theta).delta_coeffs[0]
 
 
 def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:
@@ -433,16 +447,13 @@ def hidden_hermiticity_test(w, delta, h, theta, lam: float, tol: float) -> tuple
     """Admissibility test for a perturbation at fixed (lam, Delta).
 
     Builds V = v_from_w(W, Delta, H, lam) and measures the relative
-    residual of V^dag Theta = Theta V.  A residual within ``tol`` means
+    residual of V^dag Theta = Theta V with :func:`quasi_hermiticity_residual`.
+    A residual within ``tol`` means
     the perturbed Hamiltonian is Hermitian under the deformed inner
     product, i.e. its spectrum stays real at this parameter value.
 
     Returns ``(admissible, residual)``.
     """
-    th = _theta_matrix(theta)
     tol = _check_tol(tol)
-    v = v_from_w(w, delta, h, lam)
-    num = float(np.linalg.norm(v.conj().T @ th - th @ v))
-    denom = float(np.linalg.norm(v)) * float(np.linalg.norm(th))
-    residual = 0.0 if denom == 0.0 else num / denom
+    residual = quasi_hermiticity_residual(v_from_w(w, delta, h, lam), theta)
     return residual <= tol, residual

@@ -54,13 +54,14 @@ def _spectral_scale(eigenvalues: np.ndarray) -> float:
 
 
 def _pow2_scale(a: np.ndarray) -> float:
-    """``2**-e`` with ``2**e`` above max |a| and ``e >= 0``.
+    """``2**-e`` with ``2**(e + 1)`` above max |a| and ``e >= 0``.
 
     Multiplying by a power of two is exact, so norms and residual ratios
     formed on ``a * _pow2_scale(a)`` equal those of ``a`` but cannot
-    overflow, even for entries near the float limit.
+    overflow, even for entries near the float limit.  The scale is at
+    least ``2**-1023``, so dividing a scaled result by it is exact too.
     """
-    return 2.0 ** -max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], 0)
+    return 2.0 ** -max(math.frexp(float(np.abs(a).max(initial=0.0)))[1] - 1, 0)
 
 
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from cryptoherm import (
+    DefectiveError,
+    InconsistentError,
+    MatrixFileError,
     MetricFamily,
+    NoPositiveSolutionError,
+    NotPositiveDefiniteError,
+    NotQuasiHermitianError,
+    SeriesOverflowError,
+    SolvabilityViolatedError,
+    UnderdeterminedError,
     assemble_metric,
     diagonalize,
     kg_metric,
@@ -15,6 +24,7 @@ from cryptoherm import (
     read_matrix,
     write_matrix,
 )
+from cryptoherm import cli
 from cryptoherm.cli import SCAN_CSV_HEADER, main
 
 EXPECTED_HEADER = "lambda,tau,spectrum_real,max_imag,min_gap,eigvec_cond,metric_exists,theta_min_eig"
@@ -458,3 +468,52 @@ def test_perturb_high_order_past_convergence_radius(tmp_path):
     residuals = report["solvability_residuals"]
     assert len(residuals) == 101
     assert all(isinstance(r, float) and 0.0 <= r <= 1e-10 for r in residuals)
+
+
+def test_perturb_coefficient_overflow_exits_8(tmp_path):
+    # the input of test_perturb_high_order_past_convergence_radius with a
+    # 100x stronger perturbation: T^(k) leaves the float range before K = 100
+    rng = np.random.default_rng(0)
+    n = 8
+    s = np.eye(n) + (0.3 / np.sqrt(n)) * rng.standard_normal((n, n))
+    s_inv = np.linalg.inv(s)
+    h0 = s @ np.diag(np.linspace(-1.0, 1.0, n)) @ s_inv
+    m = 1000.0 * rng.standard_normal((n, n))
+    np.fill_diagonal(m, 0.0)
+    system = diagonalize(h0, 1e-10)
+    theta = assemble_metric(MetricFamily(system), np.ones(n)).theta
+    paths = {}
+    for name, mat in (("h", h0), ("w", s @ m @ s_inv), ("theta", theta)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        write_matrix(paths[name], mat, name)
+    proc = run_cli_process("perturb", "--h", paths["h"], "--metric", paths["theta"],
+                           "--w", paths["w"], "--order", "100")
+    assert proc.returncode == 8
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: order-")
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ValueError("bad flag"), 2),
+        (MatrixFileError("bad file"), 2),
+        (DefectiveError("defective"), 3),
+        (NoPositiveSolutionError("no positive weights"), 4),
+        (UnderdeterminedError("free ratio"), 5),
+        (SolvabilityViolatedError(2, 0.5), 6),
+        (NotQuasiHermitianError("not quasi-Hermitian"), 7),
+        (NotPositiveDefiniteError("indefinite"), 7),
+        (SeriesOverflowError(70), 8),
+        (InconsistentError("zero solution"), 8),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_classes_map_to_documented_exit_codes(capsys, monkeypatch, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "diagonalize", fail)
+    assert run_cli(capsys, "diag", "--kg", "0.3") == (code, "", f"error: {exc}\n")

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import (
     BetaOutOfRangeError,
@@ -9,14 +13,20 @@ from cryptoherm import (
     MetricFamily,
     NonPositiveWeightError,
     NoPositiveSolutionError,
+    NotPositiveDefiniteError,
+    NotQuasiHermitianError,
+    PerturbationProblem,
     SpectrumNotRealError,
     UnderdeterminedError,
     assemble_metric,
     diagonalize,
+    dyson_map,
     fix_ambiguity,
+    hermitize,
     kg_beta,
     kg_hamiltonian,
     kg_metric,
+    metric_from_matrix,
     quasi_hermiticity_residual,
 )
 from oracles import metric_from_seed, random_hermitian, random_real_spectrum_matrix
@@ -140,6 +150,43 @@ def test_residual_kg_closed_form():
 def test_residual_kg_identity_metric_nonzero():
     res = quasi_hermiticity_residual(kg_hamiltonian(1.0), np.eye(2))
     assert res > 0.1  # H - H^dag has entries e^2 - 1
+
+
+def test_residual_gates_hold_near_the_float_limit():
+    # unscaled, both products overflow: the residual read nan and nan > tol
+    # let a metric that is not quasi-Hermitian through
+    h = 2.0**600 * kg_hamiltonian(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quasi_hermiticity_residual(h, np.eye(2))
+        assert res == quasi_hermiticity_residual(kg_hamiltonian(1.0), np.eye(2))
+        assert res > 0.8
+        with pytest.raises(NotQuasiHermitianError):
+            PerturbationProblem.build(h, np.eye(2), [SIGMA_X], TOL)
+        with pytest.raises(NotQuasiHermitianError):
+            hermitize(h, dyson_map(metric_from_matrix(np.eye(2), TOL)), TOL)
+        with pytest.raises(NotPositiveDefiniteError, match="not Hermitian"):
+            metric_from_matrix(2.0**600 * np.array([[2.0, 1.0], [0.0, 2.0]]), TOL)
+        # entries whose sum overflows still symmetrize exactly
+        big = 2.0**1023 * np.array([[1.5, 0.5], [0.5, 1.5]])
+        assert np.array_equal(metric_from_matrix(big, TOL).theta, big)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    i=st.integers(-40, 1000),
+    j=st.integers(-40, 1000),
+)
+def test_residual_scale_invariance(seed, n, i, j):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    theta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = quasi_hermiticity_residual(2.0**j * h, 2.0**i * theta)
+    assert scaled == quasi_hermiticity_residual(h, theta)
 
 
 # ---------------------------------------------------------------------------

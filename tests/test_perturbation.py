@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cryptoherm import (
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     PerturbationProblem,
+    SeriesOverflowError,
     SingularResolventError,
     SolvabilityViolatedError,
     commutator_gap,
@@ -154,6 +157,53 @@ def test_order_k_consistency_property():
         assert 2.0 ** (order + 1) * 0.7 <= ratio <= 2.0 ** (order + 1) * 1.4
 
 
+def test_two_coefficient_perturbation_relation_order():
+    # W_lambda = W0 + lambda W1: W^(i) pairs with T^(k-1-i), so the
+    # truncated series solves the relation to O(lambda^(K+1))
+    w1 = np.diag([0.3, -0.2]).astype(complex)
+    prob = PerturbationProblem.build(
+        kg_hamiltonian(0.2), kg_metric(0.2, 0.25), [SIGMA_X, w1], TOL
+    )
+    for order in (1, 2, 3, 4):
+        series = metric_series(prob, order)
+
+        def relation_residual(lam):
+            h_lam = prob.hamiltonian_at(lam)
+            t = series.truncated(lam)
+            return np.linalg.norm(h_lam.conj().T @ t - t @ h_lam)
+
+        ratio = relation_residual(0.02) / relation_residual(0.01)
+        assert 2.0 ** (order + 1) * 0.7 <= ratio <= 2.0 ** (order + 1) * 1.4
+
+
+def test_series_overflow_raises_before_any_product_overflows():
+    # past the convergence radius |T^(k)| grows about 10^1.85 per order; a
+    # metric scaled by 2^600 pushes it past the float range near k = 70
+    h = np.diag([1.0, 2.0, 4.0]).astype(complex)
+    w = 100.0 * np.array([[0, 1, 0.5], [-1, 0, 1], [-0.5, -1, 0]], dtype=complex)
+    small = metric_series(PerturbationProblem.build(h, np.eye(3), [w], TOL), 60)
+    big = PerturbationProblem.build(h, 2.0**600 * np.eye(3), [w], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = metric_series(big, 60)
+        with pytest.raises(SeriesOverflowError) as info:
+            metric_series(big, 100)
+    # the scaled solve is exact, so the series scales with the metric
+    for t_small, t_big in zip(small.t_coeffs, scaled.t_coeffs):
+        assert np.array_equal(2.0**600 * t_small, t_big)
+    order = info.value.order
+    assert 60 < order <= 100
+    last = metric_series(big, order - 1).t_coeffs[-1]
+    assert np.isfinite(last).all()
+    assert np.abs(last).max() > 1e305
+    # the product of the two scales underflows to 0 here; a zero right-hand
+    # side must still give zero residuals
+    huge = PerturbationProblem.build(h, 2.0**1000 * np.eye(3), [2.0**600 * h], TOL)
+    series = metric_series(huge, 2)
+    assert series.solvability_residuals == (0.0, 0.0, 0.0)
+    assert not np.any(series.t_coeffs[2])
+
+
 def test_hermiticity_and_gauge_per_order():
     prob = kg_problem()
     series = metric_series(prob, 3)
@@ -262,6 +312,18 @@ def test_leading_delta_agrees_with_metric_route():
     d_direct = leading_delta(SIGMA_X, prob.h, prob.theta, TOL)
     d_series = dyson_from_metric(metric_series(prob, 1), prob.theta).delta_coeffs[0]
     assert np.linalg.norm(d_direct - d_series) <= 10.0 * TOL
+
+
+def test_leading_delta_is_the_order_one_series_term():
+    prob = kg_problem()
+    d_direct = leading_delta(SIGMA_X, prob.h, prob.theta, TOL)
+    d_series = dyson_from_metric(metric_series(prob, 1), prob.theta).delta_coeffs[0]
+    assert np.array_equal(d_direct, d_series)
+
+
+def test_leading_delta_checks_quasi_hermiticity():
+    with pytest.raises(NotQuasiHermitianError):
+        leading_delta(SIGMA_X, kg_hamiltonian(1.0), np.eye(2), TOL)
 
 
 def test_route_equivalence_on_random_solvable_problems():
