@@ -76,7 +76,7 @@ from .perturbation import (
     hidden_hermiticity_test,
     metric_series,
 )
-from .spectra import diagonalize, ep_proximity, spectrum_is_real
+from .spectra import _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
 from .stability import FamilySpec, ScanReport, lambda_max, reality_scan
 
 SCAN_CSV_HEADER = (
@@ -295,8 +295,13 @@ def cmd_hermitize(args, config: RunConfig) -> int:
     theta = _load_metric(args, config)
     omega = dyson_map(theta)
     h_image = hermitize(h, omega, config.tolerance)
-    defect = float(np.linalg.norm(h_image - h_image.conj().T))
-    rel = defect / max(float(np.linalg.norm(h_image)), 1e-300)
+    # Both norms are formed on a copy scaled by a power of two (exact), so
+    # entries near the float limit cannot overflow their squares.
+    s = _pow2_scale(h_image)
+    hs = h_image * s
+    defect_s = float(np.linalg.norm(hs - hs.conj().T))
+    defect = defect_s / s
+    rel = defect_s / max(float(np.linalg.norm(hs)), 1e-300)
     report = {
         "h_image": matrix_to_doc(h_image, "h_image"),
         "hermiticity_defect": defect,

@@ -22,6 +22,8 @@ in closed form: :func:`kg_hamiltonian`, :func:`kg_metric`, :func:`kg_beta`.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,8 @@ __all__ = [
     "metric_from_matrix",
     "quasi_hermiticity_residual",
 ]
+
+_ROOT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -165,16 +169,70 @@ def quasi_hermiticity_residual(h, theta) -> float:
     return num / denom
 
 
+@functools.lru_cache(maxsize=None)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix, and a mask of its upper triangle, computed once per size."""
+    upper = np.arange(n)[:, None] <= np.arange(n)
+    rows, cols = np.nonzero(upper & ~np.eye(n, dtype=bool))
+    for a in (rows, cols, upper):
+        a.setflags(write=False)
+    return rows, cols, upper
+
+
+def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, float]:
+    """Singular values, right singular vectors and constraint scale of the
+    real weight-constraint system of the validated observables ``obs``.
+
+    All observables are first scaled by one common power of two, which is
+    exact and leaves every ratio of the three results unchanged.  For
+    a_n = O^dag l_n the constraint on weight n is the anti-Hermitian
+    C_n = a_n l_n^dag - l_n a_n^dag, so its strict upper triangle (real and
+    imaginary parts, weighted by sqrt(2)) and its imaginary diagonal give
+    N^2 real rows per observable with the Gram matrix of all 2 N^2 real and
+    imaginary parts.  An R-only QR of those rows, then an SVD of the N x N
+    R, gives their singular values and right singular vectors.  The
+    constraint scale is max ||O|| * max_n ||l_n||^2 = max ||O|| ||L_n L_n^dag||.
+    """
+    scale = min(map(_pow2_scale, obs))
+    l = family.system.left_vectors
+    lc = l.conj()
+    i, j, upper_mask = _triangles(family.dim)
+    li, lcj = _ROOT2 * l[i], _ROOT2 * lc[j]
+    blocks = []
+    o_norm = 0.0
+    for o in obs:
+        oh = scale * o.conj().T
+        a = oh @ l
+        upper = a[i] * lcj - li * a[j].conj()
+        blocks += [upper.real, upper.imag, 2.0 * (a * lc).imag]
+        o_norm = max(o_norm, math.sqrt(np.vdot(oh, oh).real))
+    floor = o_norm * float(np.einsum("in,in->n", l, lc).real.max())
+    # R is the upper triangle of the transposed raw factor; masking it
+    # costs less than the np.triu that mode="r" runs.
+    h, _ = np.linalg.qr(np.concatenate(blocks), mode="raw")
+    _, s, vt = np.linalg.svd(h.T[: family.dim] * upper_mask)
+    return s, vt, floor
+
+
 def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
     """Weights making every candidate observable quasi-Hermitian w.r.t.
     Theta(kappa), normalized so kappa_1 = 1.
 
-    Stacks the constraints Lambda_j^dag Theta(kappa) = Theta(kappa)
-    Lambda_j as a real homogeneous linear system in kappa and extracts
-    its null space by SVD.  The rank threshold is
-    ``tol * max(sigma_max, constraint scale)``; the second term keeps
-    constraints that cancel analytically (e.g. Lambda = H itself) from
-    leaving pure rounding noise behind.
+    The constraints Lambda_j^dag Theta(kappa) = Theta(kappa) Lambda_j form
+    a real homogeneous linear system in kappa, whose null space gives the
+    weights.  Each constraint matrix is anti-Hermitian, so only its strict
+    upper triangle (weighted by sqrt(2)) and its imaginary diagonal enter:
+    N^2 real rows per observable, built from the rank-two terms
+    a_n l_n^dag - l_n a_n^dag with a_n = Lambda^dag l_n, with the same
+    singular values and right singular vectors as all 2 N^2 real and
+    imaginary parts.  An R-only QR of the rows, then an SVD of the N x N R,
+    gives those.  All observables are first scaled by one common power of
+    two, so entries near the float limit neither overflow nor change the
+    outcome.  The rank threshold is ``tol * max(sigma_max, constraint
+    scale)`` with constraint scale max ||Lambda_j|| * max ||L_n L_n^dag||;
+    the second term keeps constraints that cancel analytically (e.g.
+    Lambda = H itself) from leaving pure rounding noise behind.
 
     Raises
     ------
@@ -191,7 +249,6 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
     """
     tol = _check_tol(tol)
     n = family.dim
-    projs = family.projectors()
     obs = [as_matrix(o, f"observable[{i}]") for i, o in enumerate(observables)]
     if not obs:
         raise UnderdeterminedError("no observables supplied")
@@ -201,22 +258,9 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
                 f"observable has shape {o.shape}, expected {(n, n)}"
             )
 
-    blocks = []
-    floor = 0.0
-    proj_norm = max(float(np.linalg.norm(p)) for p in projs)
-    for o in obs:
-        oh = o.conj().T
-        cons = np.stack([oh @ p - p @ o for p in projs])  # (n_weights, n, n)
-        a_cplx = cons.reshape(n, -1).T                    # (n*n, n_weights)
-        blocks.append(a_cplx.real)
-        blocks.append(a_cplx.imag)
-        floor = max(floor, float(np.linalg.norm(o)) * proj_norm)
-    a = np.vstack(blocks)
-
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    thresh = tol * max(float(s[0]) if s.size else 0.0, floor)
-    rank = int(np.sum(s > thresh))
-    null_dim = n - rank
+    s, vt, floor = _constraint_svd(family, obs)
+    thresh = tol * max(float(s[0]), floor)
+    null_dim = n - int(np.count_nonzero(s > thresh))
     if null_dim == 0:
         raise InconsistentError(
             "observable constraints admit only the zero solution"
@@ -226,10 +270,11 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
             f"observable set leaves a {null_dim}-dimensional weight space"
         )
 
-    v = vt[-1].astype(float)
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
+    v = vt[-1]
+    mag = np.abs(v)
+    if v[mag.argmax()] < 0.0:
         v = -v
-    if np.min(v) <= tol * float(np.max(np.abs(v))):
+    if v.min() <= tol * mag.max():
         raise NoPositiveSolutionError(
             "the compatible weight line contains no strictly positive vector"
         )

@@ -96,3 +96,39 @@ def metric_from_seed(rng, s, lo=0.5, hi=2.0):
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def dense_ambiguity_svd(projs, observables):
+    """(s, Vt, floor) of the dense weight-constraint system: all 2 N^2 real
+    and imaginary parts of O^dag P_n - P_n O, one column per projector
+    P_n, stacked over the observables.  ``floor`` is
+    max ||O|| * max ||P_n||."""
+    n = projs.shape[0]
+    proj_norm = max(np.linalg.norm(p) for p in projs)
+    blocks, floor = [], 0.0
+    for o in observables:
+        o = np.asarray(o, dtype=complex)
+        cons = np.stack([o.conj().T @ p - p @ o for p in projs]).reshape(n, -1).T
+        blocks += [cons.real, cons.imag]
+        floor = max(floor, np.linalg.norm(o) * proj_norm)
+    _, s, vt = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    return s, vt, floor
+
+
+def dense_fix_ambiguity(projs, observables, tol):
+    """(outcome, kappa) of the dense construction under the documented
+    rule: rank threshold tol * max(s_0, floor), the null vector signed so
+    its largest entry is positive, and a positivity margin of tol.
+    ``outcome`` is "ok" or the name of the error class."""
+    s, vt, floor = dense_ambiguity_svd(projs, observables)
+    null_dim = s.size - int(np.sum(s > tol * max(s[0], floor)))
+    if null_dim == 0:
+        return "InconsistentError", None
+    if null_dim > 1:
+        return "UnderdeterminedError", None
+    v = vt[-1]
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    if v.min() <= tol * np.abs(v).max():
+        return "NoPositiveSolutionError", None
+    return "ok", v / v[0]

@@ -18,6 +18,7 @@ from cryptoherm import (
     UnderdeterminedError,
     assemble_metric,
     diagonalize,
+    kg_hamiltonian,
     kg_metric,
     matrix_from_doc,
     matrix_to_doc,
@@ -404,6 +405,29 @@ def test_diag_near_overflow_entries_keep_stderr_empty(matrices):
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["spectrum_real"] is True
+
+
+def test_hermitize_near_overflow_keeps_stderr_empty(matrices):
+    # the Frobenius norms of the image overflowed: a warning on stderr and
+    # "inf" / "nan" defects on a success path
+    h = matrices("h", 2.0**600 * kg_hamiltonian(1.0))
+    theta = matrices("theta", kg_metric(1.0, 0.0).theta)
+    proc = run_cli_process("hermitize", "--h", h, "--metric", theta)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert np.isfinite(report["hermiticity_defect"])
+    assert 0.0 <= report["hermiticity_defect_rel"] <= 1e-12
+
+
+def test_metric_observable_near_overflow_matches_unscaled(matrices):
+    obs = np.array([[0.0, 0.0], [1.0, 2.0]])
+    ref = run_cli_process("metric", "--kg", "0.3", "--obs", matrices("o", obs))
+    proc = run_cli_process("metric", "--kg", "0.3", "--obs", matrices("big", 2.0**600 * obs))
+    assert ref.returncode == proc.returncode == 0
+    assert proc.stderr == ""
+    kappa = json.loads(proc.stdout)["kappa"]
+    assert np.allclose(kappa, json.loads(ref.stdout)["kappa"], rtol=1e-12, atol=0.0)
 
 
 def test_input_caps_exit_2():

@@ -29,7 +29,15 @@ from cryptoherm import (
     metric_from_matrix,
     quasi_hermiticity_residual,
 )
-from oracles import metric_from_seed, random_hermitian, random_real_spectrum_matrix
+from cryptoherm.metric import _constraint_svd
+from cryptoherm.spectra import _pow2_scale
+from oracles import (
+    dense_ambiguity_svd,
+    dense_fix_ambiguity,
+    metric_from_seed,
+    random_hermitian,
+    random_real_spectrum_matrix,
+)
 
 TOL = 1e-10
 
@@ -258,6 +266,110 @@ def test_fix_ambiguity_recovers_planted_weights():
         lam = np.linalg.solve(theta, random_hermitian(rng, 4))
         kappa = fix_ambiguity(family, [lam], TOL)
         assert np.allclose(kappa, kappa_target / kappa_target[0], rtol=1e-8, atol=1e-10)
+
+
+def test_fix_ambiguity_observable_near_the_float_limit():
+    # ||O|| overflowed and inflated the rank threshold to inf
+    family = kg_family(0.3)
+    obs = np.array([[0.0, 0.0], [1.0, 2.0]])
+    ref = fix_ambiguity(family, [obs], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = fix_ambiguity(family, [2.0**600 * obs], TOL)
+    assert np.allclose(kappa, ref, rtol=1e-12, atol=0.0)
+
+
+def _outcome(family, observables):
+    try:
+        return "ok", fix_ambiguity(family, observables, TOL)
+    except (InconsistentError, NoPositiveSolutionError, UnderdeterminedError) as exc:
+        return type(exc).__name__, None
+
+
+def _planted(rng, family, sign=1.0):
+    """An observable quasi-Hermitian for Theta(kappa) with random weights;
+    ``sign`` -1 flips one weight, so the compatible line is indefinite."""
+    n = family.dim
+    kappa = rng.uniform(0.5, 2.0, n)
+    kappa[rng.integers(n)] *= sign
+    l = family.system.left_vectors
+    theta = (l * kappa) @ l.conj().T
+    return np.linalg.solve(theta, random_hermitian(rng, n))
+
+
+def _observable_set(rng, family, h, kind):
+    n = family.dim
+    if kind == "planted":
+        return [_planted(rng, family)]
+    if kind == "indefinite":
+        return [_planted(rng, family, -1.0)]
+    if kind == "hamiltonian":
+        return [h]
+    if kind == "identity":
+        return [np.eye(n)]
+    if kind == "random":
+        return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    if kind == "consistent_pair":
+        o = _planted(rng, family)
+        return [o, o @ o]
+    return [_planted(rng, family), _planted(rng, family)]  # "pair"
+
+
+# expected outcome per observable set, for N = 1 and for N >= 2
+EXPECTED_OUTCOME = {
+    "planted": ("ok", "ok"),
+    "indefinite": ("ok", "NoPositiveSolutionError"),
+    "hamiltonian": ("ok", "UnderdeterminedError"),
+    "identity": ("ok", "UnderdeterminedError"),
+    "random": ("InconsistentError", "InconsistentError"),
+    "consistent_pair": ("ok", "ok"),
+    "pair": ("ok", "InconsistentError"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_OUTCOME))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_fix_ambiguity_matches_dense_reference(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    for _ in range(4):
+        h, _, _ = random_real_spectrum_matrix(rng, n)
+        family = MetricFamily(diagonalize(h, TOL))
+        obs = _observable_set(rng, family, h, kind)
+        outcome, kappa = _outcome(family, obs)
+        assert outcome == EXPECTED_OUTCOME[kind][n > 1]
+        ref_outcome, ref_kappa = dense_fix_ambiguity(family.projectors(), obs, TOL)
+        assert outcome == ref_outcome
+        if kappa is not None:
+            assert np.max(np.abs(kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
+        # the kernel works on observables scaled by one common power of two
+        scale = min(_pow2_scale(np.asarray(o, dtype=complex)) for o in obs)
+        s_ref, _, floor_ref = dense_ambiguity_svd(family.projectors(), [scale * o for o in obs])
+        s, _, floor = _constraint_svd(family, [np.asarray(o, dtype=complex) for o in obs])
+        # constraints that cancel analytically leave singular values of
+        # rounding size, so the scale is that of the rank threshold
+        assert np.max(np.abs(s - s_ref)) <= 1e-13 * max(s_ref[0], floor_ref)
+        assert abs(floor - floor_ref) <= 1e-13 * floor_ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["planted", "indefinite", "hamiltonian", "random"]),
+    j=st.integers(-40, 1000),
+)
+def test_fix_ambiguity_scale_invariance(seed, n, kind, j):
+    rng = np.random.default_rng(seed)
+    h, _, _ = random_real_spectrum_matrix(rng, n)
+    family = MetricFamily(diagonalize(h, TOL))
+    (obs,) = _observable_set(rng, family, h, kind)
+    outcome, kappa = _outcome(family, [obs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled, scaled_kappa = _outcome(family, [2.0**j * obs])
+    assert scaled == outcome
+    if kappa is not None:
+        assert np.max(np.abs(scaled_kappa - kappa)) <= 1e-12 * np.max(np.abs(kappa))
 
 
 # ---------------------------------------------------------------------------
