@@ -169,7 +169,7 @@ def quasi_hermiticity_residual(h, theta) -> float:
     return num / denom
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle of an n x n
     matrix, and a mask of its upper triangle, computed once per size."""
@@ -181,18 +181,12 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, float]:
-    """Singular values, right singular vectors and constraint scale of the
-    real weight-constraint system of the validated observables ``obs``.
-
-    All observables are first scaled by one common power of two, which is
-    exact and leaves every ratio of the three results unchanged.  For
-    a_n = O^dag l_n the constraint on weight n is the anti-Hermitian
-    C_n = a_n l_n^dag - l_n a_n^dag, so its strict upper triangle (real and
-    imaginary parts, weighted by sqrt(2)) and its imaginary diagonal give
-    N^2 real rows per observable with the Gram matrix of all 2 N^2 real and
-    imaginary parts.  An R-only QR of those rows, then an SVD of the N x N
-    R, gives their singular values and right singular vectors.  The
-    constraint scale is max ||O|| * max_n ||l_n||^2 = max ||O|| ||L_n L_n^dag||.
+    """``(s, vt, floor)`` of the weight-constraint rows of the validated
+    observables ``obs``, built and factored as :func:`fix_ambiguity`
+    describes: the singular values, the right singular vectors and the
+    constraint scale max ||O|| * max_n ||l_n||^2.  ``s`` and ``floor`` are
+    in the units of the observables after their common power-of-two
+    scaling, so only their ratios carry meaning.
     """
     scale = min(map(_pow2_scale, obs))
     l = family.system.left_vectors
@@ -204,8 +198,9 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     for o in obs:
         oh = scale * o.conj().T
         a = oh @ l
-        upper = a[i] * lcj - li * a[j].conj()
-        blocks += [upper.real, upper.imag, 2.0 * (a * lc).imag]
+        off = a[i] * lcj - li * a[j].conj()
+        # the diagonal of a_n l_n^dag - l_n a_n^dag is 2i Im(a_n * conj(l_n))
+        blocks += [off.real, off.imag, 2.0 * (a * lc).imag]
         o_norm = max(o_norm, math.sqrt(np.vdot(oh, oh).real))
     floor = o_norm * float(np.einsum("in,in->n", l, lc).real.max())
     # R is the upper triangle of the transposed raw factor; masking it

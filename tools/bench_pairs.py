@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
         --workload pipeline [scan cli] --seeds 9101 9102 ... \
-        [--seconds 20] [--out BENCH.json]
+        --out BENCH.json [--seconds 20]
 
 Each DIR is the root of a checkout holding ``BENCHMARK.json`` and
 ``perfbench/``.  Both trees first lose every ``src/**/__pycache__``, so
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -114,7 +114,8 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for label in order:
                 res = run_once(trees[label], spec["command"], workload, seed, args.seconds)
-                machine.setdefault(label, res.pop("machine", None))
+                if res.get("machine") is not None:
+                    machine.setdefault(label, res["machine"])
                 res.pop("machine", None)
                 pair[label] = res
                 shown = res["metrics"].get("throughput_per_s") if res["rc"] == 0 else None
