@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,10 +64,18 @@ _ROOT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """A Hermitian positive-definite inner-product operator."""
+    """A Hermitian positive-definite inner-product operator.
+
+    ``system`` is the biorthogonal system of the family the metric was
+    assembled from (:func:`assemble_metric`), carried along so that
+    :meth:`~cryptoherm.perturbation.PerturbationProblem.build` on the same
+    H need not diagonalize it again; it is ``None`` for a metric of any
+    other origin.
+    """
 
     theta: np.ndarray
     source_tol: float
+    system: BiorthogonalSystem | None = field(default=None, compare=False, repr=False)
 
 
 def metric_from_matrix(theta, tol: float) -> MetricOperator:
@@ -126,7 +134,8 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     """Build Theta(kappa) = sum_n kappa_n L_n L_n^dag for positive weights.
 
     Scale covariance is exact: assemble_metric(family, s * kappa) equals
-    s * assemble_metric(family, kappa) for s > 0.
+    s * assemble_metric(family, kappa) for s > 0.  The result carries the
+    family's system in its ``system`` field.
 
     Raises
     ------
@@ -146,7 +155,7 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     theta = (l * k) @ l.conj().T
     theta = 0.5 * (theta + theta.conj().T)
     theta.setflags(write=False)
-    return MetricOperator(theta, family.system.tolerance)
+    return MetricOperator(theta, family.system.tolerance, family.system)
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
@@ -188,7 +197,11 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     in the units of the observables after their common power-of-two
     scaling, so only their ratios carry meaning.
     """
-    scale = min(map(_pow2_scale, obs))
+    # 2**e brings the largest entry into [1, 2).  Unlike _pow2_scale it
+    # also grows, so subnormal observables regain full precision; 2**e may
+    # reach 2**1074, past the float range, so it is applied as two factors.
+    e = 1 - max(math.frexp(float(np.abs(o).max()))[1] for o in obs)
+    grow, scale = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
     l = family.system.left_vectors
     lc = l.conj()
     i, j, upper_mask = _triangles(family.dim)
@@ -196,7 +209,7 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     blocks = []
     o_norm = 0.0
     for o in obs:
-        oh = scale * o.conj().T
+        oh = scale * (grow * o.conj().T)
         a = oh @ l
         off = a[i] * lcj - li * a[j].conj()
         # the diagonal of a_n l_n^dag - l_n a_n^dag is 2i Im(a_n * conj(l_n))

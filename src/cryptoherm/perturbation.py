@@ -36,7 +36,7 @@ under the exact deformation (V) are related by the intertwining identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,16 +93,26 @@ class PerturbationProblem:
 
     Use :meth:`build` to construct: it diagonalizes H and validates the
     preconditions (real non-degenerate spectrum, Theta quasi-Hermitian
-    for H).
+    for H).  ``h`` and the ``w_coeffs`` are read-only.  A problem also
+    holds the ``(T^(k), residual)`` pairs that :func:`metric_series` has
+    solved for it, so a later call extends them instead of starting over.
     """
 
     h: np.ndarray
     theta: MetricOperator
     w_coeffs: tuple
     system: BiorthogonalSystem
+    _solved: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, h, theta, w_coeffs, tol: float) -> "PerturbationProblem":
+        """Validate (H, Theta, W coefficients) at tolerance ``tol``.
+
+        A Theta from :func:`~cryptoherm.metric.assemble_metric` carries its
+        family's system; when that system was computed at ``tol`` from a
+        bit-for-bit equal H it is reused, and otherwise H is diagonalized.
+        Either way the spectrum and the quasi-Hermiticity gates run.
+        """
         h = as_matrix(h, "H")
         tol = _check_tol(tol)
         if not isinstance(theta, MetricOperator):
@@ -118,8 +128,15 @@ class PerturbationProblem:
                 raise ShapeMismatchError(
                     f"W[{i}] has shape {w.shape}, expected {h.shape}"
                 )
+            w.setflags(write=False)
             ws.append(w)
-        system = diagonalize(h, tol)
+        h.setflags(write=False)
+        system = theta.system
+        # Bytes, not values: -0.0 == 0.0, yet a signed zero can steer
+        # LAPACK's reflections to another (equally valid) eigenbasis.
+        if (system is None or system.tolerance != tol or system.matrix is None
+                or system.matrix.tobytes() != h.tobytes()):
+            system = diagonalize(h, tol)
         require_real_nondegenerate(system)
         res = quasi_hermiticity_residual(h, theta)
         if res > tol:
@@ -291,18 +308,26 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
 
     The order-0 coefficient is the unperturbed metric with residual 0;
     solvability failures surface as :class:`SolvabilityViolatedError`
-    carrying the failing order.
+    carrying the failing order.  The problem keeps every order solved so
+    far (read-only), so only the orders it does not hold yet are solved;
+    a failing order is not kept, and a repeat call raises again.
     """
     order = int(order)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    t_coeffs = [problem.theta.theta]
-    residuals = [0.0]
-    for k in range(1, order + 1):
+    solved = problem._solved
+    t_coeffs = [problem.theta.theta, *(t for t, _ in solved[:order])]
+    residuals = [0.0, *(r for _, r in solved[:order])]
+    for k in range(len(solved) + 1, order + 1):
         lower = MetricSeries(tuple(t_coeffs), GAUGE_TAG, tuple(residuals))
         t_k, res = solve_order(problem, k, lower)
+        t_k.setflags(write=False)
         t_coeffs.append(t_k)
         residuals.append(res)
+        # Published by replacement with this call's own orders 1..k, so a
+        # concurrent caller can at worst repeat work.
+        if len(problem._solved) < k:
+            object.__setattr__(problem, "_solved", tuple(zip(t_coeffs[1:], residuals[1:])))
     return MetricSeries(tuple(t_coeffs), GAUGE_TAG, tuple(residuals))
 
 

@@ -104,7 +104,10 @@ class BiorthogonalSystem:
     ``condition_number`` is the spectral condition number of the
     right-eigenvector matrix measured by :func:`diagonalize`'s gate; it is
     ``None`` for a hand-built system, and :func:`ep_proximity` then
-    computes it.
+    computes it.  ``matrix`` is the validated, read-only input that
+    :func:`diagonalize` decomposed (``None`` for a hand-built system), so a
+    later consumer can tell whether this system is the one it would
+    compute for its own H.
     """
 
     eigenvalues: np.ndarray
@@ -112,6 +115,7 @@ class BiorthogonalSystem:
     left_vectors: np.ndarray
     tolerance: float
     condition_number: float | None = field(default=None, compare=False)
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -185,9 +189,9 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
             bound=bound,
         )
 
-    for arr in (evals, vr, vl):
+    for arr in (h, evals, vr, vl):
         arr.setflags(write=False)
-    return BiorthogonalSystem(evals, vr, vl, tol, cond)
+    return BiorthogonalSystem(evals, vr, vl, tol, cond, h)
 
 
 def spectrum_is_real(system: BiorthogonalSystem, tol: float) -> tuple[bool, float]:

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -30,7 +31,6 @@ from cryptoherm import (
     quasi_hermiticity_residual,
 )
 from cryptoherm.metric import _constraint_svd
-from cryptoherm.spectra import _pow2_scale
 from oracles import (
     dense_ambiguity_svd,
     dense_fix_ambiguity,
@@ -279,6 +279,19 @@ def test_fix_ambiguity_observable_near_the_float_limit():
     assert np.allclose(kappa, ref, rtol=1e-12, atol=0.0)
 
 
+def test_fix_ambiguity_subnormal_observable():
+    # the common scale only shrank, so subnormal rows lost most of their
+    # bits: kappa was off by 0.82 at j = -1070
+    family = kg_family(0.3)
+    obs = np.array([[0.0, 0.0], [1.0, 2.0]])
+    ref = fix_ambiguity(family, [obs], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (-1040, -1060, -1070, -1074):
+            kappa = fix_ambiguity(family, [2.0**j * obs], TOL)
+            assert np.max(np.abs(kappa - ref)) <= 1e-12, j
+
+
 def _outcome(family, observables):
     try:
         return "ok", fix_ambiguity(family, observables, TOL)
@@ -341,8 +354,9 @@ def test_fix_ambiguity_matches_dense_reference(n, kind):
         assert outcome == ref_outcome
         if kappa is not None:
             assert np.max(np.abs(kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
-        # the kernel works on observables scaled by one common power of two
-        scale = min(_pow2_scale(np.asarray(o, dtype=complex)) for o in obs)
+        # the kernel works on observables scaled by one common power of
+        # two, which brings the largest entry into [1, 2)
+        scale = 2.0 ** (1 - max(math.frexp(float(np.abs(o).max()))[1] for o in obs))
         s_ref, _, floor_ref = dense_ambiguity_svd(family.projectors(), [scale * o for o in obs])
         s, _, floor = _constraint_svd(family, [np.asarray(o, dtype=complex) for o in obs])
         # constraints that cancel analytically leave singular values of
@@ -356,17 +370,26 @@ def test_fix_ambiguity_matches_dense_reference(n, kind):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 5),
     kind=st.sampled_from(["planted", "indefinite", "hamiltonian", "random"]),
-    j=st.integers(-40, 1000),
+    j=st.integers(-1074, 1000),
 )
+@example(seed=0, n=3, kind="planted", j=-1040)
+@example(seed=1, n=3, kind="hamiltonian", j=-1074)
 def test_fix_ambiguity_scale_invariance(seed, n, kind, j):
     rng = np.random.default_rng(seed)
     h, _, _ = random_real_spectrum_matrix(rng, n)
     family = MetricFamily(diagonalize(h, TOL))
     (obs,) = _observable_set(rng, family, h, kind)
+    small = 2.0**j * obs
+    # Below the normal range 2**j * obs rounds; the reference is the
+    # observable actually passed, scaled back exactly (in two steps, as
+    # 2**-j may exceed the float range).
+    if j < 0:
+        half = -j // 2
+        obs = 2.0 ** (-j - half) * (2.0**half * small)
     outcome, kappa = _outcome(family, [obs])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled, scaled_kappa = _outcome(family, [2.0**j * obs])
+        scaled, scaled_kappa = _outcome(family, [small])
     assert scaled == outcome
     if kappa is not None:
         assert np.max(np.abs(scaled_kappa - kappa)) <= 1e-12 * np.max(np.abs(kappa))

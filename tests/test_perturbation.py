@@ -1,11 +1,17 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cryptoherm.perturbation as perturbation
 from cryptoherm import (
     GAUGE_TAG,
     DegenerateSpectrumError,
+    MetricFamily,
     MetricSeries,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
@@ -13,12 +19,15 @@ from cryptoherm import (
     SeriesOverflowError,
     SingularResolventError,
     SolvabilityViolatedError,
+    assemble_metric,
     commutator_gap,
+    diagonalize,
     dyson_from_metric,
     hidden_hermiticity_test,
     kg_hamiltonian,
     kg_metric,
     leading_delta,
+    metric_from_matrix,
     metric_series,
     solve_order,
     v_from_w,
@@ -34,6 +43,7 @@ from oracles import (
 )
 
 TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -58,6 +68,153 @@ def test_w_coefficients_beyond_supplied_are_zero():
     assert np.array_equal(prob.w_coeff(5), np.zeros((2, 2)))
     assert np.allclose(prob.w_at(0.3), SIGMA_X)
     assert np.allclose(prob.hamiltonian_at(0.3), kg_hamiltonian(0.2) + 0.3 * SIGMA_X)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``perturbation.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(perturbation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, name, counted)
+    return calls
+
+
+def _assert_same_series(a, b):
+    assert len(a.t_coeffs) == len(b.t_coeffs)
+    for x, y in zip(a.t_coeffs, b.t_coeffs):
+        assert np.array_equal(x, y)
+    assert a.solvability_residuals == b.solvability_residuals
+
+
+def _random_problem_inputs(seed=31, n=4):
+    rng = np.random.default_rng(seed)
+    h, _, s = random_real_spectrum_matrix(rng, n)
+    y = rng.standard_normal((n, n))
+    np.fill_diagonal(y, 0.0)  # real zero-diagonal: every order solvable
+    return h, s @ (0.1 * y) @ np.linalg.inv(s)
+
+
+def test_build_reuses_the_system_an_assembled_metric_carries(monkeypatch):
+    h, w = _random_problem_inputs()
+    family = MetricFamily(diagonalize(h, TOL))
+    theta = assemble_metric(family, np.linspace(1.0, 2.0, 4))
+    assert theta.system is family.system
+    calls = _counting(monkeypatch, "diagonalize")
+    prob = PerturbationProblem.build(h, theta, [w], TOL)
+    assert calls == [] and prob.system is family.system
+    one_ulp = h.copy()
+    one_ulp[0, 0] = complex(np.nextafter(h[0, 0].real, np.inf), h[0, 0].imag)
+    kg = kg_hamiltonian(0.3)
+    kg_theta = assemble_metric(MetricFamily(diagonalize(kg, TOL)), [1.0, 2.0])
+    minus_zero = kg.copy()
+    minus_zero[0, 0] = -0.0
+    cases = [
+        (h, theta, w, TOL, 0),
+        (h, metric_from_matrix(theta.theta, TOL), w, TOL, 1),
+        (h, theta, w, 1e-9, 1),
+        (one_ulp, theta, w, TOL, 1),
+        (kg, kg_theta, SIGMA_X, TOL, 0),
+        # equal values, other bits: the system of +0.0 is not reused for -0.0
+        (minus_zero, kg_theta, SIGMA_X, TOL, 1),
+    ]
+    for h_in, theta_in, w_in, tol, expected_calls in cases:
+        del calls[:]
+        prob = PerturbationProblem.build(h_in, theta_in, [w_in], tol)
+        assert len(calls) == expected_calls
+        # the result of a build that always diagonalizes
+        ref = PerturbationProblem(prob.h, prob.theta, prob.w_coeffs, diagonalize(h_in, tol))
+        for name in ("eigenvalues", "right_vectors", "left_vectors"):
+            assert np.array_equal(getattr(prob.system, name), getattr(ref.system, name))
+        assert prob.system.condition_number == ref.system.condition_number
+        _assert_same_series(metric_series(prob, 3), metric_series(ref, 3))
+
+
+def test_problem_arrays_and_held_orders_are_read_only():
+    h, w = _random_problem_inputs()
+    family = MetricFamily(diagonalize(h, TOL))
+    prob = PerturbationProblem.build(h, assemble_metric(family, np.ones(4)), [w], TOL)
+    series = metric_series(prob, 3)
+    for a in (prob.h, *prob.w_coeffs, *series.t_coeffs, family.system.matrix):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        series.t_coeffs[1][0, 0] = 0.0
+    # the caller's arrays are copied, not frozen
+    assert h.flags.writeable and w.flags.writeable
+
+
+def test_metric_series_extends_the_orders_a_problem_holds(monkeypatch):
+    h, w = _random_problem_inputs()
+    family = MetricFamily(diagonalize(h, TOL))
+    theta = assemble_metric(family, np.linspace(1.0, 2.0, 4))
+    fresh = metric_series(PerturbationProblem.build(h, theta, [w], TOL), 5)
+    prob = PerturbationProblem.build(h, theta, [w], TOL)
+    calls = _counting(monkeypatch, "solve_order")
+    short = metric_series(prob, 2)
+    full = metric_series(prob, 5)
+    assert [c[1] for c in calls] == [1, 2, 3, 4, 5]
+    _assert_same_series(full, fresh)
+    assert all(a is b for a, b in zip(short.t_coeffs, full.t_coeffs))
+    prefix = metric_series(prob, 3)
+    assert len(calls) == 5
+    _assert_same_series(prefix, MetricSeries(full.t_coeffs[:4], GAUGE_TAG,
+                                             full.solvability_residuals[:4]))
+    assert metric_series(prob, 0).t_coeffs == (theta.theta,)
+
+
+def test_failed_order_is_raised_again_and_not_held(monkeypatch):
+    # order 1 is solvable (anti-Hermitian off-diagonal W0); the imaginary
+    # diagonal W1 obstructs order 2
+    h = np.diag([1.0, 2.0]).astype(complex)
+    w0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    w1 = np.array([[1.0j, 0.0], [0.0, 0.0]])
+    prob = PerturbationProblem.build(h, np.eye(2), [w0, w1], TOL)
+    calls = _counting(monkeypatch, "solve_order")
+    for attempt in range(2):
+        with pytest.raises(SolvabilityViolatedError) as info:
+            metric_series(prob, 4)
+        assert info.value.order == 2
+        assert len(prob._solved) == 1
+    # order 1 was solved once; order 2 was attempted on each call
+    assert [c[1] for c in calls] == [1, 2, 2]
+
+
+def test_concurrent_metric_series_callers_agree():
+    h, w = _random_problem_inputs()
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), np.linspace(1.0, 2.0, 4))
+    ref = metric_series(PerturbationProblem.build(h, theta, [w], TOL), 8)
+    prob = PerturbationProblem.build(h, theta, [w], TOL)
+    results, errors = [], []
+
+    def worker(i):
+        try:
+            for k in (1 + i % 8, 8, 3):
+                results.append(metric_series(prob, k))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 24
+    for series in results:
+        k = series.order
+        _assert_same_series(series, MetricSeries(ref.t_coeffs[: k + 1], GAUGE_TAG,
+                                                 ref.solvability_residuals[: k + 1]))
+    for (t, res), t_ref, res_ref in zip(prob._solved, ref.t_coeffs[1:],
+                                         ref.solvability_residuals[1:]):
+        assert np.array_equal(t, t_ref) and res == res_ref
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +567,31 @@ def test_w_from_v_roundtrip_and_limits():
     assert np.linalg.norm(w_from_v(v, d, h, lam) - w) <= 1e-10
     assert np.allclose(w_from_v(v, np.zeros((4, 4)), h, lam), v, atol=1e-13)
     assert np.allclose(w_from_v(v, d, h, 0.0), v - d @ h + h @ d, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    lam=st.floats(-1.0, 1.0),
+    d_exp=st.integers(-3, 1),
+)
+def test_v_w_round_trip_property(seed, n, lam, d_exp):
+    rng = np.random.default_rng(seed)
+    w, d, h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3))
+    d *= 10.0**d_exp
+    try:
+        back = w_from_v(v_from_w(w, d, h, lam), d, h, lam)
+    except SingularResolventError:
+        assume(False)
+    # Each solve with M = 1 + lam D is backward stable, and V M restores
+    # M W up to eps * cond(M) * ||M W + D H - H D||.
+    m = np.eye(n) + lam * d
+    cond = np.linalg.cond(m)
+    m_inv = np.linalg.norm(np.linalg.inv(m), 2)
+    comm = 2.0 * np.linalg.norm(d) * np.linalg.norm(h)
+    bound = 10.0 * n * EPS * cond * (cond * np.linalg.norm(w) + m_inv * comm)
+    assert np.linalg.norm(back - w) <= bound
 
 
 def test_singular_resolvent_detected():

@@ -12,7 +12,11 @@ i-th seed once in each tree, the parent first on even pairs and the
 change first on odd ones.  The output JSON holds, per workload and
 end-to-end metric, both sides' values, medians, quartiles and the number
 of pairs the change wins, plus the failed-op counts of every run and the
-``# machine`` record of each tree.  Standard library only.
+``# machine`` record of each tree.  When all workloads are done, a
+markdown table per workload goes to stdout: parent and change medians
+with their quartiles, the relative change of the median, the pairs the
+change won and the median gap over the parent's interquartile range.
+Standard library only.
 """
 
 import argparse
@@ -86,6 +90,24 @@ def summarize(pairs: list, spec: dict) -> dict:
     return out
 
 
+def markdown_table(workload: str, metrics: dict) -> list:
+    """Rows of a markdown table of one workload's ``summarize`` output."""
+    rows = ["| workload | metric | parent | change | Δ | wins | gap / parent IQR |",
+            "|---|---|---|---|---|---|---|"]
+    for name, m in metrics.items():
+        if "pairs" not in m:
+            rows.append(f"| {workload} | {name} ({m['unit']}) | – | – | – | 0/0 | – |")
+            continue
+        delta = "–" if m["delta_rel"] is None else f"{m['delta_rel']:+.1%}"
+        gap = "–" if m["gap_over_parent_iqr"] is None else f"{m['gap_over_parent_iqr']:.1f}×"
+        rows.append(
+            f"| {workload} | {name} ({m['unit']}) "
+            f"| {m['parent_median']:.4g} [{m['parent_q1']:.4g}, {m['parent_q3']:.4g}] "
+            f"| {m['change_median']:.4g} [{m['change_q1']:.4g}, {m['change_q3']:.4g}] "
+            f"| {delta} | {m['wins']}/{m['pairs']} | {gap} |")
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -132,6 +154,8 @@ def main(argv=None) -> int:
             "machine": machine,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, entry in report["workloads"].items():
+        print("\n".join(markdown_table(workload, entry["metrics"])) + "\n")
     return 0
 
 
