@@ -133,9 +133,11 @@ class MetricFamily:
 def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     """Build Theta(kappa) = sum_n kappa_n L_n L_n^dag for positive weights.
 
-    Scale covariance is exact: assemble_metric(family, s * kappa) equals
-    s * assemble_metric(family, kappa) for s > 0.  The result carries the
-    family's system in its ``system`` field.
+    Scale covariance: assemble_metric(family, s * kappa) equals
+    s * assemble_metric(family, kappa) bit for bit when s is a power of two
+    and no entry leaves the normal float range; for other s > 0 it holds
+    up to rounding.  The result carries the family's system in its
+    ``system`` field.
 
     Raises
     ------

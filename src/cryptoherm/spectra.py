@@ -42,6 +42,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a.real`` when every imaginary part of ``a`` is exactly zero, else ``a``.
+
+    LAPACK's real eigensolver then decomposes a real matrix in real
+    arithmetic, returning conjugate pairs and exactly real eigenvalues as
+    such.  The test is exact zero: a tiny imaginary part changes the
+    problem, so it keeps the complex solver.
+    """
+    return a if a.imag.any() else a.real
+
+
 def _check_tol(tol: float) -> float:
     tol = float(tol)
     if not 0.0 < tol < 1.0:
@@ -133,6 +144,13 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     are then fixed by L^dag = R^{-1}, which biorthonormalizes exactly and
     handles exact degeneracies with full eigenspaces for free.
 
+    When no entry of ``h`` has a nonzero imaginary part, the eigensolver,
+    the condition gate, the inverse and the residual gates run on its real
+    part: LAPACK's real driver (DGEEV) returns exactly real eigenvalues and
+    exact conjugate pairs.  Any other input takes the complex driver
+    (ZGEEV).  Either way the eigenvalues and both bases are returned as
+    read-only ``complex128`` arrays, and ``matrix`` is the complex input.
+
     Parameters
     ----------
     h : array_like
@@ -154,7 +172,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     tol = _check_tol(tol)
     n = h.shape[0]
 
-    evals, vr = np.linalg.eig(h)
+    a = _real_if_exact(h)
+    evals, vr = np.linalg.eig(a)
     cond = _eigvec_cond(vr)
     if cond > 1.0 / tol:
         raise DefectiveError(
@@ -173,8 +192,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     # achievable bound so well-posed inputs never fail spuriously.  They are
     # formed on the power-of-two-scaled H, so they equal the unscaled
     # ratios and nothing overflows for entries near the float limit.
-    s = _pow2_scale(h)
-    hs, es = h * s, evals * s
+    s = _pow2_scale(a)
+    hs, es = a * s, evals * s
     scale = max(s, float(np.linalg.norm(hs)))
     bound = max(tol, 100.0 * n * _EPS * cond)
     right_res = float(np.linalg.norm(hs @ vr - vr * es, axis=0).max()) / scale
@@ -189,6 +208,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
             bound=bound,
         )
 
+    # a real decomposition is returned in the complex dtype of every system
+    evals, vr, vl = (x.astype(complex, copy=False) for x in (evals, vr, vl))
     for arr in (h, evals, vr, vl):
         arr.setflags(write=False)
     return BiorthogonalSystem(evals, vr, vl, tol, cond, h)

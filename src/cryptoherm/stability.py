@@ -18,7 +18,7 @@ from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import _eigvec_cond, _min_gap, _reality
+from .spectra import _eigvec_cond, _min_gap, _real_if_exact, _reality
 
 __all__ = [
     "FamilySpec",
@@ -144,7 +144,7 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
     except CryptohermError as exc:
         # No biorthogonal system: the row still reports the raw spectrum.
         note = type(exc).__name__.removesuffix("Error")
-        evals, vr = np.linalg.eig(h)
+        evals, vr = np.linalg.eig(_real_if_exact(h))
         eigvec_cond = _eigvec_cond(vr)
     else:
         evals, eigvec_cond = system.eigenvalues, system.condition_number
@@ -233,7 +233,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
         tau = float(spec.taus[0])
 
     def probe(x: float) -> tuple[bool, float]:
-        evals = np.linalg.eigvals(spec.hamiltonian_at(direction * x, tau))
+        evals = np.linalg.eigvals(_real_if_exact(spec.hamiltonian_at(direction * x, tau)))
         real, max_imag = _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
         if real:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cryptoherm.perturbation as perturbation
+from cryptoherm.spectra import _min_gap as spectra_min_gap
 from cryptoherm import (
     GAUGE_TAG,
     DegenerateSpectrumError,
@@ -395,6 +396,65 @@ def test_gauge_invariant_under_eigenorder_permutation():
     prob_perm = PerturbationProblem(prob.h, prob.theta, prob.w_coeffs, permuted)
     t1_perm, _ = solve_order(prob_perm, 1, metric_series(prob_perm, 0))
     assert np.linalg.norm(t1_perm - t1_ref) <= 1e-12
+
+
+def _series_outcome(h, theta, w, tol, order):
+    """("", T coefficients) or the failure's name and the failing order."""
+    try:
+        return "", metric_series(PerturbationProblem.build(h, theta, [w], tol), order).t_coeffs
+    except SolvabilityViolatedError as exc:
+        return f"SolvabilityViolated at {exc.order}", None
+    except DegenerateSpectrumError:
+        return "DegenerateSpectrum", None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    complex_w=st.booleans(),
+    tol=st.sampled_from([1e-10, 1e-6]),
+    order=st.integers(1, 4),
+    j=st.integers(-40, 40),
+)
+def test_metric_series_scale_covariance(seed, n, complex_w, tol, order, j):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    h = s @ np.diag(np.cumsum(rng.uniform(0.2, 2.0, n)) - n) @ np.linalg.inv(s)
+    w = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_w else 0.0)
+    system = diagonalize(h, tol)
+    theta = assemble_metric(MetricFamily(system), rng.uniform(0.5, 2.0, n))
+    # H^dag T - T H = rhs is homogeneous in (H, W): (2^j H, Theta, [2^j W])
+    # has the same metric series in exact arithmetic.
+    base, t_base = _series_outcome(h, theta, w, tol, order)
+    scaled, t_scaled = _series_outcome(2.0**j * h, theta, 2.0**j * w, tol, order)
+    # Two gates carry an absolute floor of 1: the degeneracy (and reality)
+    # gate compares with tol * max(1, max |E|), and the solvability residual
+    # divides by max(1, ||rhs||).  Where neither floor acts on either side,
+    # the outcome must not depend on the scale.
+    e_max = float(np.abs(system.eigenvalues).max())
+    rhs = np.linalg.norm(theta.theta @ w - w.conj().T @ theta.theta)
+    floor_acts = min(1.0, 2.0**j) * e_max < 1.0 or min(1.0, 2.0**j) * rhs < 1.0
+    if not floor_acts:
+        assert scaled == base
+    if t_base is None or t_scaled is None:
+        return
+    # Both runs are exact for inputs within ||dH|| <= eta = 10 n eps ||H|| of
+    # (a rescaled) H, and the gauge-fixed solve X -> H^dag X - X H inverts
+    # with norm at most sigma = n cond^2 / gap, which moves by at most
+    # sigma^2 * 2 eta.  So T^(k) is off by at most
+    # d_k = sigma rho_k (4 sigma eta + 10 n eps) + 2 sigma ||W|| sum_{i<k} d_i
+    # with rho_k = 2 ||W|| sum_{i<k} ||T^(i)||; the two runs differ by 2 d_k.
+    gap = spectra_min_gap(system.eigenvalues)
+    sigma = n * system.condition_number**2 / gap
+    eta = 10.0 * n * EPS * np.linalg.norm(h, 2)
+    w_norm = np.linalg.norm(w, 2)
+    d = [0.0]
+    for k in range(1, order + 1):
+        rho = 2.0 * w_norm * sum(np.linalg.norm(t, 2) for t in t_base[:k])
+        d.append(sigma * rho * (4.0 * sigma * eta + 10.0 * n * EPS) + 2.0 * sigma * w_norm * sum(d))
+    for k in range(order + 1):
+        assert np.linalg.norm(t_scaled[k] - t_base[k], 2) <= 2.0 * d[k]
 
 
 def test_degenerate_spectrum_raises():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -14,6 +14,7 @@ from cryptoherm import (
     ep_proximity,
     spectrum_is_real,
 )
+from cryptoherm import spectra
 from cryptoherm.spectra import require_real_nondegenerate
 from cryptoherm.errors import DegenerateSpectrumError, SpectrumNotRealError
 
@@ -231,11 +232,14 @@ def test_defective_error_fields_name_the_failed_gate():
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
     jordan=st.booleans(),
+    real=st.booleans(),
     k=st.integers(-40, 1000),
 )
-def test_diagonalize_scale_covariance(seed, n, jordan, k):
+def test_diagonalize_scale_covariance(seed, n, jordan, real, k):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if real:
+        h = h.real  # decomposed by the real eigensolver
     if jordan and n >= 2:
         h = np.triu(h)
         h[1, 1] = h[0, 0]  # exact Jordan block: defective at every scale
@@ -254,3 +258,105 @@ def test_diagonalize_scale_covariance(seed, n, jordan, k):
         expected = 2.0**k * base.eigenvalues
         dist = np.abs(scaled.eigenvalues[:, None] - expected[None, :]).min(axis=1)
         assert dist.max() <= TOL * np.abs(expected).max()
+
+
+def outcome(h, tol):
+    """The system (``None`` if defective) and the name of the gate ``h``
+    fails ("" if none)."""
+    try:
+        system = diagonalize(h, tol)
+    except DefectiveError:
+        return None, "DefectiveError"
+    try:
+        require_real_nondegenerate(system)
+    except (SpectrumNotRealError, DegenerateSpectrumError) as exc:
+        return system, type(exc).__name__
+    return system, ""
+
+
+def complex_reference(h, tol):
+    """``outcome`` with the complex eigensolver forced on a real ``h``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_real_if_exact", lambda a: a)
+        return outcome(h, tol)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    similar=st.booleans(),
+    tol=st.sampled_from([1e-10, 1e-6]),
+)
+def test_real_matrix_matches_complex_arithmetic(seed, n, similar, tol):
+    rng = np.random.default_rng(seed)
+    if similar:
+        # real spectrum with gaps of at least 0.2: well away from any EP
+        s = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        d = np.cumsum(rng.uniform(0.2, 2.0, n)) - n
+        h = s @ np.diag(d) @ np.linalg.inv(s)
+    else:
+        h = rng.standard_normal((n, n))  # conjugate pairs and real eigenvalues
+    ref, ref_class = complex_reference(h, tol)
+    assume(ref is not None)
+    e_ref, cond = ref.eigenvalues, ref.condition_number
+    norm_h = np.linalg.norm(h, 2)
+    gap = spectra._min_gap(e_ref)
+    assume(gap > 1e-3 * max(1.0, norm_h))  # away from EPs
+    system, got_class = outcome(h, tol)
+    assert got_class == ref_class
+    # Both solvers return exact eigenpairs of H + E, ||E|| <= 10 n eps ||H||.
+    # Bauer-Fike moves each eigenvalue by at most cond ||E||.  To first order
+    # dP_n = sum_m (P_n E P_m + P_m E P_n) / (E_n - E_m) with ||P_n|| <= cond,
+    # so each projector moves by at most 2 (n - 1) cond^2 ||E|| / gap.
+    backward = 10.0 * n * spectra._EPS * norm_h
+    e_bound = 100.0 * n * spectra._EPS * cond * max(1.0, norm_h)
+    p_bound = 2.0 * 2.0 * (n - 1) * cond * cond * backward / gap
+    # match each reference eigenvalue to its nearest; the gaps make it unique
+    match = np.abs(e_ref[:, None] - system.eigenvalues[None, :]).argmin(axis=1)
+    assert sorted(match) == list(range(n))
+    assert np.abs(system.eigenvalues[match] - e_ref).max() <= e_bound
+    for i, j in enumerate(match):
+        p_ref = np.outer(ref.right_vectors[:, i], ref.left_vectors[:, i].conj())
+        p = np.outer(system.right_vectors[:, j], system.left_vectors[:, j].conj())
+        assert np.linalg.norm(p - p_ref, 2) <= p_bound
+
+
+@pytest.mark.parametrize("h", [
+    np.array([[1.0, 2.0], [0.5, -1.0]]),          # real eigenvalues
+    np.array([[0.0, -1.0], [1.0, 0.0]]),          # the conjugate pair +-i
+    np.array([[3.0]]),
+])
+def test_real_path_outputs_are_read_only_complex128(h):
+    system = diagonalize(h, TOL)
+    for arr in (system.eigenvalues, system.right_vectors, system.left_vectors, system.matrix):
+        assert arr.dtype == np.complex128
+        assert not arr.flags.writeable
+
+
+def test_negative_zero_imaginary_parts_take_the_real_path():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5, 8):
+        h = rng.standard_normal((n, n))
+        neg = h.astype(complex)
+        neg.imag[...] = -0.0
+        assert np.signbit(neg.imag).all()
+        a, b = diagonalize(h, TOL), diagonalize(neg, TOL)
+        for field in ("eigenvalues", "right_vectors", "left_vectors"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.condition_number == b.condition_number
+
+
+def test_subnormal_imaginary_part_keeps_the_complex_solver():
+    rng = np.random.default_rng(43)
+    h = rng.standard_normal((4, 4)).astype(complex)
+    h[2, 1] += 1j * 2.0**-1074
+    assert np.count_nonzero(h.imag) == 1
+    system = diagonalize(h, TOL)
+    evals, vr = np.linalg.eig(h)
+    order = np.lexsort((evals.imag, evals.real))
+    vr = vr[:, order]
+    assert system.eigenvalues.tobytes() == evals[order].tobytes()
+    assert system.right_vectors.tobytes() == (vr / np.linalg.norm(vr, axis=0)).tobytes()
+    # the real solver on h.real gives other bits, so dropping the part shows
+    assert diagonalize(h.real, TOL).eigenvalues.tobytes() != system.eigenvalues.tobytes()

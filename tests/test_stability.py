@@ -154,6 +154,26 @@ def test_lambda_max_negative_direction():
     assert abs(boundary - 1.0) <= 1e-8
 
 
+def test_lambda_max_probes_in_the_arithmetic_of_the_family(monkeypatch):
+    dtypes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        dtypes.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    h = np.diag([-1.0, 1.0]).astype(complex)
+    # eigenvalues +-sqrt(1 - lam^2) for both couplings: EP at lam = 1
+    for w, dtype in [(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.float64),
+                     (np.array([[0.0, 1j], [1j, 0.0]]), np.complex128)]:
+        dtypes.clear()
+        # lo > 0: at lam = 0 the complex family is a real matrix too
+        boundary = lambda_max(FamilySpec.linear(h, w, [0.0, 2.0]), (0.5, 2.0), 1e-8)
+        assert abs(boundary - 1.0) <= 1e-8
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+
 def test_series_vs_exact_zero_error_at_origin():
     prob = PerturbationProblem.build(kg_hamiltonian(0.2), kg_metric(0.2, 0.25), [SIGMA_X], TOL)
     table = series_vs_exact(prob, 1, [0.0, 1e-2])
@@ -172,10 +192,13 @@ def test_series_vs_exact_slope(order):
     assert abs(slope - (order + 1)) <= 0.3
 
 
-def per_point_spectrum(h, tol):
+def per_point_spectrum(h, tol, complex_arithmetic=False):
     """The scan's spectral columns from scratch: eig, then the SVD of the
-    column-normalized, unsorted eigenvectors."""
-    evals, vr = np.linalg.eig(h)
+    column-normalized, unsorted eigenvectors.  A matrix without a nonzero
+    imaginary entry is decomposed in real arithmetic, as the scan does;
+    ``complex_arithmetic`` forces the complex solver instead."""
+    a = h if complex_arithmetic or h.imag.any() else h.real
+    evals, vr = np.linalg.eig(a)
     max_imag = float(np.abs(evals.imag).max())
     real = bool(max_imag <= tol * max(1.0, float(np.abs(evals).max())))
     if evals.size < 2:
@@ -186,6 +209,27 @@ def per_point_spectrum(h, tol):
     sv = np.linalg.svd(vr / np.linalg.norm(vr, axis=0), compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
     return real, max_imag, min_gap, cond
+
+
+def arithmetic_bounds(h, cond, min_gap):
+    """Bounds on how far the scan's numeric columns may move between the
+    real and the complex eigensolver.
+
+    Each solver returns the exact eigenpairs of H + E with
+    ||E|| <= 10 n eps ||H||_F (backward stability of the QR algorithm), so
+    by Bauer-Fike every eigenvalue moves by at most d = cond ||E|| and the
+    two spectra lie within 2d of each other: max_imag moves by 2d and
+    min_gap by 4d.  To first order a unit eigenvector moves by at most
+    (n - 1) ||V^-1|| ||E|| / gap <= (n - 1) cond ||E|| / gap, so ||dV||_F
+    is at most sqrt(n) times that, and the condition number of V (whose
+    columns have unit norm, so sigma_max >= 1) moves relatively by at most
+    (1 + cond) ||dV||, twice over for the two solvers.
+    """
+    n = h.shape[0]
+    backward = 10.0 * n * np.finfo(float).eps * np.linalg.norm(h)
+    d = cond * backward
+    dv = math.sqrt(n) * (n - 1) * cond * backward / min_gap if min_gap > 0.0 else math.inf
+    return 2.0 * d, 4.0 * d, 2.0 * (1.0 + cond) * dv
 
 
 def linear_ep_family(lambdas):
@@ -214,10 +258,39 @@ def test_scan_rows_match_per_point_formula(spec, defective):
     report = reality_scan(spec, TOL)
     assert len(report) == len(spec.grid())
     for p in report.points:
-        expected = per_point_spectrum(spec.hamiltonian_at(p.lam, p.tau), TOL)
+        h = spec.hamiltonian_at(p.lam, p.tau)
+        expected = per_point_spectrum(h, TOL)
         assert (p.spectrum_real, p.max_imag, p.min_gap, p.eigvec_cond) == expected
+        # the complex solver on the same matrix agrees up to rounding
+        real, max_imag, min_gap, cond = per_point_spectrum(h, TOL, complex_arithmetic=True)
+        assert real == p.spectrum_real
+        worst = max(cond, p.eigvec_cond)
+        if math.isfinite(worst):
+            d_imag, d_gap, d_cond = arithmetic_bounds(h, worst, min(min_gap, p.min_gap))
+            assert abs(max_imag - p.max_imag) <= d_imag
+            assert abs(min_gap - p.min_gap) <= d_gap
+            assert abs(cond - p.eigvec_cond) <= d_cond * worst
     # exceptional points take the path on which diagonalize raised
     assert [(p.lam, p.tau) for p in report.points if p.note == "Defective"] == defective
+
+
+def test_defective_rows_match_per_point_formula():
+    # S J S^-1 for a 2x2 Jordan block at 0.5 beside -1: rounding splits the
+    # block, and the eigenvector condition number (about 1e8) fails the gate
+    # at tol 1e-6, so each row comes from the scan's raw-spectrum fallback.
+    tol = 1e-6
+    rows_differ = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((3, 3))
+        h0 = s @ (np.diag([0.5, 0.5, -1.0]) + np.diag([1.0, 0.0], 1)) @ np.linalg.inv(s)
+        spec = FamilySpec.linear(h0, np.zeros((3, 3)), [0.0])
+        (p,) = reality_scan(spec, tol).points
+        assert p.note == "Defective"
+        expected = per_point_spectrum(spec.hamiltonian_at(0.0), tol)
+        assert (p.spectrum_real, p.max_imag, p.min_gap, p.eigvec_cond) == expected
+        rows_differ += expected != per_point_spectrum(spec.hamiltonian_at(0.0), tol, True)
+    assert rows_differ > 0  # the real and complex solvers are told apart
 
 
 def reality_predicate(spec, x, tol):

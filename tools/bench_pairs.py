@@ -12,11 +12,16 @@ i-th seed once in each tree, the parent first on even pairs and the
 change first on odd ones.  The output JSON holds, per workload and
 end-to-end metric, both sides' values, medians, quartiles and the number
 of pairs the change wins, plus the failed-op counts of every run and the
-``# machine`` record of each tree.  When all workloads are done, a
-markdown table per workload goes to stdout: parent and change medians
-with their quartiles, the relative change of the median, the pairs the
-change won and the median gap over the parent's interquartile range.
-Standard library only.
+``# machine`` record of each tree.  Each metric also records two
+verdicts: ``worse_beyond_bound``, whether the change median is worse than
+the parent median by more than the metric's ``BENCHMARK.json`` bound
+(relative to the parent median), and ``gain_holds``, whether the change
+won at least 90% of the pairs and its median beats the parent median by
+more than the parent's interquartile range.  When all workloads are
+done, a markdown table per workload goes to stdout: parent and change
+medians with their quartiles, the relative change of the median, the
+pairs the change won, the median gap over the parent's interquartile
+range and both verdicts.  Standard library only.
 """
 
 import argparse
@@ -78,13 +83,17 @@ def summarize(pairs: list, spec: dict) -> dict:
             pq, cq = quartiles(parent), quartiles(change)
             gap = cq[1] - pq[1]
             iqr = pq[2] - pq[0]
+            better_by = gap if higher else -gap  # > 0 when the change median is better
+            wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
             entry.update({
                 "parent_median": pq[1], "parent_q1": pq[0], "parent_q3": pq[2],
                 "change_median": cq[1], "change_q1": cq[0], "change_q3": cq[2],
                 "delta_rel": gap / pq[1] if pq[1] else None,
-                "wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+                "wins": wins,
                 "pairs": len(ok),
                 "gap_over_parent_iqr": abs(gap) / iqr if iqr else None,
+                "worse_beyond_bound": -better_by > metric["bound"] * abs(pq[1]),
+                "gain_holds": wins >= 0.9 * len(ok) and better_by > iqr,
             })
         out[name] = entry
     return out
@@ -92,19 +101,21 @@ def summarize(pairs: list, spec: dict) -> dict:
 
 def markdown_table(workload: str, metrics: dict) -> list:
     """Rows of a markdown table of one workload's ``summarize`` output."""
-    rows = ["| workload | metric | parent | change | Δ | wins | gap / parent IQR |",
-            "|---|---|---|---|---|---|---|"]
+    rows = ["| workload | metric | parent | change | Δ | wins | gap / parent IQR "
+            "| worse > bound | gain holds |",
+            "|---|---|---|---|---|---|---|---|---|"]
     for name, m in metrics.items():
         if "pairs" not in m:
-            rows.append(f"| {workload} | {name} ({m['unit']}) | – | – | – | 0/0 | – |")
+            rows.append(f"| {workload} | {name} ({m['unit']}) | – | – | – | 0/0 | – | – | – |")
             continue
         delta = "–" if m["delta_rel"] is None else f"{m['delta_rel']:+.1%}"
         gap = "–" if m["gap_over_parent_iqr"] is None else f"{m['gap_over_parent_iqr']:.1f}×"
+        worse, gain = ("yes" if m[k] else "no" for k in ("worse_beyond_bound", "gain_holds"))
         rows.append(
             f"| {workload} | {name} ({m['unit']}) "
             f"| {m['parent_median']:.4g} [{m['parent_q1']:.4g}, {m['parent_q3']:.4g}] "
             f"| {m['change_median']:.4g} [{m['change_q1']:.4g}, {m['change_q3']:.4g}] "
-            f"| {delta} | {m['wins']}/{m['pairs']} | {gap} |")
+            f"| {delta} | {m['wins']}/{m['pairs']} | {gap} | {worse} | {gain} |")
     return rows
 
 
