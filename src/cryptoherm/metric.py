@@ -66,16 +66,20 @@ _ROOT2 = math.sqrt(2.0)
 class MetricOperator:
     """A Hermitian positive-definite inner-product operator.
 
-    ``system`` is the biorthogonal system of the family the metric was
-    assembled from (:func:`assemble_metric`), carried along so that
+    ``system`` and ``weights`` are the biorthogonal system of the family
+    the metric was assembled from and the read-only weights kappa
+    (:func:`assemble_metric`), carried along so that
     :meth:`~cryptoherm.perturbation.PerturbationProblem.build` on the same
-    H need not diagonalize it again; it is ``None`` for a metric of any
-    other origin.
+    H need not diagonalize it again, and so that
+    :func:`~cryptoherm.perturbation.dyson_from_metric` inverts Theta as
+    R diag(1/kappa) R^dag.  Both are ``None`` for a metric of any other
+    origin.
     """
 
     theta: np.ndarray
     source_tol: float
     system: BiorthogonalSystem | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def metric_from_matrix(theta, tol: float) -> MetricOperator:
@@ -137,14 +141,14 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     s * assemble_metric(family, kappa) bit for bit when s is a power of two
     and no entry leaves the normal float range; for other s > 0 it holds
     up to rounding.  The result carries the family's system in its
-    ``system`` field.
+    ``system`` field and a read-only copy of the weights in ``weights``.
 
     Raises
     ------
     NonPositiveWeightError
         Some weight is <= 0 (the result would not be positive definite).
     """
-    k = np.asarray(kappa, dtype=float)
+    k = np.array(kappa, dtype=float)
     if k.shape != (family.dim,):
         raise ShapeMismatchError(
             f"expected {family.dim} weights, got shape {k.shape}"
@@ -156,8 +160,9 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     l = family.system.left_vectors
     theta = (l * k) @ l.conj().T
     theta = 0.5 * (theta + theta.conj().T)
-    theta.setflags(write=False)
-    return MetricOperator(theta, family.system.tolerance, family.system)
+    for a in (theta, k):
+        a.setflags(write=False)
+    return MetricOperator(theta, family.system.tolerance, family.system, k)
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
@@ -204,23 +209,39 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     # reach 2**1074, past the float range, so it is applied as two factors.
     e = 1 - max(math.frexp(float(np.abs(o).max()))[1] for o in obs)
     grow, scale = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    n = family.dim
     l = family.system.left_vectors
     lc = l.conj()
-    i, j, upper_mask = _triangles(family.dim)
-    li, lcj = _ROOT2 * l[i], _ROOT2 * lc[j]
-    blocks = []
+    lt = np.ascontiguousarray(l.T)
+    lct = lt.conj()
+    i, j, upper_mask = _triangles(n)
+    p = i.size
+    li, lcj = _ROOT2 * lt[:, i], _ROOT2 * lct[:, j]
+    # The rows are built transposed, one column each, so the .T of this
+    # C-order buffer is the Fortran layout that the QR factors.
+    rows = np.empty((n, len(obs) * n * n))
+    # take(mode="clip") fills these without the buffered copy that
+    # mode="raise" makes; the indices are in range.
+    off, tmp = np.empty((2, n, p), dtype=complex)
     o_norm = 0.0
-    for o in obs:
+    for c, o in zip(range(0, rows.shape[1], n * n), obs):
         oh = scale * (grow * o.conj().T)
-        a = oh @ l
-        off = a[i] * lcj - li * a[j].conj()
+        at = (oh @ l).T
+        np.take(at, i, axis=1, out=off, mode="clip")
+        off *= lcj
+        np.take(at, j, axis=1, out=tmp, mode="clip")
+        np.multiply(li, np.conjugate(tmp, out=tmp), out=tmp)
+        off -= tmp
+        rows[:, c:c + p] = off.real
+        rows[:, c + p:c + 2 * p] = off.imag
         # the diagonal of a_n l_n^dag - l_n a_n^dag is 2i Im(a_n * conj(l_n))
-        blocks += [off.real, off.imag, 2.0 * (a * lc).imag]
+        rows[:, c + 2 * p:c + n * n] = 2.0 * (at * lct).imag
         o_norm = max(o_norm, math.sqrt(np.vdot(oh, oh).real))
     floor = o_norm * float(np.einsum("in,in->n", l, lc).real.max())
+    del li, lcj, off, tmp  # not held through the QR's own copies of the rows
     # R is the upper triangle of the transposed raw factor; masking it
     # costs less than the np.triu that mode="r" runs.
-    h, _ = np.linalg.qr(np.concatenate(blocks), mode="raw")
+    h, _ = np.linalg.qr(rows.T, mode="raw")
     _, s, vt = np.linalg.svd(h.T[: family.dim] * upper_mask)
     return s, vt, floor
 

@@ -13,12 +13,13 @@ equation per order,
     H^dag T^(k) - T^(k) H
         = sum_{j=0}^{k-1} [ T^(j) W^(k-1-j) - (W^(k-1-j))^dag T^(j) ].
 
-In the biorthogonal eigenbasis the left side acts componentwise as
-(E_m - E_n) X_mn, so the diagonal components of the transformed right side
-obstruct solvability: they vanish exactly when the order-k energy
-corrections stay real.  The diagonal of the *solution* is the per-order
-metric ambiguity; the gauge used throughout zeroes it, i.e. keeps the
-unperturbed weights.
+The series is solved in the biorthogonal eigenbasis, on X^(k) = R^dag T^(k) R
+with W~ = L^dag W R: the left side acts componentwise as (E_m - E_n) X_mn,
+the right side is sum [X^(j) W~ - W~^dag X^(j)], and T^(k) = L X^(k) L^dag.
+The diagonal components of the right side obstruct solvability: they
+vanish exactly when the order-k energy corrections stay real.  The
+diagonal of the *solution* is the per-order metric ambiguity; the gauge
+used throughout zeroes it, i.e. keeps the unperturbed weights.
 
 The Dyson-factor corrections follow from the metric corrections in the
 gauge where Theta Delta^(k) is Hermitian:
@@ -35,8 +36,11 @@ under the exact deformation (V) are related by the intertwining identity
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,11 +83,16 @@ GAUGE_TAG = "zero-diagonal-biorthogonal"
 
 _RESOLVENT_COND_LIMIT = 1e12
 
+# Serializes the check-then-replace that extends a problem's held orders.
+_HOLD_LOCK = threading.Lock()
 
-def _theta_matrix(theta) -> np.ndarray:
-    if isinstance(theta, MetricOperator):
-        return theta.theta
-    return as_matrix(theta, "theta")
+
+class _Eigenbasis(NamedTuple):
+    inv_gaps: np.ndarray  # 1 / (E_m - E_n), zero diagonal
+    w_tilde: tuple  # L^dag (w_scale W^(i)) R
+    w_scale: float
+    x0: np.ndarray  # R^dag (x0_scale Theta) R
+    x0_scale: float
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,8 @@ class PerturbationProblem:
     Use :meth:`build` to construct: it diagonalizes H and validates the
     preconditions (real non-degenerate spectrum, Theta quasi-Hermitian
     for H).  ``h`` and the ``w_coeffs`` are read-only.  A problem also
-    holds the ``(T^(k), residual)`` pairs that :func:`metric_series` has
+    holds its eigenbasis constants, formed on its first solve, and the
+    ``(T^(k), residual, X^(k))`` orders that :func:`solve_order` has
     solved for it, so a later call extends them instead of starting over.
     """
 
@@ -102,7 +112,7 @@ class PerturbationProblem:
     theta: MetricOperator
     w_coeffs: tuple
     system: BiorthogonalSystem
-    _solved: tuple = field(default=(), init=False, repr=False, compare=False)
+    _orders: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, h, theta, w_coeffs, tol: float) -> "PerturbationProblem":
@@ -144,6 +154,32 @@ class PerturbationProblem:
                 f"theta is not quasi-Hermitian for H: residual {res:.3e}"
             )
         return cls(h, theta, tuple(ws), system)
+
+    @property
+    def _solved(self) -> tuple:
+        """The ``(T^(k), residual)`` pairs of the held orders."""
+        return tuple(o[:2] for o in self._orders)
+
+    @functools.cached_property
+    def _eigenbasis(self) -> _Eigenbasis:
+        """The constants of :func:`solve_order`, formed once behind the
+        degeneracy gate (which raises on every call and holds nothing).
+        The W^(i) share one power-of-two scale; X^(0) is held scaled by
+        Theta's, which keeps it finite wherever Theta is.
+        """
+        system = self.system
+        e = system.eigenvalues.real
+        gaps = e[:, None] - e[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        if float(np.abs(gaps).min()) <= self.tol * _spectral_scale(system.eigenvalues):
+            raise DegenerateSpectrumError("eigenvalue gap below tolerance; "
+                                          "eigenbasis division is ill-posed")
+        r, lh = system.right_vectors, system.left_vectors.conj().T
+        w_scale = min((_pow2_scale(w) for w in self.w_coeffs), default=1.0)
+        s = _pow2_scale(self.theta.theta)
+        x0 = r.conj().T @ (self.theta.theta * s) @ r
+        w_tilde = tuple(lh @ (w * w_scale) @ r for w in self.w_coeffs)
+        return _Eigenbasis(1.0 / gaps, w_tilde, w_scale, x0, s)
 
     @property
     def dim(self) -> int:
@@ -201,35 +237,6 @@ class DysonSeries:
     delta_coeffs: tuple
 
 
-def _sylvester_gauge_solve(system: BiorthogonalSystem, rhs: np.ndarray, tol: float, unit: float):
-    """Solve H^dag X - X H = rhs in the zero-diagonal biorthogonal gauge.
-
-    Returns ``(X, kernel_residual, asymmetry)``: the Hermitian-symmetrized
-    solution, the relative norm of the diagonal (solvability-obstruction)
-    components of the transformed right side, and the relative asymmetry
-    removed by the symmetrization.  ``unit`` is the value that 1 takes in
-    the scale of ``rhs``; both residuals are relative to ``max(unit, .)``.
-    """
-    e = system.eigenvalues.real
-    n = e.size
-    off = ~np.eye(n, dtype=bool)
-    gaps = e[:, None] - e[None, :]
-    if n > 1 and float(np.min(np.abs(gaps[off]))) <= tol * _spectral_scale(system.eigenvalues):
-        raise DegenerateSpectrumError(
-            "eigenvalue gap below tolerance; eigenbasis division is ill-posed"
-        )
-    r = system.right_vectors
-    ct = r.conj().T @ rhs @ r
-    kernel_res = _relative_norm(np.diag(ct), ct, unit)
-    y = np.zeros_like(ct)
-    y[off] = ct[off] / gaps[off]
-    l = system.left_vectors
-    x = l @ y @ l.conj().T
-    asym = 0.5 * _relative_norm(x - x.conj().T, x, unit)
-    x = 0.5 * (x + x.conj().T)
-    return x, kernel_res, asym
-
-
 def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
     """``||part|| / max(unit, ||whole||)`` in the Frobenius norm, for a
     ``part`` derived from ``whole`` and of comparable size (0 when
@@ -246,11 +253,13 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
 def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
     """Metric correction T^(k) from the corrections below it.
 
-    Only the M supplied coefficients W^(i) enter, so one order costs
-    O(min(k, M)) products.  The equation is linear in the T^(j) and in the
-    W^(i), so it is solved on copies of both scaled by powers of two
-    (exact), and no product can overflow; T^(k) is range-checked before
-    the scale is undone.
+    Solved in the eigenbasis of the module docstring over the M supplied
+    W~^(i): 4 products for M = 1.  When ``lower`` is the problem's own held
+    series, as :func:`metric_series` passes it, the held X^(j) enter and
+    the solved order is held too; otherwise X^(j) = R^dag T^(j) R is
+    formed here.  The equation is linear in the X^(j) and the W^(i), so it
+    is solved on copies scaled by powers of two (exact) and no product
+    overflows; T^(k) and X^(k) are range-checked before the scale is undone.
 
     Parameters
     ----------
@@ -263,9 +272,9 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
     Returns
     -------
     (T_k, residual)
-        T_k is Hermitian (symmetrized); residual combines the relative
-        solvability-kernel projection of the right-hand side with the
-        asymmetry removed by symmetrization.
+        T_k is Hermitian (symmetrized) and read-only; residual combines
+        the relative solvability-kernel projection of the right-hand side
+        with the asymmetry removed by symmetrization.
 
     Raises
     ------
@@ -276,7 +285,7 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
     DegenerateSpectrumError
         Eigenvalue gaps below tolerance make the division ill-posed.
     SeriesOverflowError
-        T^(k) lies outside the double-precision range.
+        T^(k) or X^(k) lies outside the double-precision range.
     """
     k = int(k)
     if k < 1:
@@ -285,21 +294,48 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
         raise ValueError(
             f"need T^(0..{k - 1}) to solve order {k}, got {len(lower.t_coeffs)} coefficients"
         )
-    # W^(i) pairs with T^(k-1-i); the sum runs in increasing T order.
-    pairs = [(lower.t_coeffs[k - 1 - i], w) for i, w in enumerate(problem.w_coeffs[:k])][::-1]
-    t_scale = min((_pow2_scale(t) for t, _ in pairs), default=1.0)
-    w_scale = min((_pow2_scale(w) for _, w in pairs), default=1.0)
-    n = problem.dim
-    rhs = np.zeros((n, n), dtype=complex)
-    for t, w in pairs:
-        t, w = t * t_scale, w * w_scale
-        rhs += t @ w - w.conj().T @ t
-    x, kernel_res, asym = _sylvester_gauge_solve(problem.system, rhs, problem.tol, t_scale * w_scale)
+    basis = problem._eigenbasis
+    r, l = problem.system.right_vectors, problem.system.left_vectors
+    held = problem._orders
+    own = (len(held) >= k - 1 and lower.t_coeffs[0] is problem.theta.theta
+           and all(t is o[0] for t, o in zip(lower.t_coeffs[1:k], held)))
+    # W~^(i) pairs with X^(k-1-i); the sum runs in increasing X order.
+    js = range(k - min(k, len(basis.w_tilde)), k)
+    # (matrix, the scale it is held at)
+    xs = ([(held[j - 1][2], 1.0) if j else (basis.x0, basis.x0_scale) for j in js] if own
+          else [(lower.t_coeffs[j], 1.0) for j in js])
+    scale = min((s * _pow2_scale(x) for x, s in xs), default=1.0)
+    rhs = np.zeros((problem.dim, problem.dim), dtype=complex)
+    for j, (x, s) in zip(js, xs):
+        x = x * (scale / s) if own else r.conj().T @ (x * scale) @ r
+        w = basis.w_tilde[k - 1 - j]
+        rhs += x @ w - w.conj().T @ x
+    unit = scale * basis.w_scale
+    kernel_res = _relative_norm(np.diag(rhs), rhs, unit)
     if kernel_res > problem.tol:
         raise SolvabilityViolatedError(k, kernel_res)
-    if not math.isfinite(float(np.abs(x).max()) / t_scale / w_scale):
+    y = rhs * basis.inv_gaps
+    t = l @ y @ l.conj().T
+    res = kernel_res + 0.5 * _relative_norm(t - t.conj().T, t, unit)
+    t, y = (0.5 * (a + a.conj().T) for a in (t, y))
+    if not all(math.isfinite(float(np.abs(a).max()) / scale / basis.w_scale) for a in (t, y)):
         raise SeriesOverflowError(k)
-    return x / t_scale / w_scale, kernel_res + asym
+    t, y = (a / scale / basis.w_scale for a in (t, y))
+    for a in (t, y):
+        a.setflags(write=False)
+    # Held orders are only ever extended, never replaced, so a concurrent
+    # caller can at worst repeat work.
+    if own and len(held) == k - 1:
+        with _HOLD_LOCK:
+            if problem._orders is held:
+                object.__setattr__(problem, "_orders", (*held, (t, res, y)))
+    return t, res
+
+
+def _held_series(problem: PerturbationProblem, order: int) -> MetricSeries:
+    held = problem._orders[:order]
+    return MetricSeries((problem.theta.theta, *(o[0] for o in held)), GAUGE_TAG,
+                        (0.0, *(o[1] for o in held)))
 
 
 def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
@@ -315,20 +351,9 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
     order = int(order)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    solved = problem._solved
-    t_coeffs = [problem.theta.theta, *(t for t, _ in solved[:order])]
-    residuals = [0.0, *(r for _, r in solved[:order])]
-    for k in range(len(solved) + 1, order + 1):
-        lower = MetricSeries(tuple(t_coeffs), GAUGE_TAG, tuple(residuals))
-        t_k, res = solve_order(problem, k, lower)
-        t_k.setflags(write=False)
-        t_coeffs.append(t_k)
-        residuals.append(res)
-        # Published by replacement with this call's own orders 1..k, so a
-        # concurrent caller can at worst repeat work.
-        if len(problem._solved) < k:
-            object.__setattr__(problem, "_solved", tuple(zip(t_coeffs[1:], residuals[1:])))
-    return MetricSeries(tuple(t_coeffs), GAUGE_TAG, tuple(residuals))
+    for k in range(len(problem._orders) + 1, order + 1):
+        solve_order(problem, k, _held_series(problem, k - 1))
+    return _held_series(problem, order)
 
 
 def _metric_inverse(theta: np.ndarray) -> np.ndarray:
@@ -357,13 +382,20 @@ def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
         Delta_0    = Theta^{-1} T^(1) / 2,
         Delta^(1)  = Theta^{-1} (T^(2) - Delta_0^dag Theta Delta_0) / 2.
 
-    Corrections beyond Delta^(1) are not reconstructed.
+    A Theta from :func:`~cryptoherm.metric.assemble_metric` carries its
+    weights and system, so Theta^{-1} = R diag(1/kappa) R^dag; any other
+    Theta is inverted through its Cholesky factor, which gates positive
+    definiteness.  Corrections beyond Delta^(1) are not reconstructed.
     """
-    th = _theta_matrix(theta)
+    th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
     th = 0.5 * (th + th.conj().T)
     deltas = []
     if series.order >= 1:
-        th_inv = _metric_inverse(th)
+        if isinstance(theta, MetricOperator) and theta.weights is not None:
+            r = theta.system.right_vectors
+            th_inv = (r / theta.weights) @ r.conj().T
+        else:
+            th_inv = _metric_inverse(th)
         d0 = 0.5 * (th_inv @ series.t_coeffs[1])
         deltas.append(d0)
         if series.order >= 2:
@@ -385,14 +417,17 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
     computed by that route:
     ``dyson_from_metric(metric_series(problem, 1), Theta).delta_coeffs[0]``
     for ``problem = PerturbationProblem.build(H, Theta, [W0], tol)``.
+    Each call builds and solves a new problem; a caller that already
+    holds a problem gets Delta_0 with no new solve from that same
+    expression, since the problem keeps its solved orders.
 
     Raises
     ------
     NotQuasiHermitianError
         Theta is not quasi-Hermitian for H.
     NotPositiveDefiniteError
-        A raw Theta fails :func:`metric_from_matrix`, or Theta fails the
-        Cholesky gate of the inversion.
+        A raw Theta fails :func:`metric_from_matrix`, or a metric without
+        weights fails the Cholesky gate of the inversion.
     SolvabilityViolatedError
         Same kernel obstruction as :func:`solve_order` at order 1.
     CryptohermError

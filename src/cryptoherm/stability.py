@@ -308,7 +308,8 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
 
     The perturbed family of metrics is assembled from the perturbed
     eigenbasis; its weights are chosen so the diagonal biorthogonal
-    components in the *unperturbed* basis equal Theta's.  That is exactly
+    components in the *unperturbed* basis equal Theta's (the diagonal of
+    the problem's X^(0) = R^dag Theta R).  That is exactly
     the gauge the Taylor series uses (zero diagonal for every correction),
     so the result is directly comparable to the truncated series.
     """
@@ -316,7 +317,8 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     system = diagonalize(h_lam, problem.tol)
     require_real_nondegenerate(system)
     r0 = problem.system.right_vectors
-    target = np.diag(r0.conj().T @ problem.theta.theta @ r0).real
+    basis = problem._eigenbasis
+    target = np.diag(basis.x0).real / basis.x0_scale
     g = system.left_vectors.conj().T @ r0          # g[n, m] = L_n(lam)^dag R0_m
     weights = np.linalg.solve((np.abs(g) ** 2).T, target)
     l = system.left_vectors

@@ -132,3 +132,31 @@ def dense_fix_ambiguity(projs, observables, tol):
     if v.min() <= tol * np.abs(v).max():
         return "NoPositiveSolutionError", None
     return "ok", v / v[0]
+
+
+def reference_metric_series(h, theta, ws, order, tol):
+    """(outcome, [T^(0), ..., T^(order)]) by the working-basis route: per
+    order the right side sum_i T^(k-1-i) W^(i) - W^(i)^dag T^(k-1-i), its
+    transform R^dag rhs R, the kernel gate ||diag|| > tol * max(1, ||.||),
+    the division by the gaps, L y L^dag and Hermitian symmetrization.
+    ``outcome`` is "", "SolvabilityViolated at k" (coefficients None) or
+    "DegenerateSpectrum" under the gap gate tol * max(1, max |E|)."""
+    evals, r, l = biorthogonal(h)
+    e = evals.real
+    n = e.size
+    off = ~np.eye(n, dtype=bool)
+    gaps = np.where(off, e[:, None] - e[None, :], 1.0)
+    if n > 1 and np.abs(gaps[off]).min() <= tol * max(1.0, np.abs(evals).max()):
+        return "DegenerateSpectrum", None
+    ts = [np.asarray(theta, dtype=complex)]
+    for k in range(1, order + 1):
+        rhs = np.zeros((n, n), dtype=complex)
+        for i, w in enumerate(ws[:k]):
+            t = ts[k - 1 - i]
+            rhs += t @ w - w.conj().T @ t
+        ct = r.conj().T @ rhs @ r
+        if np.linalg.norm(np.diag(ct)) > tol * max(1.0, np.linalg.norm(ct)):
+            return f"SolvabilityViolated at {k}", None
+        x = l @ np.where(off, ct / gaps, 0.0) @ l.conj().T
+        ts.append(0.5 * (x + x.conj().T))
+    return "", ts

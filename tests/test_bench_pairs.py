@@ -102,3 +102,32 @@ def test_gain_rule_with_a_zero_parent_iqr():
     assert verdicts(parent, [(100.5, 9.99)] * 10) == [(False, True), (False, True)]
     # all ties: no win and no gap
     assert verdicts(parent, parent) == [(False, False), (False, False)]
+
+
+def counted(rc, failed, attempted):
+    return {"rc": rc, "failed": failed, "attempted": attempted}
+
+
+def test_failed_share_sums_runs_with_a_result_and_flags_a_larger_change_share():
+    pairs = [
+        {"parent": counted(0, 34, 646), "change": counted(0, 46, 874)},
+        {"parent": counted(0, 0, 354), "change": counted(0, 0, 126)},
+        # a run without a result has no op counts and is left out
+        {"parent": {"rc": 3}, "change": counted(0, 0, 0)},
+    ]
+    shares = bench_pairs.failed_share(pairs)
+    assert shares["parent"] == {"failed": 34, "attempted": 1000, "share": 0.034}
+    assert shares["change"] == {"failed": 46, "attempted": 1000, "share": 0.046}
+    assert shares["more_failed"]
+    assert bench_pairs.failed_row("scan", shares) == (
+        "| scan | failed-op share | 3.40% (34/1000) | 4.60% (46/1000) | +1.20 pp | – | – "
+        "| yes | – |")
+    # equal shares, and a smaller change share, are not more failed
+    equal = [{"parent": counted(0, 1, 10), "change": counted(0, 2, 20)}]
+    fewer = [{"parent": counted(0, 1, 10), "change": counted(0, 0, 10)}]
+    assert not bench_pairs.failed_share(equal)["more_failed"]
+    assert not bench_pairs.failed_share(fewer)["more_failed"]
+    # no attempted ops on either side: both shares are 0
+    none = bench_pairs.failed_share([{"parent": {"rc": 3}, "change": {"rc": 3}}])
+    assert none["parent"]["share"] == none["change"]["share"] == 0.0
+    assert not none["more_failed"]

@@ -11,6 +11,7 @@ import cryptoherm.perturbation as perturbation
 from cryptoherm.spectra import _min_gap as spectra_min_gap
 from cryptoherm import (
     GAUGE_TAG,
+    BiorthogonalSystem,
     DegenerateSpectrumError,
     MetricFamily,
     MetricSeries,
@@ -41,6 +42,7 @@ from oracles import (
     metric_from_seed,
     random_hermitian,
     random_real_spectrum_matrix,
+    reference_metric_series,
 )
 
 TOL = 1e-10
@@ -362,6 +364,21 @@ def test_series_overflow_raises_before_any_product_overflows():
     assert not np.any(series.t_coeffs[2])
 
 
+def test_series_exact_where_the_eigenbasis_metric_leaves_the_float_range():
+    # R^dag Theta R = diag(1.9, 0.1) * 2^1023 is past the float limit while
+    # every entry of Theta is not; the series still scales with the metric
+    h = np.array([[1.5, -0.5], [-0.5, 1.5]], dtype=complex)
+    theta = np.array([[1.0, 0.9], [0.9, 1.0]])
+    w = np.array([[0.0, 1e-3], [-1e-3, 0.0]], dtype=complex)
+    small = metric_series(PerturbationProblem.build(h, theta, [w], TOL), 3)
+    big = PerturbationProblem.build(h, 2.0**1023 * theta, [w], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = metric_series(big, 3)
+    for t_small, t_big in zip(small.t_coeffs, scaled.t_coeffs):
+        assert np.array_equal(2.0**1023 * t_small, t_big)
+
+
 def test_hermiticity_and_gauge_per_order():
     prob = kg_problem()
     series = metric_series(prob, 3)
@@ -445,22 +462,79 @@ def test_metric_series_scale_covariance(seed, n, complex_w, tol, order, j):
     # sigma^2 * 2 eta.  So T^(k) is off by at most
     # d_k = sigma rho_k (4 sigma eta + 10 n eps) + 2 sigma ||W|| sum_{i<k} d_i
     # with rho_k = 2 ||W|| sum_{i<k} ||T^(i)||; the two runs differ by 2 d_k.
+    d = _series_error_bound(h, system, np.linalg.norm(w, 2), t_base)
+    for k in range(order + 1):
+        assert np.linalg.norm(t_scaled[k] - t_base[k], 2) <= 2.0 * d[k]
+
+
+def _series_error_bound(h, system, w_norm, t_coeffs):
+    """The d_k of test_metric_series_scale_covariance for the series
+    ``t_coeffs`` of H, with ||W|| = ``w_norm``."""
+    n = system.dim
     gap = spectra_min_gap(system.eigenvalues)
     sigma = n * system.condition_number**2 / gap
     eta = 10.0 * n * EPS * np.linalg.norm(h, 2)
-    w_norm = np.linalg.norm(w, 2)
     d = [0.0]
-    for k in range(1, order + 1):
-        rho = 2.0 * w_norm * sum(np.linalg.norm(t, 2) for t in t_base[:k])
+    for k in range(1, len(t_coeffs)):
+        rho = 2.0 * w_norm * sum(np.linalg.norm(t, 2) for t in t_coeffs[:k])
         d.append(sigma * rho * (4.0 * sigma * eta + 10.0 * n * EPS) + 2.0 * sigma * w_norm * sum(d))
+    return d
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    complex_ws=st.lists(st.booleans(), min_size=1, max_size=3),
+    tol=st.sampled_from([1e-10, 1e-6]),
+    order=st.integers(1, 6),
+)
+def test_metric_series_matches_the_working_basis_reference(seed, n, complex_ws, tol, order):
+    rng = np.random.default_rng(seed)
+    h, _, s = random_real_spectrum_matrix(rng, n)
+    theta = metric_from_seed(rng, s)
+    # In the eigenbasis a real zero-diagonal coefficient keeps every order
+    # solvable; a complex one obstructs the first order it enters.
+    ws = []
+    for complex_w in complex_ws:
+        y = 0.3 * rng.standard_normal((n, n))
+        if complex_w:
+            y = y + 0.3j * rng.standard_normal((n, n))
+        else:
+            np.fill_diagonal(y, 0.0)
+        ws.append(s @ y @ np.linalg.inv(s))
+    outcome, t_ref = reference_metric_series(h, theta, ws, order, tol)
+    try:
+        got, t = "", metric_series(PerturbationProblem.build(h, theta, ws, tol), order).t_coeffs
+    except SolvabilityViolatedError as exc:
+        got, t = f"SolvabilityViolated at {exc.order}", None
+    assert got == outcome
+    if t is None:
+        return
+    system = diagonalize(h, tol)
+    d = _series_error_bound(h, system, sum(np.linalg.norm(w, 2) for w in ws), t_ref)
     for k in range(order + 1):
-        assert np.linalg.norm(t_scaled[k] - t_base[k], 2) <= 2.0 * d[k]
+        assert np.linalg.norm(t[k] - t_ref[k], 2) <= 2.0 * d[k]
 
 
 def test_degenerate_spectrum_raises():
     h = np.diag([1.0, 1.0 + 1e-13, 2.0]).astype(complex)
     with pytest.raises(DegenerateSpectrumError):
         PerturbationProblem.build(h, np.eye(3), [np.zeros((3, 3))], TOL)
+
+
+def test_hand_built_degenerate_problem_raises_on_every_series_call():
+    # the constructor skips build's spectrum gate, so the first solve gates
+    h = np.diag([1.0, 1.0 + 1e-13, 2.0]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    system = BiorthogonalSystem(np.diag(h).copy(), eye, eye, TOL)
+    prob = PerturbationProblem(h, metric_from_matrix(eye, TOL), (np.zeros((3, 3)),), system)
+    for _ in range(2):
+        with pytest.raises(DegenerateSpectrumError):
+            metric_series(prob, 2)
+        assert prob._orders == () and "_eigenbasis" not in vars(prob)
+    # order 0 solves nothing, so nothing gates it
+    assert metric_series(prob, 0).t_coeffs == (prob.theta.theta,)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +568,39 @@ def test_dyson_back_substitution_reproduces_metric_corrections():
     for d in (d0, d1):
         s = th @ d
         assert np.linalg.norm(s - s.conj().T) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_dyson_from_metric_weights_path_matches_the_cholesky_path(seed, n):
+    rng = np.random.default_rng(seed)
+    h, _, s = random_real_spectrum_matrix(rng, n)
+    system = diagonalize(h, TOL)
+    kappa = rng.uniform(0.5, 2.0, n)
+    theta = assemble_metric(MetricFamily(system), kappa)
+    raw = metric_from_matrix(theta.theta, TOL)
+    assert np.array_equal(theta.weights, kappa) and not theta.weights.flags.writeable
+    assert raw.weights is None and kg_metric(0.2, 0.1).weights is None
+    y = rng.standard_normal((n, n))
+    np.fill_diagonal(y, 0.0)
+    series = metric_series(PerturbationProblem.build(h, theta, [s @ y @ np.linalg.inv(s)], TOL), 2)
+    d0, d1 = dyson_from_metric(series, theta).delta_coeffs
+    c0, c1 = dyson_from_metric(series, raw).delta_coeffs
+    # Both inverses are backward stable for Theta = L diag(kappa) L^dag, whose
+    # condition number is at most cond(R)^2 kappa_max / kappa_min (the
+    # columns of L^dag = R^{-1} and of R are biorthonormal), so each is
+    # within eps_inv = 10 n eps cond(Theta) of Theta^{-1}, relative to its
+    # norm; Delta^(1) also inherits the error of Delta_0 through
+    # Delta_0^dag Theta Delta_0.
+    th, t1, t2 = series.t_coeffs
+    inv_norm = np.linalg.norm(np.linalg.inv(th), 2)
+    eps_inv = 10.0 * n * EPS * system.condition_number**2 * kappa.max() / kappa.min()
+    b0 = eps_inv * inv_norm * np.linalg.norm(t1, 2)
+    norm0, th_norm = np.linalg.norm(c0, 2), np.linalg.norm(th, 2)
+    b1 = (eps_inv * inv_norm * (np.linalg.norm(t2, 2) + norm0**2 * th_norm)
+          + inv_norm * th_norm * (2.0 * norm0 + b0) * b0)
+    assert np.linalg.norm(d0 - c0, 2) <= b0
+    assert np.linalg.norm(d1 - c1, 2) <= b1
 
 
 def test_leading_delta_zero_for_quasi_hermitian_w():

@@ -17,11 +17,16 @@ verdicts: ``worse_beyond_bound``, whether the change median is worse than
 the parent median by more than the metric's ``BENCHMARK.json`` bound
 (relative to the parent median), and ``gain_holds``, whether the change
 won at least 90% of the pairs and its median beats the parent median by
-more than the parent's interquartile range.  When all workloads are
-done, a markdown table per workload goes to stdout: parent and change
-medians with their quartiles, the relative change of the median, the
-pairs the change won, the median gap over the parent's interquartile
-range and both verdicts.  Standard library only.
+more than the parent's interquartile range.  Per workload, ``failed_share``
+holds each side's failed-op share (failed over attempted ops, summed over
+its runs that returned a result) and the verdict ``more_failed``, whether
+the change's share is the larger.  When all workloads are done, a
+markdown table per workload goes to stdout: parent and change medians
+with their quartiles, the relative change of the median, the pairs the
+change won, the median gap over the parent's interquartile range and both
+verdicts, and a last row with the failed-op shares, whose ``more_failed``
+verdict stands in the "worse > bound" column (a bound of zero).  Standard
+library only.
 """
 
 import argparse
@@ -99,6 +104,29 @@ def summarize(pairs: list, spec: dict) -> dict:
     return out
 
 
+def failed_share(pairs: list) -> dict:
+    """Each side's failed and attempted ops and their ratio, summed over
+    its runs that returned a result, and ``more_failed``: whether the
+    change's share is the larger."""
+    out = {}
+    for label in ("parent", "change"):
+        runs = [p[label] for p in pairs if p[label]["rc"] == 0]
+        failed, attempted = (sum(r[k] for r in runs) for k in ("failed", "attempted"))
+        out[label] = {"failed": failed, "attempted": attempted,
+                      "share": failed / attempted if attempted else 0.0}
+    out["more_failed"] = out["change"]["share"] > out["parent"]["share"]
+    return out
+
+
+def failed_row(workload: str, shares: dict) -> str:
+    """The failed-op row of a workload's markdown table."""
+    p, c = shares["parent"], shares["change"]
+    return (f"| {workload} | failed-op share | {p['share']:.2%} ({p['failed']}/{p['attempted']}) "
+            f"| {c['share']:.2%} ({c['failed']}/{c['attempted']}) "
+            f"| {100 * (c['share'] - p['share']):+.2f} pp | – | – "
+            f"| {'yes' if shares['more_failed'] else 'no'} | – |")
+
+
 def markdown_table(workload: str, metrics: dict) -> list:
     """Rows of a markdown table of one workload's ``summarize`` output."""
     rows = ["| workload | metric | parent | change | Δ | wins | gap / parent IQR "
@@ -157,6 +185,7 @@ def main(argv=None) -> int:
             pairs.append(pair)
         report["workloads"][workload] = {
             "metrics": summarize(pairs, spec),
+            "failed_share": failed_share(pairs),
             "failed_ops": {label: [p[label].get("failed") for p in pairs] for label in trees},
             "attempted_ops": {label: [p[label].get("attempted") for p in pairs]
                               for label in trees},
@@ -166,7 +195,9 @@ def main(argv=None) -> int:
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
-        print("\n".join(markdown_table(workload, entry["metrics"])) + "\n")
+        rows = [*markdown_table(workload, entry["metrics"]),
+                failed_row(workload, entry["failed_share"])]
+        print("\n".join(rows) + "\n")
     return 0
 
 
