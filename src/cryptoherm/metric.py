@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 _ROOT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
+# Room the Gram route leaves on each side of the rank threshold for the
+# rounding of the exact kernel, whose outcome it must reproduce.
+_GRAM_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -196,36 +200,44 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, upper
 
 
-def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(s, vt, floor)`` of the weight-constraint rows of the validated
-    observables ``obs``, built and factored as :func:`fix_ambiguity`
-    describes: the singular values, the right singular vectors and the
-    constraint scale max ||O|| * max_n ||l_n||^2.  ``s`` and ``floor`` are
-    in the units of the observables after their common power-of-two
-    scaling, so only their ratios carry meaning.
-    """
+def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, float]:
+    """The adjoints of the validated observables ``obs`` after one common
+    power-of-two scale, and the constraint scale max ||O|| * max_n ||l_n||^2
+    in those units."""
     # 2**e brings the largest entry into [1, 2).  Unlike _pow2_scale it
     # also grows, so subnormal observables regain full precision; 2**e may
     # reach 2**1074, past the float range, so it is applied as two factors.
     e = 1 - max(math.frexp(float(np.abs(o).max()))[1] for o in obs)
     grow, scale = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    ohs = [scale * (grow * o.conj().T) for o in obs]
+    o_norm = max(math.sqrt(np.vdot(oh, oh).real) for oh in ohs)
+    return ohs, o_norm * float(np.einsum("in,in->n", l, l.conj()).real.max())
+
+
+def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(s, vt, floor)`` of the weight-constraint rows of the validated
+    observables ``obs``: the singular values, the right singular vectors
+    and the constraint scale, in the units of the observables after their
+    common power-of-two scale.  The exact kernel of :func:`fix_ambiguity`,
+    which runs it where the Gram matrix cannot certify the outcome: the
+    N^2 rows per observable are factored by an R-only QR, then an SVD of
+    the N x N R, in O(M N^4).
+    """
     n = family.dim
     l = family.system.left_vectors
-    lc = l.conj()
     lt = np.ascontiguousarray(l.T)
     lct = lt.conj()
     i, j, upper_mask = _triangles(n)
     p = i.size
     li, lcj = _ROOT2 * lt[:, i], _ROOT2 * lct[:, j]
+    ohs, floor = _scaled_adjoints(obs, l)
     # The rows are built transposed, one column each, so the .T of this
     # C-order buffer is the Fortran layout that the QR factors.
     rows = np.empty((n, len(obs) * n * n))
     # take(mode="clip") fills these without the buffered copy that
     # mode="raise" makes; the indices are in range.
     off, tmp = np.empty((2, n, p), dtype=complex)
-    o_norm = 0.0
-    for c, o in zip(range(0, rows.shape[1], n * n), obs):
-        oh = scale * (grow * o.conj().T)
+    for c, oh in zip(range(0, rows.shape[1], n * n), ohs):
         at = (oh @ l).T
         np.take(at, i, axis=1, out=off, mode="clip")
         off *= lcj
@@ -236,8 +248,6 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
         rows[:, c + p:c + 2 * p] = off.imag
         # the diagonal of a_n l_n^dag - l_n a_n^dag is 2i Im(a_n * conj(l_n))
         rows[:, c + 2 * p:c + n * n] = 2.0 * (at * lct).imag
-        o_norm = max(o_norm, math.sqrt(np.vdot(oh, oh).real))
-    floor = o_norm * float(np.einsum("in,in->n", l, lc).real.max())
     del li, lcj, off, tmp  # not held through the QR's own copies of the rows
     # R is the upper triangle of the transposed raw factor; masking it
     # costs less than the np.triu that mode="r" runs.
@@ -246,24 +256,123 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     return s, vt, floor
 
 
+def _rank_counts(lo, hi, floor: float, tol: float, margin: float) -> tuple[int, int]:
+    """How many singular values known to lie in ``[lo, hi]`` (descending)
+    are certainly above and how many certainly below the rank threshold
+    ``tol * max(sigma_max, floor)``: above when ``lo`` clears ``margin``
+    times its largest value, below when ``margin * hi`` stays under its
+    smallest."""
+    thr_lo, thr_hi = tol * max(float(lo[0]), floor), tol * max(float(hi[0]), floor)
+    return (int(np.count_nonzero(lo > margin * thr_hi)),
+            int(np.count_nonzero(margin * hi <= thr_lo)))
+
+
+def _null_line(lo, hi, floor: float, tol: float, margin: float, v, eta: float):
+    """The rank rule of :func:`fix_ambiguity` (:func:`_rank_counts`),
+    applied to singular values known to lie in ``[lo, hi]`` and to a null
+    vector ``v`` known within ``eta`` in every entry, up to sign.
+
+    Returns the weights, raises the outcome's error, or returns ``None``
+    where the bounds leave the outcome open.  Exact values (``lo = hi``,
+    ``margin = 1``, ``eta = 0``) always decide.
+    """
+    n = lo.size
+    above, below = _rank_counts(lo, hi, floor, tol, margin)
+    if above == n:
+        raise InconsistentError(
+            "observable constraints admit only the zero solution"
+        )
+    if below > 1:
+        raise UnderdeterminedError(
+            f"observable set leaves an at least {below}-dimensional weight space"
+        )
+    if above < n - 1 or not below:
+        return None
+    mag = np.abs(v)
+    if v[mag.argmax()] < 0.0:
+        v = -v
+    # the positivity test moves by at most (1 + tol) * eta; eta < max |v|
+    # keeps a sign flip of the exact vector from reaching positivity
+    edge = v.min() - tol * mag.max()
+    slack = (1.0 + tol) * eta
+    if edge <= -slack and eta < mag.max():
+        raise NoPositiveSolutionError(
+            "the compatible weight line contains no strictly positive vector"
+        )
+    return v / v[0] if edge > slack else None
+
+
+def _gram_weights(l: np.ndarray, ohs, floor: float, tol: float):
+    """The outcome of :func:`fix_ambiguity` from the Gram matrix of the
+    constraint rows of the scaled adjoints ``ohs``, or ``None`` where its
+    rounding bound cannot certify it (see :func:`_null_line`)."""
+    n = l.shape[1]
+    lh = l.conj().T
+    p = lh @ l
+    g = np.zeros((n, n))
+    size = 0.0  # sum over observables and n of ||l_n||^2 ||a_n||^2
+    adj = []
+    for oh in ohs:
+        a = oh @ l
+        x = lh @ a
+        q = a.conj().T @ a
+        g += (p * q.T).real
+        g -= (x * x.T).real
+        size += float(p.diagonal().real @ q.diagonal().real)
+        adj.append(a)
+    g *= 2.0
+    if not (np.isfinite(g).all() and math.isfinite(size)):
+        return None
+    # Every entry of p, q and x is a length-N dot product, so the computed
+    # G is off by at most about 8 (N + M + 2) eps ||l_n|| ||a_n|| ||l_m|| ||a_m||
+    # summed over observables, in 2-norm 8 (N + M + 2) eps * size; eigh
+    # adds about N eps ||G|| <= 4 N eps * size (trace G <= 4 size).  Both
+    # together stay under 16 (N + M + 1) eps * size.
+    delta = 16.0 * (n + len(ohs) + 1) * _EPS * size
+    mu, vecs = np.linalg.eigh(g)
+    mu = mu[::-1]
+    lo = np.sqrt(np.maximum(mu - delta, 0.0))
+    hi = np.sqrt(np.maximum(mu + delta, 0.0))
+    above, _ = _rank_counts(lo, hi, floor, tol, _GRAM_MARGIN)
+    v, eta = vecs[:, 0], 0.0
+    if above < n:
+        # ||rows v|| is formed from the rows themselves, as the norm of
+        # sum_n v_n C_n = A diag(v) L^dag - its adjoint; its rounding is at
+        # most about 4 (N + 2) eps * sqrt(size).  By Courant-Fischer it
+        # bounds sigma_N, and the root sum of squares of two orthonormal
+        # vectors' residuals bounds sigma_{N-1}.
+        res = []
+        for c in range(1 if above == n - 1 else 2):
+            sq = 0.0
+            for a in adj:
+                y = (a * vecs[:, c]) @ lh
+                y -= y.conj().T
+                sq += float(np.vdot(y, y).real)
+            res.append(math.sqrt(sq) + 4.0 * (n + 2) * _EPS * math.sqrt(size))
+        hi[-1] = min(hi[-1], res[0])
+        if len(res) == 2:
+            hi[-2] = min(hi[-2], math.hypot(*res))
+        elif n > 1:
+            # Davis-Kahan: sin of the angle between v and the exact null
+            # vector is at most delta / gap, and at most res / sigma_{N-1}
+            gap = mu[-2] - mu[-1] - delta
+            sin = min(delta / gap if gap > 0.0 else math.inf,
+                      res[0] / math.sqrt(mu[-2] - delta))
+            eta = _ROOT2 * sin
+    return _null_line(lo, hi, floor, tol, _GRAM_MARGIN, v, eta)
+
+
 def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
     """Weights making every candidate observable quasi-Hermitian w.r.t.
     Theta(kappa), normalized so kappa_1 = 1.
 
     The constraints Lambda_j^dag Theta(kappa) = Theta(kappa) Lambda_j form
-    a real homogeneous linear system in kappa, whose null space gives the
-    weights.  Each constraint matrix is anti-Hermitian, so only its strict
-    upper triangle (weighted by sqrt(2)) and its imaginary diagonal enter:
-    N^2 real rows per observable, built from the rank-two terms
-    a_n l_n^dag - l_n a_n^dag with a_n = Lambda^dag l_n, with the same
-    singular values and right singular vectors as all 2 N^2 real and
-    imaginary parts.  An R-only QR of the rows, then an SVD of the N x N R,
-    gives those.  All observables are first scaled by one common power of
-    two, so entries near the float limit neither overflow nor change the
-    outcome.  The rank threshold is ``tol * max(sigma_max, constraint
-    scale)`` with constraint scale max ||Lambda_j|| * max ||L_n L_n^dag||;
-    the second term keeps constraints that cancel analytically (e.g.
-    Lambda = H itself) from leaving pure rounding noise behind.
+    a real homogeneous linear system in kappa whose null line gives the
+    weights; the rank threshold is ``tol * max(sigma_max, max ||Lambda_j||
+    * max_n ||l_n||^2)``.  The outcome is read from the N x N Gram matrix
+    of the constraint rows wherever a rounding bound certifies it, and
+    from the exact QR kernel otherwise; the README gives the construction,
+    the certificate and the cost.
 
     Raises
     ------
@@ -288,28 +397,12 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
             raise ShapeMismatchError(
                 f"observable has shape {o.shape}, expected {(n, n)}"
             )
-
-    s, vt, floor = _constraint_svd(family, obs)
-    thresh = tol * max(float(s[0]), floor)
-    null_dim = n - int(np.count_nonzero(s > thresh))
-    if null_dim == 0:
-        raise InconsistentError(
-            "observable constraints admit only the zero solution"
-        )
-    if null_dim > 1:
-        raise UnderdeterminedError(
-            f"observable set leaves a {null_dim}-dimensional weight space"
-        )
-
-    v = vt[-1]
-    mag = np.abs(v)
-    if v[mag.argmax()] < 0.0:
-        v = -v
-    if v.min() <= tol * mag.max():
-        raise NoPositiveSolutionError(
-            "the compatible weight line contains no strictly positive vector"
-        )
-    return v / v[0]
+    l = family.system.left_vectors
+    kappa = _gram_weights(l, *_scaled_adjoints(obs, l), tol)
+    if kappa is None:
+        s, vt, floor = _constraint_svd(family, obs)
+        kappa = _null_line(s, s, floor, tol, 1.0, vt[-1], 0.0)
+    return kappa
 
 
 def kg_hamiltonian(tau: float) -> np.ndarray:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CryptohermError, InvalidBracketError
+from .errors import CryptohermError, InvalidBracketError, SeriesOverflowError
 from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import _eigvec_cond, _min_gap, _real_if_exact, _reality
+from .spectra import _eigvec_cond, _min_gap, _pow2_scale, _real_if_exact, _reality
 
 __all__ = [
     "FamilySpec",
@@ -311,19 +311,25 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     components in the *unperturbed* basis equal Theta's (the diagonal of
     the problem's X^(0) = R^dag Theta R).  That is exactly
     the gauge the Taylor series uses (zero diagonal for every correction),
-    so the result is directly comparable to the truncated series.
+    so the result is directly comparable to the truncated series.  Raises
+    SeriesOverflowError (``order`` None) when that metric lies outside the
+    double-precision range.
     """
     h_lam = problem.hamiltonian_at(lam)
     system = diagonalize(h_lam, problem.tol)
     require_real_nondegenerate(system)
     r0 = problem.system.right_vectors
     basis = problem._eigenbasis
-    target = np.diag(basis.x0).real / basis.x0_scale
     g = system.left_vectors.conj().T @ r0          # g[n, m] = L_n(lam)^dag R0_m
-    weights = np.linalg.solve((np.abs(g) ** 2).T, target)
+    # Solved and assembled at X^(0)'s power-of-two scale, which is exact,
+    # so only a metric that is itself past the float range overflows.
+    weights = np.linalg.solve((np.abs(g) ** 2).T, np.diag(basis.x0).real)
     l = system.left_vectors
     t = (l * weights) @ l.conj().T
-    return 0.5 * (t + t.conj().T)
+    t = 0.5 * (t + t.conj().T)
+    if not math.isfinite(float(np.abs(t).max()) / basis.x0_scale):
+        raise SeriesOverflowError(None)
+    return t / basis.x0_scale
 
 
 def series_vs_exact(problem: PerturbationProblem, order: int, lambdas) -> list[tuple[float, float]]:
@@ -337,7 +343,8 @@ def series_vs_exact(problem: PerturbationProblem, order: int, lambdas) -> list[t
     series = metric_series(problem, order)
     rows = []
     for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
-        t_exact = exact_matched_metric(problem, float(lam))
-        err = float(np.linalg.norm(series.truncated(float(lam)) - t_exact))
+        diff = series.truncated(float(lam)) - exact_matched_metric(problem, float(lam))
+        scale = _pow2_scale(diff)
+        err = float(np.linalg.norm(diff * scale)) / scale
         rows.append((float(lam), err))
     return rows

@@ -30,6 +30,7 @@ from cryptoherm import (
     metric_from_matrix,
     quasi_hermiticity_residual,
 )
+from cryptoherm import metric as metric_module
 from cryptoherm.metric import _constraint_svd
 from oracles import (
     dense_ambiguity_svd,
@@ -393,6 +394,117 @@ def test_fix_ambiguity_scale_invariance(seed, n, kind, j):
     assert scaled == outcome
     if kappa is not None:
         assert np.max(np.abs(scaled_kappa - kappa)) <= 1e-12 * np.max(np.abs(kappa))
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Patch ``fix_ambiguity``'s QR kernel with a wrapper that counts its
+    calls in the returned one-element list."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _constraint_svd(*args)
+
+    monkeypatch.setattr(metric_module, "_constraint_svd", counted)
+    return calls
+
+
+def test_fix_ambiguity_gram_certificate_matches_dense_reference(monkeypatch):
+    # Gram-path outcomes near the rank threshold, the positivity edge and
+    # tiny tolerances must be those of the dense construction; where the
+    # bound cannot certify them the QR kernel decides
+    calls = _count_kernel_calls(monkeypatch)
+    paths = {"gram": 0, "qr": 0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        kind=st.sampled_from(sorted(EXPECTED_OUTCOME)),
+        near=st.booleans(),
+        log_eps=st.floats(-14.0, -5.0),
+        log_tol=st.floats(-14.0, -4.0),
+    )
+    def check(seed, n, kind, near, log_eps, log_tol):
+        rng = np.random.default_rng(seed)
+        h, _, _ = random_real_spectrum_matrix(rng, n)
+        family = MetricFamily(diagonalize(h, TOL))
+        obs = _observable_set(rng, family, h, kind)
+        if near:
+            o = obs[0]
+            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            obs[0] = o + 10.0**log_eps * np.linalg.norm(o) * noise
+        tol = 10.0**log_tol
+        before = calls[0]
+        try:
+            outcome, kappa = "ok", fix_ambiguity(family, obs, tol)
+        except (InconsistentError, NoPositiveSolutionError, UnderdeterminedError) as exc:
+            outcome, kappa = type(exc).__name__, None
+        paths["qr" if calls[0] > before else "gram"] += 1
+        ref_outcome, ref_kappa = dense_fix_ambiguity(family.projectors(), obs, tol)
+        assert outcome == ref_outcome
+        if kappa is not None:
+            assert np.max(np.abs(kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
+
+    check()
+    assert paths["gram"] > 0 and paths["qr"] > 0, paths
+
+
+def test_fix_ambiguity_falls_back_inside_the_certificate_margins(monkeypatch):
+    # a singular value at 1.5 times the rank threshold, and a null vector
+    # on the positivity edge, are left to the QR kernel
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    h, _, _ = random_real_spectrum_matrix(rng, 3)
+    family = MetricFamily(diagonalize(h, TOL))
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    near = _planted(rng, family) + 1e-3 * noise
+    s, _, floor = _constraint_svd(family, [near])
+    with pytest.raises(InconsistentError):
+        fix_ambiguity(family, [near], s[-1] / (1.5 * max(s[0], floor)))
+    assert calls[0] == 1
+
+    rng = np.random.default_rng(0)
+    h, _, _ = random_real_spectrum_matrix(rng, 3)
+    family = MetricFamily(diagonalize(h, TOL))
+    l = family.system.left_vectors
+    theta = (l * np.array([1.0, 0.5, 1e-2])) @ l.conj().T
+    edge = np.linalg.solve(theta, random_hermitian(rng, 3))
+    _, vt, _ = _constraint_svd(family, [edge])
+    v = np.abs(vt[-1])
+    tol = float(v.min() / v.max())
+    assert fix_ambiguity(family, [edge], 0.99 * tol).min() > 0.0
+    with pytest.raises(NoPositiveSolutionError):
+        fix_ambiguity(family, [edge], 1.01 * tol)
+    assert calls[0] == 1
+    # rounding puts the kernel's null vector on either side of the edge
+    try:
+        fix_ambiguity(family, [edge], tol)
+    except NoPositiveSolutionError:
+        pass
+    assert calls[0] == 2
+
+
+def test_planted_n64_problem_is_decided_without_the_qr_kernel(monkeypatch):
+    # the benchmark's pipeline construction: H0 = S diag(E) S^-1 with
+    # S = I + 0.3 / sqrt(N) G, and one Hermitian observable pulled back
+    # through the metric's root, so the weights are known
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(64)
+    n = 64
+    e = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.25, 0.25, n) * 2.0 / (n - 1)
+    s = np.eye(n) + 0.3 / np.sqrt(n) * rng.standard_normal((n, n))
+    s_inv = np.linalg.inv(s)
+    weights = rng.uniform(0.5, 2.0, n)
+    theta = s_inv.T @ (weights[:, None] * s_inv)
+    w, u = np.linalg.eigh(theta)
+    omega, omega_inv = (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
+    observable = omega_inv @ random_hermitian(rng, n) @ omega
+    family = MetricFamily(diagonalize((s * e) @ s_inv, TOL))
+    kappa = fix_ambiguity(family, [observable], TOL)
+    assert calls[0] == 0
+    planted = weights / np.sum(s * s, axis=0)
+    assert np.allclose(kappa, planted / planted[0], rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

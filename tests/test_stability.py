@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from cryptoherm import (
     FamilySpec,
     InvalidBracketError,
     PerturbationProblem,
+    SeriesOverflowError,
+    exact_matched_metric,
     kg_hamiltonian,
     kg_metric,
     lambda_max,
@@ -190,6 +193,42 @@ def test_series_vs_exact_slope(order):
     lams = np.log10([row[0] for row in table])
     slope = np.polyfit(lams, logs, 1)[0]
     assert abs(slope - (order + 1)) <= 0.3
+
+
+# R^dag Theta R = diag(1.9, 0.1) * 2^1023 for 2^1023 * FLOAT_EDGE_THETA is
+# past the float limit while every entry of Theta is not
+FLOAT_EDGE_H = np.array([[1.5, -0.5], [-0.5, 1.5]], dtype=complex)
+FLOAT_EDGE_THETA = np.array([[1.0, 0.9], [0.9, 1.0]])
+FLOAT_EDGE_W = np.array([[0.0, 1e-3], [-1e-3, 0.0]], dtype=complex)
+
+
+def test_series_vs_exact_where_the_eigenbasis_metric_leaves_the_float_range():
+    # the exact metric was assembled and its error norm formed unscaled:
+    # both rows were nan, with overflow warnings
+    lambdas = [1e-3, 5e-4]
+    small = PerturbationProblem.build(FLOAT_EDGE_H, FLOAT_EDGE_THETA, [FLOAT_EDGE_W], TOL)
+    big = PerturbationProblem.build(FLOAT_EDGE_H, 2.0**1023 * FLOAT_EDGE_THETA,
+                                    [FLOAT_EDGE_W], TOL)
+    ref = series_vs_exact(small, 2, lambdas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = series_vs_exact(big, 2, lambdas)
+        exact = exact_matched_metric(big, lambdas[0])
+    assert np.array_equal(exact, 2.0**1023 * exact_matched_metric(small, lambdas[0]))
+    for (lam, err), (ref_lam, ref_err) in zip(rows, ref, strict=True):
+        assert lam == ref_lam
+        assert math.isfinite(err)
+        assert abs(err - 2.0**1023 * ref_err) <= 1e-12 * 2.0**1023 * ref_err
+
+
+def test_exact_metric_past_the_float_range_raises_series_overflow():
+    big = PerturbationProblem.build(FLOAT_EDGE_H, np.finfo(float).max * FLOAT_EDGE_THETA,
+                                    [FLOAT_EDGE_W], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesOverflowError) as info:
+            exact_matched_metric(big, 1e-3)
+    assert info.value.order is None
 
 
 def per_point_spectrum(h, tol, complex_arithmetic=False):
