@@ -157,9 +157,10 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
         raise ShapeMismatchError(
             f"expected {family.dim} weights, got shape {k.shape}"
         )
-    if not np.isfinite(k).all():
+    lo, hi = float(k.min()), float(k.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteError("weights contain NaN/Inf")
-    if np.any(k <= 0.0):
+    if lo <= 0.0:
         raise NonPositiveWeightError(f"weights must be positive, got {k.tolist()}")
     l = family.system.left_vectors
     theta = (l * k) @ l.conj().T

@@ -58,7 +58,6 @@ from .spectra import (
     BiorthogonalSystem,
     _check_tol,
     _pow2_scale,
-    _spectral_scale,
     as_matrix,
     diagonalize,
     require_real_nondegenerate,
@@ -171,7 +170,7 @@ class PerturbationProblem:
         e = system.eigenvalues.real
         gaps = e[:, None] - e[None, :]
         np.fill_diagonal(gaps, np.inf)
-        if float(np.abs(gaps).min()) <= self.tol * _spectral_scale(system.eigenvalues):
+        if float(np.abs(gaps).min()) <= self.tol * system._scale:
             raise DegenerateSpectrumError("eigenvalue gap below tolerance; "
                                           "eigenbasis division is ill-posed")
         r, lh = system.right_vectors, system.left_vectors.conj().T

@@ -7,6 +7,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,18 +77,27 @@ def _pow2_scale(a: np.ndarray) -> float:
 
 
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
-    """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``.
-
-    ``tol`` is not validated here: ``lambda_max`` accepts any positive value.
-    """
+    """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``; ``tol`` unchecked."""
     max_imag = float(np.abs(eigenvalues.imag).max())
     return max_imag <= tol * _spectral_scale(eigenvalues), max_imag
 
 
-def _eigvec_cond(vr: np.ndarray) -> float:
-    """Spectral condition number of the column-normalized eigenvectors;
-    ``inf`` for a singular basis."""
-    sv = np.linalg.svd(vr / np.linalg.norm(vr, axis=0), compute_uv=False)
+def _col_norms(x: np.ndarray) -> np.ndarray:
+    """Column 2-norms, summed exactly as ``np.linalg.norm(x, axis=0)`` sums them."""
+    return np.sqrt((x.conj() * x).real.sum(axis=0))
+
+
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, summed exactly as ``np.linalg.norm(x)`` sums it."""
+    x = x.ravel(order="K")
+    sq = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
+    return math.sqrt(float(sq))
+
+
+def _cond(x: np.ndarray) -> float:
+    """Spectral condition number of ``x``; ``inf`` when it is singular.
+    Eigenvector bases are gated on ``_cond(vr / _col_norms(vr))``."""
+    sv = np.linalg.svd(x, compute_uv=False)
     return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
 
 
@@ -99,7 +109,8 @@ def _min_gap(eigenvalues: np.ndarray) -> float:
     # near-overflow eigenvalues finite; doubling a Python float cannot warn.
     half = 0.5 * eigenvalues
     diff = np.abs(half[:, None] - half[None, :])
-    return 2.0 * float(diff[~np.eye(eigenvalues.size, dtype=bool)].min())
+    diff.flat[:: eigenvalues.size + 1] = np.inf
+    return 2.0 * float(diff.min())
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,11 @@ class BiorthogonalSystem:
     :func:`diagonalize` decomposed (``None`` for a hand-built system), so a
     later consumer can tell whether this system is the one it would
     compute for its own H.
+
+    Three tolerance-free summaries of the eigenvalues, the minimum pairwise
+    gap, max |Im E| and the spectral scale max(1, max |E|), are formed once
+    per system, on first use, for every gate that reads them; the
+    eigenvalues must therefore never be modified.
     """
 
     eigenvalues: np.ndarray
@@ -131,6 +147,10 @@ class BiorthogonalSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    _gap = functools.cached_property(lambda self: _min_gap(self.eigenvalues))
+    _max_imag = functools.cached_property(lambda self: float(np.abs(self.eigenvalues.imag).max()))
+    _scale = functools.cached_property(lambda self: _spectral_scale(self.eigenvalues))
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the decomposed matrix as R diag(E) L^dag."""
@@ -174,7 +194,7 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
 
     a = _real_if_exact(h)
     evals, vr = np.linalg.eig(a)
-    cond = _eigvec_cond(vr)
+    cond = _cond(vr / _col_norms(vr))
     if cond > 1.0 / tol:
         raise DefectiveError(
             "eigenvector-basis condition number exceeds "
@@ -183,9 +203,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
             bound=1.0 / tol,
         )
     order = np.lexsort((evals.imag, evals.real))
-    evals = evals[order]
-    vr = vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0)
+    evals, vr = evals[order], vr[:, order]
+    vr = vr / _col_norms(vr)
     vl = np.linalg.inv(vr).conj().T
 
     # Residuals can only be as good as eps * cond allows; gate on the
@@ -194,11 +213,14 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     # ratios and nothing overflows for entries near the float limit.
     s = _pow2_scale(a)
     hs, es = a * s, evals * s
-    scale = max(s, float(np.linalg.norm(hs)))
+    vlh = vl.conj().T
+    scale = max(s, _fro(hs))
     bound = max(tol, 100.0 * n * _EPS * cond)
-    right_res = float(np.linalg.norm(hs @ vr - vr * es, axis=0).max()) / scale
-    left_res = float(np.linalg.norm(vl.conj().T @ hs - es[:, None] * vl.conj().T)) / scale
-    bi_res = float(np.linalg.norm(vl.conj().T @ vr - np.eye(n)))
+    right_res = float(_col_norms(hs @ vr - vr * es).max()) / scale
+    left_res = _fro(vlh @ hs - es[:, None] * vlh) / scale
+    bi = vlh @ vr
+    bi.flat[:: n + 1] -= 1.0  # L^dag R - I, without forming I
+    bi_res = _fro(bi)
     worst = max(right_res, left_res, bi_res)
     if worst > bound:
         raise DefectiveError(
@@ -221,7 +243,7 @@ def spectrum_is_real(system: BiorthogonalSystem, tol: float) -> tuple[bool, floa
     Returns ``(flag, max_imag)``; the flag is true iff
     ``max |Im E| <= tol * max(1, max |E|)``.
     """
-    return _reality(system.eigenvalues, _check_tol(tol))
+    return system._max_imag <= _check_tol(tol) * system._scale, system._max_imag
 
 
 def ep_proximity(system: BiorthogonalSystem) -> tuple[float, float]:
@@ -236,9 +258,8 @@ def ep_proximity(system: BiorthogonalSystem) -> tuple[float, float]:
     """
     cond = system.condition_number
     if cond is None:
-        sv = np.linalg.svd(system.right_vectors, compute_uv=False)
-        cond = float(sv[0] / sv[-1])
-    return _min_gap(system.eigenvalues), cond
+        cond = _cond(system.right_vectors)  # ``inf`` for a singular basis
+    return system._gap, cond
 
 
 def require_real_nondegenerate(system: BiorthogonalSystem) -> None:
@@ -256,7 +277,7 @@ def require_real_nondegenerate(system: BiorthogonalSystem) -> None:
             "no positive-definite metric exists"
         )
     min_gap, _ = ep_proximity(system)
-    if min_gap <= system.tolerance * _spectral_scale(system.eigenvalues):
+    if min_gap <= system.tolerance * system._scale:
         raise DegenerateSpectrumError(
             f"smallest eigenvalue gap {min_gap:.3e} is below tolerance"
         )

@@ -18,7 +18,8 @@ from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import _eigvec_cond, _min_gap, _pow2_scale, _real_if_exact, _reality
+from .spectra import (_col_norms, _cond, _min_gap, _pow2_scale, _real_if_exact, _reality,
+                      ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -145,9 +146,9 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
         # No biorthogonal system: the row still reports the raw spectrum.
         note = type(exc).__name__.removesuffix("Error")
         evals, vr = np.linalg.eig(_real_if_exact(h))
-        eigvec_cond = _eigvec_cond(vr)
+        real, max_imag = _reality(evals, tol)
+        min_gap, eigvec_cond = _min_gap(evals), _cond(vr / _col_norms(vr))
     else:
-        evals, eigvec_cond = system.eigenvalues, system.condition_number
         try:
             family = MetricFamily(system)
             witness = assemble_metric(family, np.ones(system.dim))
@@ -155,14 +156,15 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
             metric_exists = theta_min > 0.0
         except CryptohermError as exc:
             note = type(exc).__name__.removesuffix("Error")
-    real, max_imag = _reality(evals, tol)
+        real, max_imag = spectrum_is_real(system, tol)
+        min_gap, eigvec_cond = ep_proximity(system)
 
     return ScanPoint(
         lam=float(lam),
         tau=None if tau is None else float(tau),
         spectrum_real=real,
         max_imag=max_imag,
-        min_gap=_min_gap(evals),
+        min_gap=min_gap,
         eigvec_cond=eigvec_cond,
         metric_exists=metric_exists,
         theta_min_eig=theta_min,
@@ -202,15 +204,12 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
 
     Each probe diagonalizes H once and evaluates the signed discriminant
     ``-min_gap**2`` where the spectrum is real and ``(2 max|Im E|)**2``
-    where it is not.  Near a generic exceptional point the eigenvalues
-    split as ``E0 +- c sqrt(lambda - lambda_EP)``, so both branches are
-    close to linear in lambda and Brent's zeroin (Brent 1973, ch. 4)
-    converges in a few probes.  Every step keeps one real and one non-real
-    point.  The pair is held to half bisection's pace: after k probes past
-    the endpoints a pair wider than ``2 (hi - lo) 2**(-k/2)`` takes a
-    bisection step.  A search above the float spacing therefore needs at
-    most ``2 ceil(log2((hi - lo) / tol)) + 5`` probes, one more than twice
-    bisection's count.
+    where it is not, close to linear through a square-root exceptional
+    point; Brent's zeroin (Brent 1973, ch. 4) runs on it, keeping one real
+    and one non-real point.  After k probes past the endpoints a pair wider
+    than ``2 (hi - lo) 2**(-k/2)`` takes a bisection step, so a search above
+    the float spacing needs at most ``2 ceil(log2((hi - lo) / tol)) + 5``
+    probes, one more than twice bisection's count.
 
     Raises
     ------

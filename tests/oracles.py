@@ -16,6 +16,17 @@ def sorted_eig(h):
     return evals, vr / np.linalg.norm(vr, axis=0)
 
 
+def masked_min_gap(evals):
+    """Smallest pairwise eigenvalue separation, read from the off-diagonal
+    of the halved difference matrix through a boolean mask; ``inf`` below
+    two values."""
+    if evals.size < 2:
+        return float("inf")
+    half = 0.5 * evals
+    diff = np.abs(half[:, None] - half[None, :])
+    return 2.0 * float(diff[~np.eye(evals.size, dtype=bool)].min())
+
+
 def biorthogonal(h):
     """(eigenvalues, R, L) with L^dag R = I, built by inverting R."""
     evals, vr = sorted_eig(h)

@@ -1,0 +1,41 @@
+import dataclasses
+import importlib.util
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "tools" / "row_digest.py"
+_SPEC = importlib.util.spec_from_file_location("row_digest", _PATH)
+row_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(row_digest)
+
+
+def _flip_low_bit(x: float) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits ^ 1))[0]
+
+
+def test_two_runs_print_the_same_digests():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(_PATH), "--seeds", "0"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    expected = [f"{name} {row_digest.workload_digest(name, [0])}" for name in row_digest.WORKLOADS]
+    assert proc.stdout.splitlines() == expected
+
+
+def test_one_flipped_bit_in_a_scan_row_changes_the_digest(monkeypatch):
+    before = row_digest.workload_digest("scan", [0])
+    scan = row_digest.reality_scan
+
+    def flipped(spec, tol):
+        report = scan(spec, tol)
+        first = report.points[0]
+        first = dataclasses.replace(first, min_gap=_flip_low_bit(first.min_gap))
+        return dataclasses.replace(report, points=(first, *report.points[1:]))
+
+    monkeypatch.setattr(row_digest, "reality_scan", flipped)
+    assert row_digest.workload_digest("scan", [0]) != before

@@ -1,4 +1,6 @@
+import dataclasses
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cryptoherm import (
 from cryptoherm import spectra
 from cryptoherm.spectra import require_real_nondegenerate
 from cryptoherm.errors import DegenerateSpectrumError, SpectrumNotRealError
+from oracles import masked_min_gap
 
 TOL = 1e-10
 
@@ -360,3 +363,92 @@ def test_subnormal_imaginary_part_keeps_the_complex_solver():
     assert system.right_vectors.tobytes() == (vr / np.linalg.norm(vr, axis=0)).tobytes()
     # the real solver on h.real gives other bits, so dropping the part shows
     assert diagonalize(h.real, TOL).eigenvalues.tobytes() != system.eigenvalues.tobytes()
+
+
+def test_ep_proximity_singular_hand_built_basis_is_inf_without_warning():
+    from cryptoherm import BiorthogonalSystem
+
+    r = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    hand = BiorthogonalSystem(np.array([0.0, 1.0], dtype=complex), r, np.eye(2, dtype=complex), TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ep_proximity(hand) == (1.0, float("inf"))
+
+
+def _summary_matrix(rng, kind, n):
+    if kind == "real":  # real eigenvalues and exact conjugate pairs
+        return rng.standard_normal((n, n))
+    if kind == "complex":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # exact degeneracies, real or complex, on a diagonal
+    d = rng.integers(-2, 3, n).astype(complex)
+    if kind == "degenerate-complex":
+        d += 1j * rng.integers(-1, 2, n)
+    return np.diag(d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["real", "complex", "degenerate-real", "degenerate-complex"]),
+    exponent=st.integers(-60, 60),
+    hand_built=st.booleans(),
+    tol=st.sampled_from([1e-10, 1e-6, 0.5]),
+)
+def test_spectral_summaries_match_the_reference_formulas(seed, n, kind, exponent, hand_built,
+                                                           tol):
+    from cryptoherm import BiorthogonalSystem
+
+    h = _summary_matrix(np.random.default_rng(seed), kind, n) * 2.0**exponent
+    if hand_built:
+        e, vr = np.linalg.eig(h)
+        system = BiorthogonalSystem(e.astype(complex), vr.astype(complex), vr.astype(complex), tol)
+    else:
+        try:
+            system = diagonalize(h, tol)
+        except DefectiveError:
+            assume(False)
+    e = system.eigenvalues
+    real, max_imag = spectra._reality(e, tol)
+    gap, scale = masked_min_gap(e), spectra._spectral_scale(e)
+    if not real:
+        expected = SpectrumNotRealError
+    elif gap <= tol * scale:
+        expected = DegenerateSpectrumError
+    else:
+        expected = None
+    # the gate runs first, so it forms the summaries the checks below read
+    try:
+        require_real_nondegenerate(system)
+        outcome = None
+    except (SpectrumNotRealError, DegenerateSpectrumError) as exc:
+        outcome = type(exc)
+    assert outcome is expected
+    assert (system._gap, system._max_imag, system._scale) == (gap, max_imag, scale)
+    assert spectrum_is_real(system, tol) == (real, max_imag)
+    assert ep_proximity(system)[0] == gap
+
+
+def test_spectral_summaries_are_never_shared_between_systems():
+    def summaries(system):
+        return system._gap, system._max_imag, system._scale
+
+    def expected(system):
+        e = system.eigenvalues
+        return masked_min_gap(e), float(np.abs(e.imag).max()), spectra._spectral_scale(e)
+
+    a = diagonalize(np.diag([0.0, 1.0]), TOL)
+    twin = diagonalize(np.diag([0.0, 1.0]), TOL)
+    b = dataclasses.replace(a, eigenvalues=np.array([0.0, 3.0 + 0.5j]))
+    assert summaries(a) == expected(a) == (1.0, 0.0, 1.0)
+    # lazy, and per system: neither a twin nor a copy inherits a's values
+    assert not {"_gap", "_max_imag", "_scale"} & set(twin.__dict__)
+    assert summaries(b) == expected(b) != summaries(a)
+    assert summaries(twin) == summaries(a)
+
+    # concurrent first reads of a fresh system all see the same values
+    fresh = diagonalize(np.array([[0.0, 2.0], [1.0, 0.0]]), TOL)
+    with ThreadPoolExecutor(4) as pool:
+        seen = set(pool.map(lambda _: summaries(fresh), range(16)))
+    assert seen == {expected(fresh)}

@@ -1,0 +1,113 @@
+"""Cost of one ``reality_scan`` point, split into LAPACK calls and the rest.
+
+    python3 tools/point_cost.py [--src SRC ...] [--sizes 2 8 32] [--seed 0] [--repeats 50]
+
+For each size N, ``perfbench/gen.py`` draws one linear scan family
+H0 + lambda W0 (30 lambdas over [0, 2], first exceptional point at
+lambda = 1, so about half the points have a non-real spectrum) from
+``numpy.random.default_rng(seed)``.  The script times ``reality_scan``
+over the family and, separately, the LAPACK calls its points make, each
+through its numpy wrapper and on the same matrices: ``eig``, the SVD of
+the column-normalized eigenvectors and ``inv`` of the sorted ones at
+every point, plus ``eigvalsh`` of the metric witness wherever a metric
+was assembled.
+
+Every ``--src`` directory (default: this checkout's ``src``) is loaded
+as its own copy of the package, so two trees can be compared in one
+process.  Each of ``--repeats`` rounds times one scan pass per tree, in
+alternating order, and one pass of the LAPACK calls, so all of them see
+the same machine state.  The figures are medians over rounds, per point;
+the package overhead is the median of the per-round differences.
+OpenBLAS runs on one thread.  numpy and the standard library only,
+besides the package.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+
+
+def load_package(src: Path, name: str):
+    """The ``cryptoherm`` package under ``src``, imported as ``name``."""
+    pkg = src / "cryptoherm"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def lapack_calls(ch, spec, rows) -> list:
+    """``(function, argument)`` for every LAPACK call the scan's points make."""
+    calls = []
+    for p in rows:
+        a = spec.hamiltonian_at(p.lam).real
+        evals, vr = np.linalg.eig(a)
+        order = np.lexsort((evals.imag, evals.real))
+        calls += [(np.linalg.eig, a),
+                  (lambda x: np.linalg.svd(x, compute_uv=False),
+                   vr / np.linalg.norm(vr, axis=0)),
+                  (np.linalg.inv, vr[:, order] / np.linalg.norm(vr[:, order], axis=0))]
+        if p.note == "":
+            family = ch.MetricFamily(ch.diagonalize(spec.hamiltonian_at(p.lam), gen.TOL))
+            theta = ch.assemble_metric(family, np.ones(a.shape[0])).theta
+            calls.append((np.linalg.eigvalsh, theta))
+    return calls
+
+
+def wall(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, nargs="+", default=[ROOT / "src"])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[2, 8, 32])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--repeats", type=int, default=50)
+    args = ap.parse_args(argv)
+    trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
+    print("| N | src | µs per point | LAPACK calls | package overhead |")
+    print("|---|---|---|---|---|")
+    for n in args.sizes:
+        fam = gen.linear_family(np.random.default_rng(args.seed), n)
+        specs = [ch.FamilySpec.linear(fam.h0, fam.w0, fam.lambdas) for ch in trees]
+        rows = trees[0].reality_scan(specs[0], gen.TOL).points
+        calls = lapack_calls(trees[0], specs[0], rows)
+
+        def run_lapack():
+            for fn, x in calls:
+                fn(x)
+
+        scans = [[] for _ in trees]
+        lapack = []
+        for r in range(args.repeats):
+            for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+                scans[i].append(wall(lambda: trees[i].reality_scan(specs[i], gen.TOL)))
+            lapack.append(wall(run_lapack))
+        for src, walls in zip(args.src, scans):
+            total, calls_t, overhead = (statistics.median(x) / len(rows) * 1e6 for x in (
+                walls, lapack, [t - l for t, l in zip(walls, lapack)]))
+            print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
