@@ -24,9 +24,7 @@ JSON reports are strict JSON: a non-finite number (an infinite
 ``min_gap``, say) is written as the string ``"inf"``, ``"-inf"`` or
 ``"nan"``, each of which ``float()`` parses.
 
-Success paths print nothing to the error stream.  The environment
-variable ``CRYPTO_METRIC_THREADS`` is deprecated: scans always run
-serially, and the value is only validated (a negative value exits 2).
+Success paths print nothing to the error stream.
 
 Work is capped so every accepted input finishes in bounded time and
 memory: a scan grid holds at most :data:`MAX_GRID_POINTS` points (tau
@@ -42,9 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,20 +98,6 @@ _EXIT_CODES = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated global options shared by all subcommands."""
-
-    tolerance: float = 1e-10
-    out: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < 1e-2:
-            raise ValueError(
-                f"--tol must lie in (0, 1e-2), got {self.tolerance}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 # ---------------------------------------------------------------------------
@@ -153,22 +135,15 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _check_scan_threads() -> None:
-    """Validate the deprecated CRYPTO_METRIC_THREADS; its value is unused."""
-    raw = os.environ.get("CRYPTO_METRIC_THREADS")
-    if raw is not None and int(raw) < 0:
-        raise ValueError(f"CRYPTO_METRIC_THREADS must be >= 0, got {raw}")
-
-
 def _load_hamiltonian(args) -> np.ndarray:
     if getattr(args, "kg", None) is not None:
         return kg_hamiltonian(args.kg)
     return read_matrix(args.h)
 
 
-def _load_metric(args, config: RunConfig):
+def _load_metric(args):
     if getattr(args, "metric", None) is not None:
-        return metric_from_matrix(read_matrix(args.metric), config.tolerance)
+        return metric_from_matrix(read_matrix(args.metric), args.tol)
     if getattr(args, "kg", None) is not None:
         return kg_metric(args.kg, args.beta)
     raise ValueError("a metric file is required unless --kg is used")
@@ -191,13 +166,13 @@ def _finite_json(value):
     return value
 
 
-def _emit_report(config: RunConfig, report: dict, summary: str) -> None:
-    _emit_text(config, json.dumps(_finite_json(report), indent=2, allow_nan=False), summary)
+def _emit_report(args, report: dict, summary: str) -> None:
+    _emit_text(args, json.dumps(_finite_json(report), indent=2, allow_nan=False), summary)
 
 
-def _emit_text(config: RunConfig, text: str, summary: str) -> None:
-    if config.out:
-        Path(config.out).write_text(text + "\n" if not text.endswith("\n") else text)
+def _emit_text(args, text: str, summary: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text + "\n" if not text.endswith("\n") else text)
         print(summary)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -241,10 +216,10 @@ def scan_csv(report: ScanReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_diag(args, config: RunConfig) -> int:
+def cmd_diag(args) -> int:
     h = _load_hamiltonian(args)
-    system = diagonalize(h, config.tolerance)
-    real, max_imag = spectrum_is_real(system, config.tolerance)
+    system = diagonalize(h, args.tol)
+    real, max_imag = spectrum_is_real(system, args.tol)
     min_gap, cond = ep_proximity(system)
     report = {
         "eigenvalues": _pairs(system.eigenvalues),
@@ -254,7 +229,7 @@ def cmd_diag(args, config: RunConfig) -> int:
         "eigvec_cond": cond,
     }
     _emit_report(
-        config,
+        args,
         report,
         f"spectrum_real={_csv_bool(real)} max_imag={max_imag:.3e} "
         f"min_gap={min_gap:.6g} eigvec_cond={cond:.6g}",
@@ -262,14 +237,14 @@ def cmd_diag(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_metric(args, config: RunConfig) -> int:
+def cmd_metric(args) -> int:
     h = _load_hamiltonian(args)
-    system = diagonalize(h, config.tolerance)
+    system = diagonalize(h, args.tol)
     family = MetricFamily(system)
     report: dict = {}
     if args.obs:
         observables = [read_matrix(p) for p in args.obs]
-        kappa = fix_ambiguity(family, observables, config.tolerance)
+        kappa = fix_ambiguity(family, observables, args.tol)
     else:
         kappa = np.ones(family.dim)
         report["warning"] = f"family has {family.dim - 1} free ratios"
@@ -282,7 +257,7 @@ def cmd_metric(args, config: RunConfig) -> int:
         }
     )
     _emit_report(
-        config,
+        args,
         report,
         f"kappa={np.round(np.asarray(kappa, dtype=float), 12).tolist()}"
         + (f" ({report['warning']})" if "warning" in report else ""),
@@ -290,11 +265,11 @@ def cmd_metric(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_hermitize(args, config: RunConfig) -> int:
+def cmd_hermitize(args) -> int:
     h = _load_hamiltonian(args)
-    theta = _load_metric(args, config)
+    theta = _load_metric(args)
     omega = dyson_map(theta)
-    h_image = hermitize(h, omega, config.tolerance)
+    h_image = hermitize(h, omega, args.tol)
     # Both norms are formed on a copy scaled by a power of two (exact), so
     # entries near the float limit cannot overflow their squares.
     s = _pow2_scale(h_image)
@@ -310,17 +285,17 @@ def cmd_hermitize(args, config: RunConfig) -> int:
         "metric_condition_number": omega.condition_number,
         "ill_conditioned": bool(omega.ill_conditioned),
     }
-    _emit_report(config, report, f"hermiticity_defect={defect:.3e} (rel {rel:.3e})")
+    _emit_report(args, report, f"hermiticity_defect={defect:.3e} (rel {rel:.3e})")
     return 0
 
 
-def cmd_perturb(args, config: RunConfig) -> int:
+def cmd_perturb(args) -> int:
     if args.order > MAX_ORDER:
         raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     h = _load_hamiltonian(args)
-    theta = _load_metric(args, config)
+    theta = _load_metric(args)
     w_coeffs = [read_matrix(p) for p in args.w or []]
-    problem = PerturbationProblem.build(h, theta, w_coeffs, config.tolerance)
+    problem = PerturbationProblem.build(h, theta, w_coeffs, args.tol)
     try:
         series = metric_series(problem, args.order)
     except SolvabilityViolatedError as exc:
@@ -329,7 +304,7 @@ def cmd_perturb(args, config: RunConfig) -> int:
             "order": exc.order,
             "residual": exc.residual,
         }
-        _emit_report(config, report, f"solvability violated at order {exc.order}")
+        _emit_report(args, report, f"solvability violated at order {exc.order}")
         print(str(exc), file=sys.stderr)
         return 6
 
@@ -339,7 +314,7 @@ def cmd_perturb(args, config: RunConfig) -> int:
     for k, d in enumerate(deltas.delta_coeffs):
         delta_at_lam = delta_at_lam + args.lam**k * d
     admissible, hh_residual = hidden_hermiticity_test(
-        problem.w_at(args.lam), delta_at_lam, h, problem.theta, args.lam, config.tolerance
+        problem.w_at(args.lam), delta_at_lam, h, problem.theta, args.lam, args.tol
     )
     report = {
         "order": series.order,
@@ -358,7 +333,7 @@ def cmd_perturb(args, config: RunConfig) -> int:
     if len(deltas.delta_coeffs) >= 2:
         report["delta1"] = matrix_to_doc(deltas.delta_coeffs[1], "delta1")
     _emit_report(
-        config,
+        args,
         report,
         f"order={series.order} admissible={_csv_bool(admissible)} "
         f"hidden_hermiticity_residual={hh_residual:.3e}",
@@ -380,16 +355,15 @@ def _build_family(args) -> FamilySpec:
     return FamilySpec.linear(read_matrix(args.h), read_matrix(args.w), lambdas)
 
 
-def cmd_scan(args, config: RunConfig) -> int:
+def cmd_scan(args) -> int:
     spec = _build_family(args)
-    _check_scan_threads()
-    report = reality_scan(spec, config.tolerance)
+    report = reality_scan(spec, args.tol)
     text = scan_csv(report)
     if args.find_boundary:
         bracket = _parse_bracket(args.find_boundary)
-        boundary = lambda_max(spec, bracket, config.tolerance)
+        boundary = lambda_max(spec, bracket, args.tol)
         text += f"# lambda_max,{boundary!r}\n"
-    _emit_text(config, text, f"wrote {len(report)} rows to {config.out}")
+    _emit_text(args, text, f"wrote {len(report)} rows to {args.out}")
     return 0
 
 
@@ -457,8 +431,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(tolerance=args.tol, out=args.out)
-        return args.func(args, config)
+        if not 0.0 < args.tol < 1e-2:
+            raise ValueError(f"--tol must lie in (0, 1e-2), got {args.tol}")
+        return args.func(args)
     except (ValueError, CryptohermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))

@@ -22,7 +22,6 @@ in closed form: :func:`kg_hamiltonian`, :func:`kg_metric`, :func:`kg_beta`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -190,17 +189,6 @@ def quasi_hermiticity_residual(h, theta) -> float:
     return num / denom
 
 
-@functools.lru_cache(maxsize=32)
-def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an n x n
-    matrix, and a mask of its upper triangle, computed once per size."""
-    upper = np.arange(n)[:, None] <= np.arange(n)
-    rows, cols = np.nonzero(upper & ~np.eye(n, dtype=bool))
-    for a in (rows, cols, upper):
-        a.setflags(write=False)
-    return rows, cols, upper
-
-
 def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, float]:
     """The adjoints of the validated observables ``obs`` after one common
     power-of-two scale, and the constraint scale max ||O|| * max_n ||l_n||^2
@@ -220,40 +208,20 @@ def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, 
     observables ``obs``: the singular values, the right singular vectors
     and the constraint scale, in the units of the observables after their
     common power-of-two scale.  The exact kernel of :func:`fix_ambiguity`,
-    which runs it where the Gram matrix cannot certify the outcome: the
-    N^2 rows per observable are factored by an R-only QR, then an SVD of
-    the N x N R, in O(M N^4).
+    which runs it where the Gram matrix cannot certify the outcome.  Column
+    n holds the real and imaginary parts of every entry of
+    C_n = a_n l_n^dag - l_n a_n^dag with a_n = Lambda^dag l_n, stacked over
+    the observables; the 2 M N^2 rows are factored by an R-only QR, then
+    an SVD of the N x N R, in O(M N^4).
     """
-    n = family.dim
     l = family.system.left_vectors
-    lt = np.ascontiguousarray(l.T)
-    lct = lt.conj()
-    i, j, upper_mask = _triangles(n)
-    p = i.size
-    li, lcj = _ROOT2 * lt[:, i], _ROOT2 * lct[:, j]
     ohs, floor = _scaled_adjoints(obs, l)
-    # The rows are built transposed, one column each, so the .T of this
-    # C-order buffer is the Fortran layout that the QR factors.
-    rows = np.empty((n, len(obs) * n * n))
-    # take(mode="clip") fills these without the buffered copy that
-    # mode="raise" makes; the indices are in range.
-    off, tmp = np.empty((2, n, p), dtype=complex)
-    for c, oh in zip(range(0, rows.shape[1], n * n), ohs):
-        at = (oh @ l).T
-        np.take(at, i, axis=1, out=off, mode="clip")
-        off *= lcj
-        np.take(at, j, axis=1, out=tmp, mode="clip")
-        np.multiply(li, np.conjugate(tmp, out=tmp), out=tmp)
-        off -= tmp
-        rows[:, c:c + p] = off.real
-        rows[:, c + p:c + 2 * p] = off.imag
-        # the diagonal of a_n l_n^dag - l_n a_n^dag is 2i Im(a_n * conj(l_n))
-        rows[:, c + 2 * p:c + n * n] = 2.0 * (at * lct).imag
-    del li, lcj, off, tmp  # not held through the QR's own copies of the rows
-    # R is the upper triangle of the transposed raw factor; masking it
-    # costs less than the np.triu that mode="r" runs.
-    h, _ = np.linalg.qr(rows.T, mode="raw")
-    _, s, vt = np.linalg.svd(h.T[: family.dim] * upper_mask)
+    blocks = []
+    for oh in ohs:
+        c = np.einsum("in,jn->nij", oh @ l, l.conj())
+        c -= c.conj().transpose(0, 2, 1)
+        blocks += [c.real.reshape(family.dim, -1), c.imag.reshape(family.dim, -1)]
+    _, s, vt = np.linalg.svd(np.linalg.qr(np.concatenate(blocks, axis=1).T, mode="r"))
     return s, vt, floor
 
 

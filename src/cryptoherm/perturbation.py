@@ -102,7 +102,8 @@ class PerturbationProblem:
     Use :meth:`build` to construct: it diagonalizes H and validates the
     preconditions (real non-degenerate spectrum, Theta quasi-Hermitian
     for H).  ``h`` and the ``w_coeffs`` are read-only.  A problem also
-    holds its eigenbasis constants, formed on its first solve, and the
+    holds its eigenbasis constants, formed by :meth:`build` (or on the
+    first solve of a problem constructed directly), and the
     ``(T^(k), residual, X^(k))`` orders that :func:`solve_order` has
     solved for it, so a later call extends them instead of starting over.
     """
@@ -120,7 +121,9 @@ class PerturbationProblem:
         A Theta from :func:`~cryptoherm.metric.assemble_metric` carries its
         family's system; when that system was computed at ``tol`` from a
         bit-for-bit equal H it is reused, and otherwise H is diagonalized.
-        Either way the spectrum and the quasi-Hermiticity gates run.
+        Either way the spectrum and the quasi-Hermiticity gates run, and
+        the eigenbasis constants of :func:`solve_order` are formed behind
+        their real-part gap gate.
         """
         h = as_matrix(h, "H")
         tol = _check_tol(tol)
@@ -152,7 +155,9 @@ class PerturbationProblem:
             raise NotQuasiHermitianError(
                 f"theta is not quasi-Hermitian for H: residual {res:.3e}"
             )
-        return cls(h, theta, tuple(ws), system)
+        problem = cls(h, theta, tuple(ws), system)
+        problem._eigenbasis  # its gap gate raises here, not on the first solve
+        return problem
 
     @property
     def _solved(self) -> tuple:
@@ -187,13 +192,6 @@ class PerturbationProblem:
     @property
     def tol(self) -> float:
         return self.system.tolerance
-
-    def w_coeff(self, i: int) -> np.ndarray:
-        """Taylor coefficient W^(i); coefficients beyond those supplied
-        are zero (constant-W scenario)."""
-        if 0 <= i < len(self.w_coeffs):
-            return self.w_coeffs[i]
-        return np.zeros((self.dim, self.dim), dtype=complex)
 
     def w_at(self, lam: float) -> np.ndarray:
         """Evaluate W_lambda = sum_i lambda^i W^(i)."""
@@ -249,24 +247,22 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
     return num / max(unit * s, float(np.linalg.norm(whole * s))) if num else 0.0
 
 
-def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
-    """Metric correction T^(k) from the corrections below it.
+def solve_order(problem: PerturbationProblem, k: int):
+    """Metric correction T^(k) of ``problem``, solved from the orders it
+    holds, T^(1) .. T^(k-1), and then held with them.  A held order is
+    returned as held.
 
-    Solved in the eigenbasis of the module docstring over the M supplied
-    W~^(i): 4 products for M = 1.  When ``lower`` is the problem's own held
-    series, as :func:`metric_series` passes it, the held X^(j) enter and
-    the solved order is held too; otherwise X^(j) = R^dag T^(j) R is
-    formed here.  The equation is linear in the X^(j) and the W^(i), so it
-    is solved on copies scaled by powers of two (exact) and no product
-    overflows; T^(k) and X^(k) are range-checked before the scale is undone.
+    Solved in the eigenbasis of the module docstring, from the held X^(j)
+    and the M supplied W~^(i): 4 products for M = 1.  The equation is
+    linear in the X^(j) and the W^(i), so it is solved on copies scaled
+    by powers of two (exact) and no product overflows; T^(k) and X^(k)
+    are range-checked before the scale is undone.
 
     Parameters
     ----------
     problem : PerturbationProblem
     k : int
-        Order to solve, k >= 1.
-    lower : MetricSeries
-        Must contain T^(0) .. T^(k-1).
+        Order to solve, 1 <= k <= (number of held orders) + 1.
 
     Returns
     -------
@@ -277,6 +273,8 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
 
     Raises
     ------
+    ValueError
+        k lies outside [1, held + 1].
     SolvabilityViolatedError
         The kernel projection exceeds the problem tolerance: the
         perturbation drives the order-k energy corrections complex and
@@ -287,26 +285,21 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
         T^(k) or X^(k) lies outside the double-precision range.
     """
     k = int(k)
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    if len(lower.t_coeffs) < k:
-        raise ValueError(
-            f"need T^(0..{k - 1}) to solve order {k}, got {len(lower.t_coeffs)} coefficients"
-        )
-    basis = problem._eigenbasis
-    r, l = problem.system.right_vectors, problem.system.left_vectors
     held = problem._orders
-    own = (len(held) >= k - 1 and lower.t_coeffs[0] is problem.theta.theta
-           and all(t is o[0] for t, o in zip(lower.t_coeffs[1:k], held)))
+    if not 1 <= k <= len(held) + 1:
+        raise ValueError(f"order must lie in [1, {len(held) + 1}], got {k}")
+    if k <= len(held):
+        return held[k - 1][:2]
+    basis = problem._eigenbasis
+    l = problem.system.left_vectors
     # W~^(i) pairs with X^(k-1-i); the sum runs in increasing X order.
     js = range(k - min(k, len(basis.w_tilde)), k)
     # (matrix, the scale it is held at)
-    xs = ([(held[j - 1][2], 1.0) if j else (basis.x0, basis.x0_scale) for j in js] if own
-          else [(lower.t_coeffs[j], 1.0) for j in js])
+    xs = [(held[j - 1][2], 1.0) if j else (basis.x0, basis.x0_scale) for j in js]
     scale = min((s * _pow2_scale(x) for x, s in xs), default=1.0)
     rhs = np.zeros((problem.dim, problem.dim), dtype=complex)
     for j, (x, s) in zip(js, xs):
-        x = x * (scale / s) if own else r.conj().T @ (x * scale) @ r
+        x = x * (scale / s)
         w = basis.w_tilde[k - 1 - j]
         rhs += x @ w - w.conj().T @ x
     unit = scale * basis.w_scale
@@ -324,17 +317,10 @@ def solve_order(problem: PerturbationProblem, k: int, lower: MetricSeries):
         a.setflags(write=False)
     # Held orders are only ever extended, never replaced, so a concurrent
     # caller can at worst repeat work.
-    if own and len(held) == k - 1:
-        with _HOLD_LOCK:
-            if problem._orders is held:
-                object.__setattr__(problem, "_orders", (*held, (t, res, y)))
+    with _HOLD_LOCK:
+        if problem._orders is held:
+            object.__setattr__(problem, "_orders", (*held, (t, res, y)))
     return t, res
-
-
-def _held_series(problem: PerturbationProblem, order: int) -> MetricSeries:
-    held = problem._orders[:order]
-    return MetricSeries((problem.theta.theta, *(o[0] for o in held)), GAUGE_TAG,
-                        (0.0, *(o[1] for o in held)))
 
 
 def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
@@ -351,8 +337,10 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     for k in range(len(problem._orders) + 1, order + 1):
-        solve_order(problem, k, _held_series(problem, k - 1))
-    return _held_series(problem, order)
+        solve_order(problem, k)
+    held = problem._orders[:order]
+    return MetricSeries((problem.theta.theta, *(o[0] for o in held)), GAUGE_TAG,
+                        (0.0, *(o[1] for o in held)))
 
 
 def _metric_inverse(theta: np.ndarray) -> np.ndarray:

@@ -221,9 +221,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got {(lo, hi)}")
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _check_tol(tol)
 
     tau = None
     if spec.kind == "kg":

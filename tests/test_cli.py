@@ -332,21 +332,6 @@ def test_tol_flag_validation(capsys):
     assert err
 
 
-def test_scan_thread_env_variants(capsys, monkeypatch):
-    expected = None
-    for value in (None, "0", "2"):
-        if value is None:
-            monkeypatch.delenv("CRYPTO_METRIC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CRYPTO_METRIC_THREADS", value)
-        code, out, err = run_cli(capsys, "scan", "--family", "kg", "--tau", "0:1:7", "--lambda", "0")
-        assert code == 0 and err == ""
-        if expected is None:
-            expected = out
-        else:
-            assert out == expected  # parallelism never changes the rows
-
-
 def test_console_entry_point_module():
     proc = subprocess.run(
         [sys.executable, "-m", "cryptoherm.cli", "diag", "--kg", "0.0"],

@@ -67,8 +67,6 @@ def test_build_validates_quasi_hermiticity():
 
 def test_w_coefficients_beyond_supplied_are_zero():
     prob = kg_problem()
-    assert np.array_equal(prob.w_coeff(0), SIGMA_X)
-    assert np.array_equal(prob.w_coeff(5), np.zeros((2, 2)))
     assert np.allclose(prob.w_at(0.3), SIGMA_X)
     assert np.allclose(prob.hamiltonian_at(0.3), kg_hamiltonian(0.2) + 0.3 * SIGMA_X)
 
@@ -238,7 +236,7 @@ def test_hermitian_perturbation_of_hermitian_system():
     h = random_hermitian(rng, 4) + np.diag([0.0, 2.0, 4.0, 6.0])
     w = random_hermitian(rng, 4)
     prob = PerturbationProblem.build(h, np.eye(4), [w], TOL)
-    t1, residual = solve_order(prob, 1, metric_series(prob, 0))
+    t1, residual = solve_order(prob, 1)
     # Theta = I, W Hermitian: the right-hand side vanishes identically
     assert np.linalg.norm(t1) <= 1e-12
     assert residual <= 1e-12
@@ -274,11 +272,30 @@ def test_antihermitian_offdiagonal_perturbation_is_solvable():
     h = np.diag([1.0, 2.0]).astype(complex)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     prob = PerturbationProblem.build(h, np.eye(2), [w], TOL)
-    t1, residual = solve_order(prob, 1, metric_series(prob, 0))
+    t1, residual = solve_order(prob, 1)
     assert residual <= 1e-14
     # direct check of the order-1 relation
     rhs = np.eye(2) @ w - w.conj().T @ np.eye(2)
     assert np.allclose(h.conj().T @ t1 - t1 @ h, rhs, atol=1e-13)
+
+
+def test_solve_order_extends_the_held_orders_one_at_a_time():
+    prob = kg_problem()
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            solve_order(prob, k)
+    assert prob._orders == ()
+    t1, res1 = solve_order(prob, 1)
+    t2, res2 = solve_order(prob, 2)
+    assert len(prob._orders) == 2
+    held = prob._orders
+    again, res_again = solve_order(prob, 1)
+    assert again.tobytes() == t1.tobytes() and res_again == res1
+    assert prob._orders is held
+    with pytest.raises(ValueError):
+        solve_order(prob, 4)
+    series = metric_series(prob, 2)
+    assert series.t_coeffs[1:] == (t1, t2) and series.solvability_residuals[1:] == (res1, res2)
 
 
 def test_metric_series_order_zero():
@@ -411,7 +428,7 @@ def test_gauge_invariant_under_eigenorder_permutation():
         sys0.tolerance,
     )
     prob_perm = PerturbationProblem(prob.h, prob.theta, prob.w_coeffs, permuted)
-    t1_perm, _ = solve_order(prob_perm, 1, metric_series(prob_perm, 0))
+    t1_perm, _ = solve_order(prob_perm, 1)
     assert np.linalg.norm(t1_perm - t1_ref) <= 1e-12
 
 
@@ -521,6 +538,14 @@ def test_degenerate_spectrum_raises():
     h = np.diag([1.0, 1.0 + 1e-13, 2.0]).astype(complex)
     with pytest.raises(DegenerateSpectrumError):
         PerturbationProblem.build(h, np.eye(3), [np.zeros((3, 3))], TOL)
+
+
+def test_build_gates_the_real_part_gap_of_the_series():
+    # eigenvalues 1 +- 6e-11 i: the complex gap 1.2e-10 clears tol, the
+    # real-part gap the series divides by is 0
+    h = np.array([[1.0, 6e-11], [-6e-11, 1.0]], dtype=complex)
+    with pytest.raises(DegenerateSpectrumError):
+        PerturbationProblem.build(h, np.eye(2), [SIGMA_X], TOL)
 
 
 def test_hand_built_degenerate_problem_raises_on_every_series_call():

@@ -39,3 +39,17 @@ def test_one_flipped_bit_in_a_scan_row_changes_the_digest(monkeypatch):
 
     monkeypatch.setattr(row_digest, "reality_scan", flipped)
     assert row_digest.workload_digest("scan", [0]) != before
+
+
+def test_one_flipped_bit_in_a_metric_coefficient_changes_the_series_digest(monkeypatch):
+    before = row_digest.workload_digest("series", [0])
+    series = row_digest.metric_series
+
+    def flipped(problem, order):
+        out = series(problem, order)
+        t1 = out.t_coeffs[1].copy()
+        t1[0, 0] = complex(_flip_low_bit(t1[0, 0].real), t1[0, 0].imag)
+        return dataclasses.replace(out, t_coeffs=(out.t_coeffs[0], t1, *out.t_coeffs[2:]))
+
+    monkeypatch.setattr(row_digest, "metric_series", flipped)
+    assert row_digest.workload_digest("series", [0]) != before

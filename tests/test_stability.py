@@ -141,6 +141,15 @@ def test_invalid_bracket_error_carries_bracket_fields():
     assert (exc.lo, exc.hi, exc.real_at_lo, exc.real_at_hi) == (0.0, 10.0, True, True)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 2.0, 1.0, 0.0, -1e-8])
+def test_lambda_max_rejects_a_tolerance_outside_the_unit_interval(tol):
+    # the bracket is valid at any working tolerance: EP at lambda = 1
+    spec = FamilySpec.kg([0.0], [0.0], w0=NILPOTENT_COUPLING)
+    assert abs(lambda_max(spec, (0.0, 2.0), 1e-8) - 1.0) <= 1e-8
+    with pytest.raises(ValueError, match="tolerance must lie in"):
+        lambda_max(spec, (0.0, 2.0), tol)
+
+
 def test_lambda_max_antihermitian_coupling():
     h = np.diag([-1.0, 1.0]).astype(complex)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)

@@ -12,7 +12,13 @@ changing them.  The script prints one SHA-256 per workload:
 - ``pipeline`` hashes the eigenvalues, both bases (raw bytes) and the
   ``repr`` of ``condition_number`` that ``diagonalize`` returns for each
   problem's H0 and for H0 + lambda W0 at each of its series lambdas, or
-  the error class where it raises.
+  the error class where it raises;
+- ``series`` follows each pipeline problem through the workload's calls
+  and hashes the weights from ``fix_ambiguity``, the T^(k) of
+  ``metric_series`` (raw bytes) and the ``repr`` of its residuals, the
+  Delta terms of ``dyson_from_metric``, ``leading_delta`` (raw bytes) and
+  the ``repr`` of ``series_vs_exact``'s rows, or the error class where a
+  step raises.
 
 ``repr`` of a float round-trips, so two trees print the same digests
 exactly when they compute the same bits.  numpy and the standard library
@@ -34,9 +40,17 @@ import gen  # noqa: E402
 from cryptoherm import (  # noqa: E402
     CryptohermError,
     FamilySpec,
+    MetricFamily,
+    PerturbationProblem,
+    assemble_metric,
     diagonalize,
+    dyson_from_metric,
+    fix_ambiguity,
     lambda_max,
+    leading_delta,
+    metric_series,
     reality_scan,
+    series_vs_exact,
 )
 
 TOL = gen.TOL
@@ -79,7 +93,27 @@ def pipeline_chunks(seed: int):
                         s.left_vectors.tobytes(), repr(s.condition_number))
 
 
-WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks}
+def series_chunks(seed: int):
+    """Each pipeline problem's weights, metric series, Delta terms and
+    series errors, computed by the calls of the pipeline workload."""
+    for p in gen.pipeline_inputs(np.random.default_rng(seed)):
+        try:
+            family = MetricFamily(diagonalize(p.h0, TOL))
+            kappa = fix_ambiguity(family, [p.observable], TOL)
+            theta = assemble_metric(family, kappa)
+            problem = PerturbationProblem.build(p.h0, theta, [p.w0], TOL)
+            series = metric_series(problem, p.order)
+            arrays = (kappa, *series.t_coeffs, *dyson_from_metric(series, theta).delta_coeffs,
+                      leading_delta(p.w0, p.h0, theta, TOL))
+            rows = series_vs_exact(problem, p.order, p.lambdas)
+        except CryptohermError as exc:
+            yield type(exc).__name__
+            continue
+        yield from (a.tobytes() for a in arrays)
+        yield from (repr(series.solvability_residuals), repr(rows))
+
+
+WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks, "series": series_chunks}
 
 
 def workload_digest(name: str, seeds) -> str:
