@@ -28,7 +28,7 @@ print("H is Hermitian?", np.allclose(H, H.conj().T))
 
 system = diagonalize(H, TOL)
 print("\neigenvalues:", np.round(system.eigenvalues, 10))
-flag, max_imag = spectrum_is_real(system, TOL)
+flag, max_imag = spectrum_is_real(system)
 print(f"spectrum real: {flag} (max |Im E| = {max_imag:.2e})")
 
 # The left/right bases are mutually normalized, not orthonormal.

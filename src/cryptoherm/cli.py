@@ -219,7 +219,7 @@ def scan_csv(report: ScanReport) -> str:
 def cmd_diag(args) -> int:
     h = _load_hamiltonian(args)
     system = diagonalize(h, args.tol)
-    real, max_imag = spectrum_is_real(system, args.tol)
+    real, max_imag = spectrum_is_real(system)
     min_gap, cond = ep_proximity(system)
     report = {
         "eigenvalues": _pairs(system.eigenvalues),

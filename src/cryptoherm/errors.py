@@ -11,7 +11,7 @@ class CryptohermError(Exception):
 
 
 class NonFiniteError(CryptohermError):
-    """An input matrix or scalar contains NaN/Inf entries."""
+    """An input contains NaN/Inf entries, or an assembled metric leaves the float range."""
 
 
 class ShapeMismatchError(CryptohermError):

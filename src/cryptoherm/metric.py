@@ -80,7 +80,6 @@ class MetricOperator:
     """
 
     theta: np.ndarray
-    source_tol: float
     system: BiorthogonalSystem | None = field(default=None, compare=False, repr=False)
     weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -108,7 +107,7 @@ def metric_from_matrix(theta, tol: float) -> MetricOperator:
             f"metric has non-positive eigenvalue {smallest:.3e}"
         )
     th.setflags(write=False)
-    return MetricOperator(th, tol)
+    return MetricOperator(th)
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,8 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     ------
     NonPositiveWeightError
         Some weight is <= 0 (the result would not be positive definite).
+    NonFiniteError
+        A weight is NaN/Inf, or an entry of Theta leaves the float range.
     """
     k = np.array(kappa, dtype=float)
     if k.shape != (family.dim,):
@@ -162,11 +163,14 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     if lo <= 0.0:
         raise NonPositiveWeightError(f"weights must be positive, got {k.tolist()}")
     l = family.system.left_vectors
-    theta = (l * k) @ l.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = (l * k) @ l.conj().T
+        theta = 0.5 * (theta + theta.conj().T)
+    if not np.isfinite(theta).all():
+        raise NonFiniteError("metric Theta(kappa) leaves the double-precision range")
     for a in (theta, k):
         a.setflags(write=False)
-    return MetricOperator(theta, family.system.tolerance, family.system, k)
+    return MetricOperator(theta, family.system, k)
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
@@ -189,10 +193,10 @@ def quasi_hermiticity_residual(h, theta) -> float:
     return num / denom
 
 
-def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, float]:
+def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, np.ndarray, float]:
     """The adjoints of the validated observables ``obs`` after one common
-    power-of-two scale, and the constraint scale max ||O|| * max_n ||l_n||^2
-    in those units."""
+    power-of-two scale, the left vectors ``l`` after another, and the
+    constraint scale max ||O|| * max_n ||l_n||^2 in those units."""
     # 2**e brings the largest entry into [1, 2).  Unlike _pow2_scale it
     # also grows, so subnormal observables regain full precision; 2**e may
     # reach 2**1074, past the float range, so it is applied as two factors.
@@ -200,22 +204,24 @@ def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, float]:
     grow, scale = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
     ohs = [scale * (grow * o.conj().T) for o in obs]
     o_norm = max(math.sqrt(np.vdot(oh, oh).real) for oh in ohs)
-    return ohs, o_norm * float(np.einsum("in,in->n", l, l.conj()).real.max())
+    # The constraints are quadratic in L, so no scale changes a decision; it
+    # is 1 unless max |l| >= 2**240, where ||l_n||^4 could leave the range.
+    l = l * 2.0 ** -max(math.frexp(float(np.abs(l).max()))[1] - 240, 0)
+    return ohs, l, o_norm * float(np.einsum("in,in->n", l, l.conj()).real.max())
 
 
 def _constraint_svd(family: MetricFamily, obs) -> tuple[np.ndarray, np.ndarray, float]:
     """``(s, vt, floor)`` of the weight-constraint rows of the validated
     observables ``obs``: the singular values, the right singular vectors
-    and the constraint scale, in the units of the observables after their
-    common power-of-two scale.  The exact kernel of :func:`fix_ambiguity`,
+    and the constraint scale, in the units of the observables and L after
+    their power-of-two scales.  The exact kernel of :func:`fix_ambiguity`,
     which runs it where the Gram matrix cannot certify the outcome.  Column
     n holds the real and imaginary parts of every entry of
     C_n = a_n l_n^dag - l_n a_n^dag with a_n = Lambda^dag l_n, stacked over
     the observables; the 2 M N^2 rows are factored by an R-only QR, then
     an SVD of the N x N R, in O(M N^4).
     """
-    l = family.system.left_vectors
-    ohs, floor = _scaled_adjoints(obs, l)
+    ohs, l, floor = _scaled_adjoints(obs, family.system.left_vectors)
     blocks = []
     for oh in ohs:
         c = np.einsum("in,jn->nij", oh @ l, l.conj())
@@ -271,9 +277,9 @@ def _null_line(lo, hi, floor: float, tol: float, margin: float, v, eta: float):
     return v / v[0] if edge > slack else None
 
 
-def _gram_weights(l: np.ndarray, ohs, floor: float, tol: float):
+def _gram_weights(ohs, l: np.ndarray, floor: float, tol: float):
     """The outcome of :func:`fix_ambiguity` from the Gram matrix of the
-    constraint rows of the scaled adjoints ``ohs``, or ``None`` where its
+    constraint rows of the scaled ``ohs`` and ``l``, or ``None`` where its
     rounding bound cannot certify it (see :func:`_null_line`)."""
     n = l.shape[1]
     lh = l.conj().T
@@ -366,8 +372,7 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
             raise ShapeMismatchError(
                 f"observable has shape {o.shape}, expected {(n, n)}"
             )
-    l = family.system.left_vectors
-    kappa = _gram_weights(l, *_scaled_adjoints(obs, l), tol)
+    kappa = _gram_weights(*_scaled_adjoints(obs, family.system.left_vectors), tol)
     if kappa is None:
         s, vt, floor = _constraint_svd(family, obs)
         kappa = _null_line(s, s, floor, tol, 1.0, vt[-1], 0.0)
@@ -386,7 +391,7 @@ def kg_hamiltonian(tau: float) -> np.ndarray:
     return np.array([[0.0, np.exp(2.0 * tau)], [1.0, 0.0]], dtype=complex)
 
 
-def kg_metric(tau: float, beta: float, source_tol: float = 1e-12) -> MetricOperator:
+def kg_metric(tau: float, beta: float) -> MetricOperator:
     """Closed-form metric [[e^{-tau}, beta], [beta, e^{tau}]] for the
     two-level Klein-Gordon Hamiltonian.
 
@@ -408,7 +413,7 @@ def kg_metric(tau: float, beta: float, source_tol: float = 1e-12) -> MetricOpera
         [[np.exp(-tau), beta], [beta, np.exp(tau)]], dtype=complex
     )
     th.setflags(write=False)
-    return MetricOperator(th, float(source_tol))
+    return MetricOperator(th)
 
 
 def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:

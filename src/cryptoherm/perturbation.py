@@ -159,11 +159,6 @@ class PerturbationProblem:
         problem._eigenbasis  # its gap gate raises here, not on the first solve
         return problem
 
-    @property
-    def _solved(self) -> tuple:
-        """The ``(T^(k), residual)`` pairs of the held orders."""
-        return tuple(o[:2] for o in self._orders)
-
     @functools.cached_property
     def _eigenbasis(self) -> _Eigenbasis:
         """The constants of :func:`solve_order`, formed once behind the

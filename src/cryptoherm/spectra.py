@@ -237,13 +237,13 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     return BiorthogonalSystem(evals, vr, vl, tol, cond, h)
 
 
-def spectrum_is_real(system: BiorthogonalSystem, tol: float) -> tuple[bool, float]:
-    """Test whether the spectrum is real within a relative tolerance.
+def spectrum_is_real(system: BiorthogonalSystem) -> tuple[bool, float]:
+    """Test whether the spectrum is real within the system tolerance.
 
     Returns ``(flag, max_imag)``; the flag is true iff
-    ``max |Im E| <= tol * max(1, max |E|)``.
+    ``max |Im E| <= tolerance * max(1, max |E|)``.
     """
-    return system._max_imag <= _check_tol(tol) * system._scale, system._max_imag
+    return system._max_imag <= system.tolerance * system._scale, system._max_imag
 
 
 def ep_proximity(system: BiorthogonalSystem) -> tuple[float, float]:
@@ -270,7 +270,7 @@ def require_real_nondegenerate(system: BiorthogonalSystem) -> None:
     the complete solution set of the quasi-Hermiticity relation and the
     order-by-order eigenbasis division is well posed.
     """
-    real, max_imag = spectrum_is_real(system, system.tolerance)
+    real, max_imag = spectrum_is_real(system)
     if not real:
         raise SpectrumNotRealError(
             f"spectrum has |Im E| up to {max_imag:.3e}; "

@@ -156,7 +156,7 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
             metric_exists = theta_min > 0.0
         except CryptohermError as exc:
             note = type(exc).__name__.removesuffix("Error")
-        real, max_imag = spectrum_is_real(system, tol)
+        real, max_imag = spectrum_is_real(system)
         min_gap, eigvec_cond = ep_proximity(system)
 
     return ScanPoint(
@@ -188,16 +188,16 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
     return ScanReport(tuple(_scan_point(spec, tol, p) for p in spec.grid()))
 
 
-def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> float:
+def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     """Brent-method estimate of the spectral-reality breakdown parameter.
 
     The reality of the spectrum flips at an exceptional point, and the
     distance from lambda = 0 to the nearest such point is the convergence
     radius of the perturbation series; this routine locates it along the
-    real axis.  ``direction = -1`` probes H(-x) instead of H(x).  The
-    bracket endpoints must straddle the transition: real spectrum at the
-    lower end, non-real at the upper.  When the bracket holds several
-    transitions, any one of them may be returned.  ``tol`` bounds the
+    real axis.  The bracket endpoints must straddle the transition: real
+    spectrum at the lower end, non-real at the upper; a boundary at
+    lambda < 0 is minus the one found with W0 negated.  With several
+    transitions in the bracket, any one may be returned.  ``tol`` bounds the
     final bracket width (never below the float spacing at the boundary)
     and doubles as the relative reality threshold at probe points; the
     result is the midpoint of the final real/non-real pair.
@@ -216,8 +216,6 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
     InvalidBracketError
         The endpoints do not straddle a reality transition.
     """
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got {(lo, hi)}")
@@ -230,7 +228,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float, direction: int = 1) -> flo
         tau = float(spec.taus[0])
 
     def probe(x: float) -> tuple[bool, float]:
-        evals = np.linalg.eigvals(_real_if_exact(spec.hamiltonian_at(direction * x, tau)))
+        evals = np.linalg.eigvals(_real_if_exact(spec.hamiltonian_at(x, tau)))
         real, max_imag = _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
         if real:

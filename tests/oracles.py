@@ -77,19 +77,35 @@ def exact_dyson_correction(t_exact, theta, lam):
     return (np.linalg.solve(theta, g) - np.eye(theta.shape[0])) / lam
 
 
+# Rejection draws per quantity: at n = 8, the hardest size the tests draw
+# with the defaults, about 0.3% of eigenvalue draws and 13% of bases pass.
+MAX_DRAWS = 10_000
+
+
 def random_real_spectrum_matrix(rng, n, gap=0.3, cond_max=8.0):
     """(H, E, S): H = S diag(E) S^{-1} with real well-separated eigenvalues
-    and a modestly conditioned eigenvector matrix."""
-    while True:
+    and a modestly conditioned eigenvector matrix.
+
+    E and S are each drawn by rejection, at most MAX_DRAWS times; a
+    ValueError names n, gap and cond_max when that is not enough (from
+    n = 15 on, for one, eigenvalues 0.3 apart do not fit in [-2, 2]).
+    """
+    for _ in range(MAX_DRAWS):
         e = np.sort(rng.uniform(-2.0, 2.0, n))
         if n == 1 or float(np.min(np.diff(e))) >= gap:
             break
-    while True:
+    else:
+        raise ValueError(f"n={n}: no eigenvalues in [-2, 2] gap={gap} apart "
+                         f"in {MAX_DRAWS} draws (cond_max={cond_max})")
+    for _ in range(MAX_DRAWS):
         s = np.eye(n) + 0.35 * (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
         if np.linalg.cond(s) <= cond_max:
             break
+    else:
+        raise ValueError(f"n={n}: no basis with condition <= cond_max={cond_max} "
+                         f"in {MAX_DRAWS} draws (gap={gap})")
     h = s @ np.diag(e) @ np.linalg.inv(s)
     return h, e, s
 

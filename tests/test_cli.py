@@ -415,6 +415,36 @@ def test_metric_observable_near_overflow_matches_unscaled(matrices):
     assert np.allclose(kappa, json.loads(ref.stdout)["kappa"], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("with_obs", [False, True], ids=["no-obs", "obs"])
+def test_metric_with_left_vectors_near_the_float_limit_exits_8(matrices, with_obs):
+    # eigenvector condition 2e160, accepted at --tol 1e-200.  Without --obs,
+    # Theta overflowed: 4 RuntimeWarnings and exit 0 with "nan" entries.
+    # With --obs, the constraint rows overflowed: 7 RuntimeWarnings, then
+    # exit 2 because numpy's SVD did not converge.
+    h = matrices("h", [[1.0, 1e160], [0.0, 2.0]])
+    obs = ["--obs", matrices("o", [[1.0, 0.5], [0.5, -1.0]])] if with_obs else []
+    proc = run_cli_process("metric", "--h", h, *obs, "--tol", "1e-200")
+    assert proc.returncode == 8
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+
+
+def test_scan_row_with_a_metric_past_the_float_range_keeps_stderr_empty(matrices):
+    # the all-ones witness at lambda = 0 overflowed: 3 RuntimeWarnings on a
+    # success path and theta_min_eig = -inf; the row now records the failure
+    h = matrices("h", [[1.0, 1e160], [0.0, 2.0]])
+    w = matrices("w", [[0.0, 1.0], [1.0, 0.0]])
+    proc = run_cli_process("scan", "--family", "linear", "--h", h, "--w", w,
+                           "--lambda", "0:1:3", "--tol", "1e-200")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = proc.stdout.splitlines()[1:]
+    assert rows[0].startswith("0.0,,true,") and rows[0].endswith(",false,nan")
+    assert [r.split(",")[6] for r in rows[1:]] == ["true", "true"]
+
+
 def test_input_caps_exit_2():
     from cryptoherm.cli import MAX_GRID_POINTS, MAX_ORDER
 

@@ -40,7 +40,7 @@ def test_kg_metric_factorization_residual():
 
 
 def test_indefinite_metric_rejected():
-    bad = MetricOperator(np.diag([1.0, -1.0]).astype(complex), TOL)
+    bad = MetricOperator(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NotPositiveDefiniteError):
         dyson_map(bad)
 

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from cryptoherm import (
     BetaOutOfRangeError,
+    BiorthogonalSystem,
     DegenerateObservableError,
     DegenerateSpectrumError,
     InconsistentError,
     MetricFamily,
+    NonFiniteError,
     NonPositiveWeightError,
     NoPositiveSolutionError,
     NotPositiveDefiniteError,
@@ -293,6 +296,60 @@ def test_fix_ambiguity_subnormal_observable():
             assert np.max(np.abs(kappa - ref)) <= 1e-12, j
 
 
+# eigenvector condition 2e160, so it diagonalizes only at a tolerance
+# below 5e-161; its left vectors reach 1e160
+FAR = np.array([[1.0, 1e160], [0.0, 2.0]])
+
+
+def test_assemble_metric_past_the_float_range_raises_without_a_warning():
+    # Theta's entries reach 1e320: four RuntimeWarnings, then inf and nan
+    family = MetricFamily(diagonalize(FAR, 1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            assemble_metric(family, [1.0, 1.0])
+
+
+def test_fix_ambiguity_with_left_vectors_near_the_float_limit():
+    # ||l_n||^4 overflowed the Gram matrix and the constraint rows, and the
+    # SVD of the QR kernel did not converge.  By hand, Theta(kappa)
+    # commutes with this O only where kappa_2 / kappa_1 is about -1.
+    family = MetricFamily(diagonalize(FAR, 1e-200))
+    obs = np.array([[1.0, 0.5], [0.5, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoPositiveSolutionError):
+            fix_ambiguity(family, [obs], TOL)
+
+
+def test_fix_ambiguity_with_left_vectors_scaled_by_a_power_of_two():
+    # the constraints are quadratic in L, so the weights of a family whose
+    # left vectors are 2**j times larger agree with the unscaled ones; above
+    # 2**240 L is scaled down, so j = 260 and j = 700 agree bit for bit
+    rng = np.random.default_rng(5)
+    h, _, _ = random_real_spectrum_matrix(rng, 4)
+    system = diagonalize(h, TOL)
+    obs = [_planted(rng, MetricFamily(system))]
+    ref = fix_ambiguity(MetricFamily(system), obs, TOL)
+    kappas = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (260, 700):
+            big = BiorthogonalSystem(system.eigenvalues, system.right_vectors * 2.0**-j,
+                                     system.left_vectors * 2.0**j, TOL)
+            kappas.append(fix_ambiguity(MetricFamily(big), obs, TOL))
+    assert np.array_equal(kappas[0], kappas[1])
+    assert np.max(np.abs(kappas[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_gram_route_falls_back_on_a_gram_matrix_past_the_float_range():
+    family = kg_family(0.3)
+    ohs, l, floor = metric_module._scaled_adjoints([np.array([[0.0, 0.0], [1.0, 2.0]])],
+                                                   family.system.left_vectors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert metric_module._gram_weights(ohs, l * 2.0**300, floor, TOL) is None
+
+
 def _outcome(family, observables):
     try:
         return "ok", fix_ambiguity(family, observables, TOL)
@@ -339,6 +396,14 @@ EXPECTED_OUTCOME = {
     "consistent_pair": ("ok", "ok"),
     "pair": ("ok", "InconsistentError"),
 }
+
+
+def test_random_real_spectrum_matrix_raises_when_its_draw_cannot_be_met():
+    # 16 eigenvalues 0.3 apart do not fit in [-2, 2]; the loop never ended
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"n=16.*gap=0\.3.*cond_max=8\.0"):
+        random_real_spectrum_matrix(np.random.default_rng(0), 16)
+    assert time.perf_counter() - t0 < 10.0
 
 
 @pytest.mark.parametrize("kind", sorted(EXPECTED_OUTCOME))

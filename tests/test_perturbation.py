@@ -178,7 +178,7 @@ def test_failed_order_is_raised_again_and_not_held(monkeypatch):
         with pytest.raises(SolvabilityViolatedError) as info:
             metric_series(prob, 4)
         assert info.value.order == 2
-        assert len(prob._solved) == 1
+        assert len(prob._orders) == 1
     # order 1 was solved once; order 2 was attempted on each call
     assert [c[1] for c in calls] == [1, 2, 2]
 
@@ -213,8 +213,8 @@ def test_concurrent_metric_series_callers_agree():
         k = series.order
         _assert_same_series(series, MetricSeries(ref.t_coeffs[: k + 1], GAUGE_TAG,
                                                  ref.solvability_residuals[: k + 1]))
-    for (t, res), t_ref, res_ref in zip(prob._solved, ref.t_coeffs[1:],
-                                         ref.solvability_residuals[1:]):
+    for (t, res, _), t_ref, res_ref in zip(prob._orders, ref.t_coeffs[1:],
+                                            ref.solvability_residuals[1:]):
         assert np.array_equal(t, t_ref) and res == res_ref
 
 

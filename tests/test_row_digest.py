@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _PATH = ROOT / "tools" / "row_digest.py"
 _SPEC = importlib.util.spec_from_file_location("row_digest", _PATH)
@@ -53,3 +55,34 @@ def test_one_flipped_bit_in_a_metric_coefficient_changes_the_series_digest(monke
 
     monkeypatch.setattr(row_digest, "metric_series", flipped)
     assert row_digest.workload_digest("series", [0]) != before
+
+
+def _flip_exit_code(main):
+    def flipped(argv):
+        code = main(argv)
+        return code + 1 if argv[0] == "hermitize" else code
+    return flipped
+
+
+def _touch_out_file(main):
+    def touched(argv):
+        code = main(argv)
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], "a") as fh:
+                fh.write(" ")
+        return code
+    return touched
+
+
+@pytest.mark.parametrize("change", [_flip_exit_code, _touch_out_file])
+def test_a_changed_exit_code_or_out_file_changes_the_cli_digest(monkeypatch, change):
+    before = row_digest.workload_digest("cli", [0])
+    assert row_digest.workload_digest("cli", [0]) == before
+    monkeypatch.setattr(row_digest.cli, "main", change(row_digest.cli.main))
+    assert row_digest.workload_digest("cli", [0]) != before
+
+
+def test_the_cli_digest_leaves_the_working_directory_as_it_was():
+    cwd = os.getcwd()
+    row_digest.workload_digest("cli", [0])
+    assert os.getcwd() == cwd

@@ -74,7 +74,7 @@ def test_spectrum_is_real_kg_tau_03():
     from cryptoherm import kg_hamiltonian
 
     system = diagonalize(kg_hamiltonian(0.3), TOL)
-    flag, max_imag = spectrum_is_real(system, TOL)
+    flag, max_imag = spectrum_is_real(system)
     assert flag
     assert max_imag <= 1e-14
     # exp(0.3) evaluated independently
@@ -85,13 +85,13 @@ def test_spectrum_is_real_hermitian_random():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (a + a.conj().T)
-    flag, _ = spectrum_is_real(diagonalize(h, TOL), TOL)
+    flag, _ = spectrum_is_real(diagonalize(h, TOL))
     assert flag
 
 
 def test_spectrum_not_real_rotation_generator():
     system = diagonalize(np.array([[0.0, -1.0], [1.0, 0.0]]), TOL)
-    flag, max_imag = spectrum_is_real(system, TOL)
+    flag, max_imag = spectrum_is_real(system)
     assert not flag
     assert np.isclose(max_imag, 1.0, atol=1e-14)  # eigenvalues are +-i
 
@@ -426,7 +426,7 @@ def test_spectral_summaries_match_the_reference_formulas(seed, n, kind, exponent
         outcome = type(exc)
     assert outcome is expected
     assert (system._gap, system._max_imag, system._scale) == (gap, max_imag, scale)
-    assert spectrum_is_real(system, tol) == (real, max_imag)
+    assert spectrum_is_real(system) == (real, max_imag)
     assert ep_proximity(system)[0] == gap
 
 

@@ -162,7 +162,7 @@ def test_lambda_max_negative_direction():
     # symmetric family: reality also breaks at lam = -1
     h = np.diag([-1.0, 1.0]).astype(complex)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    boundary = lambda_max(FamilySpec.linear(h, w, [0.0, 2.0]), (0.0, 2.0), 1e-8, direction=-1)
+    boundary = lambda_max(FamilySpec.linear(h, -w, [0.0, 2.0]), (0.0, 2.0), 1e-8)
     assert abs(boundary - 1.0) <= 1e-8
 
 

@@ -18,7 +18,15 @@ changing them.  The script prints one SHA-256 per workload:
   ``metric_series`` (raw bytes) and the ``repr`` of its residuals, the
   Delta terms of ``dyson_from_metric``, ``leading_delta`` (raw bytes) and
   the ``repr`` of ``series_vs_exact``'s rows, or the error class where a
-  step raises.
+  step raises;
+- ``cli`` writes the matrix files of the cli workload, drawn as it draws
+  them, into a temporary working directory and runs ``cli.main`` there
+  in-process: diag, metric with and without ``--obs``, hermitize,
+  perturb ``--order 2`` and scan ``--find-boundary``, each with and
+  without ``--out``, then the README's ``--kg`` examples.  It hashes each
+  argument list, exit code, stdout, stderr (a warning as its class and
+  message) and ``--out`` file.  File names are relative, so no temporary
+  path enters the digest.
 
 ``repr`` of a float round-trips, so two trees print the same digests
 exactly when they compute the same bits.  numpy and the standard library
@@ -26,8 +34,14 @@ only, besides the package itself.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
+import os
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +66,7 @@ from cryptoherm import (  # noqa: E402
     reality_scan,
     series_vs_exact,
 )
+from cryptoherm import cli  # noqa: E402
 
 TOL = gen.TOL
 
@@ -113,7 +128,68 @@ def series_chunks(seed: int):
         yield from (repr(series.solvability_residuals), repr(rows))
 
 
-WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks, "series": series_chunks}
+# The README's --kg examples, with its obs.json and w0.json.
+KG_FILES = {"kg_obs": [[0.0, 0.0], [1.0, 2.0]], "kg_w0": [[0.0, 1.0], [1.0, 0.0]]}
+KG_EXAMPLES = (
+    ["diag", "--kg", "0.3"],
+    ["metric", "--kg", "0.0", "--obs", "kg_obs.json", "--out", "theta_report.json"],
+    ["hermitize", "--kg", "0.7", "--beta", "0.2"],
+    ["perturb", "--kg", "0.2", "--beta", "0.25", "--w", "kg_w0.json", "--order", "2"],
+    ["scan", "--family", "kg", "--tau", "0:2:21", "--lambda", "0"],
+)
+
+
+def cli_calls(seed: int):
+    """``(files, argument lists)``: the cli workload's matrices for the
+    seed, by file stem, and every call the ``cli`` digest makes."""
+    rng = np.random.default_rng(seed)
+    p = gen.pipeline_problem(rng, 6, 2)
+    fam = gen.linear_family(rng, 8)
+    files = {"h": p.h0, "theta": p.theta, "obs": p.observable, "w": p.w0,
+             "scan_h": fam.h0, "scan_w": fam.w0, **KG_FILES}
+    calls = [
+        ["diag", "--h", "h.json"],
+        ["metric", "--h", "h.json"],
+        ["metric", "--h", "h.json", "--obs", "obs.json"],
+        ["hermitize", "--h", "h.json", "--metric", "theta.json"],
+        ["perturb", "--h", "h.json", "--metric", "theta.json", "--w", "w.json", "--order", "2"],
+        ["scan", "--family", "linear", "--h", "scan_h.json", "--w", "scan_w.json",
+         "--lambda", f"0:2:{fam.lambdas.size}",
+         "--find-boundary", f"{fam.bracket[0]!r}:{fam.bracket[1]!r}"],
+    ]
+    calls += [argv + ["--out", f"out-{i}.txt"] for i, argv in enumerate(calls)]
+    return files, calls + list(KG_EXAMPLES)
+
+
+def _show_warning(message, category, *args, **kwargs):
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
+def cli_chunks(seed: int):
+    """Each call's arguments, exit code, stdout, stderr and ``--out`` file."""
+    files, calls = cli_calls(seed)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        os.chdir(tmp)
+        try:
+            for stem, m in files.items():
+                Path(f"{stem}.json").write_text(json.dumps(gen.matrix_doc(m)))
+            for argv in calls:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                yield from (" ".join(argv), repr(code), out.getvalue(), err.getvalue())
+                if "--out" in argv:
+                    path = Path(argv[argv.index("--out") + 1])
+                    yield path.read_bytes() if path.exists() else "no --out file"
+        finally:
+            os.chdir(cwd)
+
+
+WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks, "series": series_chunks,
+             "cli": cli_chunks}
 
 
 def workload_digest(name: str, seeds) -> str:
