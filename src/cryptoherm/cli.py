@@ -68,6 +68,7 @@ from .metric import (
 )
 from .perturbation import (
     PerturbationProblem,
+    _taylor,
     dyson_from_metric,
     hidden_hermiticity_test,
     metric_series,
@@ -309,10 +310,7 @@ def cmd_perturb(args) -> int:
         return 6
 
     deltas = dyson_from_metric(series, problem.theta)
-    n = problem.dim
-    delta_at_lam = np.zeros((n, n), dtype=complex)
-    for k, d in enumerate(deltas.delta_coeffs):
-        delta_at_lam = delta_at_lam + args.lam**k * d
+    delta_at_lam = _taylor(deltas.delta_coeffs, args.lam, problem.dim)
     admissible, hh_residual = hidden_hermiticity_test(
         problem.w_at(args.lam), delta_at_lam, h, problem.theta, args.lam, args.tol
     )
@@ -410,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0, help="builtin fixture metric parameter")
     p.add_argument("--w", action="append", default=[], help="perturbation Taylor coefficient file (repeatable)")
     p.add_argument("--order", type=int, default=1, help="highest metric order K")
-    p.add_argument("--lam", type=float, default=0.0, help="parameter value for the admissibility test")
+    p.add_argument("--lam", type=float, default=0.0, help="finite parameter value for the admissibility test")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("scan", parents=[common], help="stability scan over a parameter grid")
@@ -433,6 +431,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.tol < 1e-2:
             raise ValueError(f"--tol must lie in (0, 1e-2), got {args.tol}")
+        if args.func is cmd_perturb and not math.isfinite(args.lam):
+            raise ValueError(f"--lam must be finite, got {args.lam}")
         return args.func(args)
     except (ValueError, CryptohermError) as exc:
         print(f"error: {exc}", file=sys.stderr)

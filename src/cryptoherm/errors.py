@@ -11,7 +11,7 @@ class CryptohermError(Exception):
 
 
 class NonFiniteError(CryptohermError):
-    """An input contains NaN/Inf entries, or an assembled metric leaves the float range."""
+    """An input contains NaN/Inf entries, or a computed result leaves the float range."""
 
 
 class ShapeMismatchError(CryptohermError):

@@ -75,8 +75,8 @@ class MetricOperator:
     :meth:`~cryptoherm.perturbation.PerturbationProblem.build` on the same
     H need not diagonalize it again, and so that
     :func:`~cryptoherm.perturbation.dyson_from_metric` inverts Theta as
-    R diag(1/kappa) R^dag.  Both are ``None`` for a metric of any other
-    origin.
+    R diag(1/kappa) R^dag instead of through its Cholesky factor.  Both are
+    ``None`` for a metric of any other origin.
     """
 
     theta: np.ndarray

@@ -22,11 +22,11 @@ diagonal of the *solution* is the per-order metric ambiguity; the gauge
 used throughout zeroes it, i.e. keeps the unperturbed weights.
 
 The Dyson-factor corrections follow from the metric corrections in the
-gauge where Theta Delta^(k) is Hermitian:
+gauge where S_k = Theta Delta_k is Hermitian: matching powers of lambda in
+T_lambda gives, for k = 0, 1, ...,
 
-    T^(1) = Delta_0^dag Theta + Theta Delta_0,
-    T^(2) = (Delta^(1))^dag Theta + Delta_0^dag Theta Delta_0
-            + Theta Delta^(1).
+    S_k = (T^(k+1) - sum_{i+j=k-1} Delta_i^dag S_j) / 2,
+    Delta_k = Theta^{-1} S_k.
 
 Finally, a perturbation prescribed in the working space (W) and its image
 under the exact deformation (V) are related by the intertwining identity
@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     SeriesOverflowError,
@@ -84,6 +85,24 @@ _RESOLVENT_COND_LIMIT = 1e12
 
 # Serializes the check-then-replace that extends a problem's held orders.
 _HOLD_LOCK = threading.Lock()
+
+
+def _taylor(coeffs, lam: float, n: int) -> np.ndarray:
+    """sum_k lam**k C_k over n x n coefficients, summed in increasing k
+    from zero; NonFiniteError, with no floating-point warning, where a term
+    or the sum leaves the double-precision range."""
+    acc = np.zeros((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, c in enumerate(coeffs):
+            acc = acc + np.float64(lam) ** k * c
+    return _finite(acc, f"a Taylor sum at lambda={lam!r}")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or NonFiniteError naming ``what`` when an entry is not finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} leaves the double-precision range")
+    return a
 
 
 class _Eigenbasis(NamedTuple):
@@ -130,16 +149,12 @@ class PerturbationProblem:
         if not isinstance(theta, MetricOperator):
             theta = metric_from_matrix(theta, tol)
         if theta.theta.shape != h.shape:
-            raise ShapeMismatchError(
-                f"theta has shape {theta.theta.shape}, expected {h.shape}"
-            )
+            raise ShapeMismatchError(f"theta has shape {theta.theta.shape}, expected {h.shape}")
         ws = []
         for i, w in enumerate(w_coeffs):
             w = as_matrix(w, f"W[{i}]")
             if w.shape != h.shape:
-                raise ShapeMismatchError(
-                    f"W[{i}] has shape {w.shape}, expected {h.shape}"
-                )
+                raise ShapeMismatchError(f"W[{i}] has shape {w.shape}, expected {h.shape}")
             w.setflags(write=False)
             ws.append(w)
         h.setflags(write=False)
@@ -152,9 +167,8 @@ class PerturbationProblem:
         require_real_nondegenerate(system)
         res = quasi_hermiticity_residual(h, theta)
         if res > tol:
-            raise NotQuasiHermitianError(
-                f"theta is not quasi-Hermitian for H: residual {res:.3e}"
-            )
+            raise NotQuasiHermitianError(f"theta is not quasi-Hermitian for H: "
+                                         f"residual {res:.3e}")
         problem = cls(h, theta, tuple(ws), system)
         problem._eigenbasis  # its gap gate raises here, not on the first solve
         return problem
@@ -190,14 +204,11 @@ class PerturbationProblem:
 
     def w_at(self, lam: float) -> np.ndarray:
         """Evaluate W_lambda = sum_i lambda^i W^(i)."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, w in enumerate(self.w_coeffs):
-            acc += lam**i * w
-        return acc
+        return _taylor(self.w_coeffs, lam, self.dim)
 
     def hamiltonian_at(self, lam: float) -> np.ndarray:
-        """Evaluate the perturbed Hamiltonian H + lambda W_lambda."""
-        return self.h + lam * self.w_at(lam)
+        """Evaluate H + lambda W_lambda = H + sum_i lambda^(i+1) W^(i)."""
+        return _taylor((self.h, *self.w_coeffs), lam, self.dim)
 
 
 @dataclass(frozen=True)
@@ -215,16 +226,13 @@ class MetricSeries:
 
     def truncated(self, lam: float) -> np.ndarray:
         """Evaluate the truncated sum sum_k lambda^k T^(k)."""
-        acc = np.zeros_like(self.t_coeffs[0])
-        for k, t in enumerate(self.t_coeffs):
-            acc = acc + lam**k * t
-        return acc
+        return _taylor(self.t_coeffs, lam, len(self.t_coeffs[0]))
 
 
 @dataclass(frozen=True)
 class DysonSeries:
-    """Dyson-factor Taylor coefficients [Delta_0, Delta^(1), ...] in the
-    gauge where Theta Delta^(k) is Hermitian."""
+    """Dyson-factor Taylor coefficients [Delta_0, Delta_1, ...] in the
+    gauge where Theta Delta_k is Hermitian."""
 
     delta_coeffs: tuple
 
@@ -252,12 +260,6 @@ def solve_order(problem: PerturbationProblem, k: int):
     linear in the X^(j) and the W^(i), so it is solved on copies scaled
     by powers of two (exact) and no product overflows; T^(k) and X^(k)
     are range-checked before the scale is undone.
-
-    Parameters
-    ----------
-    problem : PerturbationProblem
-    k : int
-        Order to solve, 1 <= k <= (number of held orders) + 1.
 
     Returns
     -------
@@ -338,51 +340,48 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
                         (0.0, *(o[1] for o in held)))
 
 
-def _metric_inverse(theta: np.ndarray) -> np.ndarray:
-    """Theta^{-1} = L^{-dag} L^{-1} from the Cholesky factor Theta = L L^dag.
-
-    The factorization doubles as the positive-definiteness gate; the
-    triangular factor is inverted once so every right-hand side costs one
-    matrix product.
-    """
-    try:
-        l = np.linalg.cholesky(theta)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"metric inversion failed: {exc}"
-        ) from exc
-    l_inv = np.linalg.inv(l)
-    return l_inv.conj().T @ l_inv
-
-
 def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
-    """Dyson-factor corrections reconstructed from metric corrections.
+    """Dyson-factor corrections Delta_0 .. Delta_{K-1} of a metric series
+    of order K, by the recursion of the module docstring.
 
-    With Theta Delta^(k) Hermitian, the expansion of
-    (1 + lambda Delta^dag) Theta (1 + lambda Delta) inverts to
+    The (i, j) and (j, i) terms of the sum are adjoints of each other, so
+    order k costs ceil(k/2) products plus one for Theta^{-1}.  A Theta from
+    :func:`~cryptoherm.metric.assemble_metric` carries its weights and
+    system, so Theta^{-1} = R diag(1/kappa) R^dag; any other Theta is
+    inverted through its Cholesky factor, which gates positive definiteness.
 
-        Delta_0    = Theta^{-1} T^(1) / 2,
-        Delta^(1)  = Theta^{-1} (T^(2) - Delta_0^dag Theta Delta_0) / 2.
-
-    A Theta from :func:`~cryptoherm.metric.assemble_metric` carries its
-    weights and system, so Theta^{-1} = R diag(1/kappa) R^dag; any other
-    Theta is inverted through its Cholesky factor, which gates positive
-    definiteness.  Corrections beyond Delta^(1) are not reconstructed.
+    Raises
+    ------
+    ShapeMismatchError
+        Theta's shape differs from that of the series' coefficients.
+    NotPositiveDefiniteError
+        K >= 1 and a Theta without weights fails the Cholesky gate.
+    NonFiniteError
+        A Delta_k leaves the double-precision range (with no warning).
     """
     th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
-    th = 0.5 * (th + th.conj().T)
-    deltas = []
-    if series.order >= 1:
+    if th.shape != series.t_coeffs[0].shape:
+        raise ShapeMismatchError(f"theta has shape {th.shape}, "
+                                 f"expected {series.t_coeffs[0].shape}")
+    if not series.order:
+        return DysonSeries(())
+    deltas, ss = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(theta, MetricOperator) and theta.weights is not None:
             r = theta.system.right_vectors
             th_inv = (r / theta.weights) @ r.conj().T
         else:
-            th_inv = _metric_inverse(th)
-        d0 = 0.5 * (th_inv @ series.t_coeffs[1])
-        deltas.append(d0)
-        if series.order >= 2:
-            d1 = 0.5 * (th_inv @ (series.t_coeffs[2] - d0.conj().T @ th @ d0))
-            deltas.append(d1)
+            try:
+                l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (th + th.conj().T)))
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefiniteError(f"metric inversion failed: {exc}") from exc
+            th_inv = l_inv.conj().T @ l_inv
+        for k, t in enumerate(series.t_coeffs[1:]):
+            for i in range((k + 1) // 2):  # the pairs (i, k-1-i) with i <= k-1-i
+                p = deltas[i].conj().T @ ss[k - 1 - i]
+                t = t - (p if 2 * i == k - 1 else p + p.conj().T)
+            ss.append(0.5 * t)
+            deltas.append(_finite(th_inv @ ss[-1], f"Delta_{k}"))
     return DysonSeries(tuple(deltas))
 
 
@@ -399,17 +398,15 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
     computed by that route:
     ``dyson_from_metric(metric_series(problem, 1), Theta).delta_coeffs[0]``
     for ``problem = PerturbationProblem.build(H, Theta, [W0], tol)``.
-    Each call builds and solves a new problem; a caller that already
-    holds a problem gets Delta_0 with no new solve from that same
-    expression, since the problem keeps its solved orders.
 
     Raises
     ------
     NotQuasiHermitianError
         Theta is not quasi-Hermitian for H.
     NotPositiveDefiniteError
-        A raw Theta fails :func:`metric_from_matrix`, or a metric without
-        weights fails the Cholesky gate of the inversion.
+        A raw Theta fails :func:`metric_from_matrix`, or a Theta without
+        weights fails the Cholesky gate of :func:`dyson_from_metric` (an
+        assembled Theta has none).
     SolvabilityViolatedError
         Same kernel obstruction as :func:`solve_order` at order 1.
     CryptohermError
@@ -420,12 +417,10 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
 
 
 def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:
-    m = np.eye(delta.shape[0], dtype=complex) + lam * delta
+    m = _taylor((np.eye(len(delta), dtype=complex), delta), lam, len(delta))
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
-        raise SingularResolventError(
-            f"1 + lambda*Delta has condition number {cond:.3e}"
-        )
+        raise SingularResolventError(f"1 + lambda*Delta has condition number {cond:.3e}")
     return m
 
 
@@ -451,11 +446,14 @@ def v_from_w(w, delta, h, lam: float) -> np.ndarray:
     ------
     SingularResolventError
         1 + lam Delta is numerically singular.
+    NonFiniteError
+        1 + lam Delta or V leaves the double-precision range.
     """
     w, delta, h = _check_trio(w, delta, h)
     m = _resolvent(delta, lam)
-    num = m @ w + delta @ h - h @ delta
-    return np.linalg.solve(m.T, num.T).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = m @ w + delta @ h - h @ delta
+        return _finite(np.linalg.solve(m.T, num.T).T, "V")
 
 
 def w_from_v(v, delta, h, lam: float) -> np.ndarray:
@@ -468,7 +466,8 @@ def w_from_v(v, delta, h, lam: float) -> np.ndarray:
     """
     v, delta, h = _check_trio(v, delta, h)
     m = _resolvent(delta, lam)
-    return np.linalg.solve(m, v @ m + h @ delta - delta @ h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.linalg.solve(m, v @ m + h @ delta - delta @ h), "W")
 
 
 def commutator_gap(v, w, delta0, h) -> float:

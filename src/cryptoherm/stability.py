@@ -307,8 +307,8 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     the problem's X^(0) = R^dag Theta R).  That is exactly
     the gauge the Taylor series uses (zero diagonal for every correction),
     so the result is directly comparable to the truncated series.  Raises
-    SeriesOverflowError (``order`` None) when that metric lies outside the
-    double-precision range.
+    SeriesOverflowError (``order`` None) when that metric, and
+    NonFiniteError when H + lam W_lam, lies outside the float range.
     """
     h_lam = problem.hamiltonian_at(lam)
     system = diagonalize(h_lam, problem.tol)

@@ -249,6 +249,45 @@ def test_perturb_solvability_violation_exits_6(capsys, matrices):
     assert err
 
 
+def test_perturb_tests_admissibility_with_every_delta_term(capsys, matrices):
+    from cryptoherm import (PerturbationProblem, dyson_from_metric, hidden_hermiticity_test,
+                            metric_series)
+
+    w0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lam = 0.05
+    code, out, err = run_cli(capsys, "perturb", "--kg", "0.2", "--beta", "0.25",
+                             "--w", matrices("w0", w0), "--order", "3", "--lam", str(lam))
+    assert code == 0 and err == ""
+    prob = PerturbationProblem.build(kg_hamiltonian(0.2), kg_metric(0.2, 0.25), [w0], 1e-10)
+    d0, d1, d2 = dyson_from_metric(metric_series(prob, 3), prob.theta).delta_coeffs
+    residuals = [hidden_hermiticity_test(prob.w_at(lam), delta, prob.h, prob.theta, lam, 1e-10)[1]
+                 for delta in (d0 + lam * d1 + lam**2 * d2, d0 + lam * d1)]
+    assert residuals[0] != residuals[1]
+    assert json.loads(out)["hidden_hermiticity_residual"] == residuals[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ws, lam, order, code", [
+    (3, "1e200", "1", 8),  # lam**2 W^(2) leaves the float range
+    (3, "1e200", "3", 8),  # so does the Delta(lambda) sum
+    (1, "nan", "0", 2),
+    (1, "inf", "0", 2),
+    (1, "inf", "2", 2),
+    (1, "1e308", "2", 8),  # lambda * Delta leaves the float range
+    (1, "1e308", "0", 0),  # no Delta term: 1 + lambda * 0 is finite
+])
+def test_perturb_lam_repros_exit_with_one_error_line(capsys, matrices, ws, lam, order, code):
+    w = matrices("w", [[0.0, 1.0], [1.0, 0.0]])
+    got, out, err = run_cli(capsys, "perturb", "--kg", "0.2", "--beta", "0.25", *["--w", w] * ws,
+                            "--order", order, f"--lam={lam}")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)["lambda"] == float(lam)
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from cryptoherm import (
     DegenerateSpectrumError,
     MetricFamily,
     MetricSeries,
+    NonFiniteError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     PerturbationProblem,
     SeriesOverflowError,
+    ShapeMismatchError,
     SingularResolventError,
     SolvabilityViolatedError,
     assemble_metric,
@@ -628,6 +630,75 @@ def test_dyson_from_metric_weights_path_matches_the_cholesky_path(seed, n):
     assert np.linalg.norm(d1 - c1, 2) <= b1
 
 
+def test_dyson_from_metric_returns_one_term_per_order():
+    prob = kg_problem()
+    for order in range(6):
+        assert len(dyson_from_metric(metric_series(prob, order), prob.theta).delta_coeffs) == order
+
+
+def _rebuilt_metric_correction(deltas, th, m):
+    """T^(m) from Delta_0 .. Delta_{m-1}: the lambda^m coefficient of
+    (1 + lambda Delta^dag) Theta (1 + lambda Delta), formed term by term."""
+    d = deltas[m - 1]
+    t = d.conj().T @ th + th @ d
+    for i in range(m - 1):
+        t = t + deltas[i].conj().T @ th @ deltas[m - 2 - i]
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), order=st.integers(1, 6))
+def test_dyson_terms_rebuild_every_metric_correction(seed, n, order):
+    rng = np.random.default_rng(seed)
+    h, _, s = random_real_spectrum_matrix(rng, n)
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), rng.uniform(0.5, 2.0, n))
+    # a real Y keeps every order's energy corrections real, so all orders solve
+    y = rng.standard_normal((n, n))
+    np.fill_diagonal(y, 0.0)
+    series = metric_series(PerturbationProblem.build(h, theta, [s @ y @ np.linalg.inv(s)], TOL),
+                           order)
+    th = series.t_coeffs[0]
+    th_norm, th_cond = np.linalg.norm(th, 2), np.linalg.cond(th)
+    for metric in (theta, th):  # the weights route, then the Cholesky route
+        deltas = dyson_from_metric(series, metric).delta_coeffs
+        assert len(deltas) == order
+        # Delta_k = Theta^{-1} S_k with Theta^{-1} backward stable to about
+        # n eps cond(Theta), and every term of T^(m) or of Theta Delta_k is at
+        # most ||Theta|| (1 + sum ||Delta_k||)^2 in size.  The bound is
+        # absolute: at n = 2 the T^(m) with m >= 3 are of rounding size.
+        size = 1.0 + sum(np.linalg.norm(d, 2) for d in deltas)
+        bound = n * EPS * th_norm * th_cond * size**2
+        for k, d in enumerate(deltas):
+            s_k = th @ d
+            assert np.linalg.norm(s_k - s_k.conj().T, 2) <= bound
+            rebuilt = _rebuilt_metric_correction(deltas, th, k + 1)
+            assert np.linalg.norm(rebuilt - series.t_coeffs[k + 1], 2) <= bound
+
+
+def test_dyson_from_metric_rejects_a_theta_of_another_shape():
+    with pytest.raises(ShapeMismatchError, match="theta has shape"):
+        dyson_from_metric(metric_series(kg_problem(), 2), np.eye(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_dyson_terms_past_the_float_range_raise_without_a_warning():
+    # the metric series stays below 1e294 through K = 100, but the Delta
+    # series converges on a smaller disc and leaves the float range first
+    rng = np.random.default_rng(0)
+    n = 8
+    s = np.eye(n) + (0.3 / np.sqrt(n)) * rng.standard_normal((n, n))
+    s_inv = np.linalg.inv(s)
+    h0 = s @ np.diag(np.linspace(-1.0, 1.0, n)) @ s_inv
+    m = 120.0 * rng.standard_normal((n, n))
+    np.fill_diagonal(m, 0.0)
+    theta = assemble_metric(MetricFamily(diagonalize(h0, TOL)), np.ones(n))
+    series = metric_series(PerturbationProblem.build(h0, theta, [s @ m @ s_inv], TOL), 100)
+    assert max(float(np.abs(t).max()) for t in series.t_coeffs) < 1e294
+    for metric in (theta, theta.theta):
+        with pytest.raises(NonFiniteError, match="Delta_"):
+            dyson_from_metric(series, metric)
+
+
 def test_leading_delta_zero_for_quasi_hermitian_w():
     rng = np.random.default_rng(13)
     theta = kg_metric(0.3, 0.2)
@@ -784,6 +855,47 @@ def test_v_w_round_trip_property(seed, n, lam, d_exp):
     comm = 2.0 * np.linalg.norm(d) * np.linalg.norm(h)
     bound = 10.0 * n * EPS * cond * (cond * np.linalg.norm(w) + m_inv * comm)
     assert np.linalg.norm(back - w) <= bound
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_sums_keep_their_bits_and_raise_past_the_float_range():
+    rng = np.random.default_rng(71)
+    coeffs = [random_hermitian(rng, 3) for _ in range(4)]
+    for lam in (0.0, -0.3, 0.05, 7.0, 1e60):
+        loop = np.zeros((3, 3), dtype=complex)
+        for k, c in enumerate(coeffs):
+            loop = loop + lam**k * c
+        assert np.array_equal(perturbation._taylor(coeffs, lam, 3), loop)
+    assert np.array_equal(perturbation._taylor((), 1e308, 3), np.zeros((3, 3)))
+    eye = np.eye(2, dtype=complex)
+    for coeffs, lam in (([eye] * 3, 1e200),  # lam**2 leaves the range
+                        ([eye, 2.0 * eye], 1e308),  # the term lam * C_1 does
+                        ([1e308 * eye, eye], 1e308),  # the sum does
+                        ([eye, eye], float("nan"))):
+        with pytest.raises(NonFiniteError, match="leaves the double-precision range"):
+            perturbation._taylor(coeffs, lam, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hamiltonian_at_is_the_taylor_sum_of_h_and_the_w_coefficients():
+    rng = np.random.default_rng(73)
+    w0, w1 = (random_hermitian(rng, 2) for _ in range(2))
+    h = kg_hamiltonian(0.2)
+    prob = PerturbationProblem.build(h, kg_metric(0.2, 0.25), [w0, w1], TOL)
+    assert np.allclose(prob.hamiltonian_at(0.3), h + 0.3 * w0 + 0.09 * w1, rtol=0.0, atol=1e-15)
+    assert np.array_equal(kg_problem(w0=w0).hamiltonian_at(0.3), h + 0.3 * w0)
+    with pytest.raises(NonFiniteError):
+        kg_problem(w0=2.0 * SIGMA_X).hamiltonian_at(1e308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_resolvent_past_the_float_range_raises_without_a_warning():
+    d = np.array([[0.5, 2.0], [0.0, 1.0]], dtype=complex)
+    assert np.array_equal(perturbation._resolvent(d, 0.25), np.eye(2) + 0.25 * d)
+    with pytest.raises(NonFiniteError):
+        perturbation._resolvent(d, 1e308)
+    with pytest.raises(NonFiniteError):
+        v_from_w(np.full((2, 2), 1e300), d, np.eye(2), 1e10)
 
 
 def test_singular_resolvent_detected():

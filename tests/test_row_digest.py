@@ -29,6 +29,20 @@ def test_two_runs_print_the_same_digests():
     assert proc.stdout.splitlines() == expected
 
 
+def test_the_series_digest_does_not_depend_on_the_blas_thread_count():
+    # Each child sets its own thread count, whatever this process was started with.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import row_digest; "
+             "print(row_digest.workload_digest('series', [0]))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", probe, str(_PATH.parent)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].strip()) == 64
+
+
 def test_one_flipped_bit_in_a_scan_row_changes_the_digest(monkeypatch):
     before = row_digest.workload_digest("scan", [0])
     scan = row_digest.reality_scan
