@@ -143,10 +143,12 @@ def _load_hamiltonian(args) -> np.ndarray:
 
 
 def _load_metric(args):
-    if getattr(args, "metric", None) is not None:
+    if args.metric is not None:
+        if args.beta is not None:
+            raise ValueError("--beta sets the builtin fixture metric, not a --metric file")
         return metric_from_matrix(read_matrix(args.metric), args.tol)
-    if getattr(args, "kg", None) is not None:
-        return kg_metric(args.kg, args.beta)
+    if args.kg is not None:
+        return kg_metric(args.kg, 0.0 if args.beta is None else args.beta)
     raise ValueError("a metric file is required unless --kg is used")
 
 
@@ -340,15 +342,19 @@ def cmd_perturb(args) -> int:
 
 
 def _build_family(args) -> FamilySpec:
-    lambdas = _parse_grid(args.lam) if args.lam else [0.0]
+    lambdas = _parse_grid(args.lam) if args.lam is not None else [0.0]
     if args.family == "kg":
-        if not args.tau:
+        if args.h is not None:
+            raise ValueError("--h is not used by --family kg")
+        if args.tau is None:
             raise ValueError("--family kg requires --tau")
         taus = _parse_grid(args.tau)
         _check_grid_size(len(taus) * len(lambdas))
-        w0 = read_matrix(args.w) if args.w else None
+        w0 = read_matrix(args.w) if args.w is not None else None
         return FamilySpec.kg(taus, lambdas, w0=w0)
-    if not (args.h and args.w):
+    if args.tau is not None:
+        raise ValueError("--tau is not used by --family linear")
+    if args.h is None or args.w is None:
         raise ValueError("--family linear requires --h and --w")
     return FamilySpec.linear(read_matrix(args.h), read_matrix(args.w), lambdas)
 
@@ -357,7 +363,7 @@ def cmd_scan(args) -> int:
     spec = _build_family(args)
     report = reality_scan(spec, args.tol)
     text = scan_csv(report)
-    if args.find_boundary:
+    if args.find_boundary is not None:
         bracket = _parse_bracket(args.find_boundary)
         boundary = lambda_max(spec, bracket, args.tol)
         text += f"# lambda_max,{boundary!r}\n"
@@ -399,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hermitize", parents=[common], help="factor the metric and hermitize H")
     add_h_source(p)
     p.add_argument("--metric", type=str, help="metric matrix file")
-    p.add_argument("--beta", type=float, default=0.0, help="builtin fixture metric parameter")
+    p.add_argument("--beta", type=float, help="builtin fixture metric parameter (default 0)")
     p.set_defaults(func=cmd_hermitize)
 
     p = sub.add_parser("perturb", parents=[common], help="order-by-order metric corrections")
     add_h_source(p)
     p.add_argument("--metric", type=str, help="metric matrix file")
-    p.add_argument("--beta", type=float, default=0.0, help="builtin fixture metric parameter")
+    p.add_argument("--beta", type=float, help="builtin fixture metric parameter (default 0)")
     p.add_argument("--w", action="append", default=[], help="perturbation Taylor coefficient file (repeatable)")
     p.add_argument("--order", type=int, default=1, help="highest metric order K")
     p.add_argument("--lam", type=float, default=0.0, help="finite parameter value for the admissibility test")

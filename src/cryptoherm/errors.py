@@ -5,6 +5,28 @@ so callers (and the command-line front end) can dispatch on the failure
 kind rather than on message text.
 """
 
+__all__ = [
+    "BetaOutOfRangeError",
+    "CryptohermError",
+    "DefectiveError",
+    "DegenerateObservableError",
+    "DegenerateSpectrumError",
+    "InconsistentError",
+    "InvalidBracketError",
+    "MatrixFileError",
+    "NoPositiveSolutionError",
+    "NonFiniteError",
+    "NonPositiveWeightError",
+    "NotPositiveDefiniteError",
+    "NotQuasiHermitianError",
+    "SeriesOverflowError",
+    "ShapeMismatchError",
+    "SingularResolventError",
+    "SolvabilityViolatedError",
+    "SpectrumNotRealError",
+    "UnderdeterminedError",
+]
+
 
 class CryptohermError(Exception):
     """Base class for all domain errors raised by this package."""

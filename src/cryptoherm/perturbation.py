@@ -66,7 +66,6 @@ from .spectra import (
 
 __all__ = [
     "DysonSeries",
-    "GAUGE_TAG",
     "MetricSeries",
     "PerturbationProblem",
     "commutator_gap",
@@ -78,8 +77,6 @@ __all__ = [
     "v_from_w",
     "w_from_v",
 ]
-
-GAUGE_TAG = "zero-diagonal-biorthogonal"
 
 _RESOLVENT_COND_LIMIT = 1e12
 
@@ -213,11 +210,11 @@ class PerturbationProblem:
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Metric Taylor coefficients [Theta, T^(1), ..., T^(K)] in a fixed
-    gauge, with the per-order solvability residuals that were observed."""
+    """Metric Taylor coefficients [Theta, T^(1), ..., T^(K)] in the
+    zero-diagonal gauge of the module docstring, with the per-order
+    solvability residuals that were observed."""
 
     t_coeffs: tuple
-    gauge: str
     solvability_residuals: tuple
 
     @property
@@ -336,7 +333,7 @@ def metric_series(problem: PerturbationProblem, order: int) -> MetricSeries:
     for k in range(len(problem._orders) + 1, order + 1):
         solve_order(problem, k)
     held = problem._orders[:order]
-    return MetricSeries((problem.theta.theta, *(o[0] for o in held)), GAUGE_TAG,
+    return MetricSeries((problem.theta.theta, *(o[0] for o in held)),
                         (0.0, *(o[1] for o in held)))
 
 

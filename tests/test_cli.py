@@ -334,6 +334,28 @@ def test_scan_empty_grid_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # an empty value reaches its parser instead of reading as "flag absent"
+    (("scan", "--family", "kg", "--tau", "0.5", "--lambda", ""), "empty grid specification"),
+    (("scan", "--family", "kg", "--tau", "0.5", "--lambda", "0,1.5", "--find-boundary", ""),
+     "bracket must be lo:hi"),
+    (("scan", "--family", "kg", "--tau", "0.5", "--lambda", "0,1.5", "--w", ""),
+     "cannot parse matrix file"),
+    # a flag the chosen mode would not read
+    (("scan", "--family", "linear", "--h", "H", "--w", "W", "--lambda", "0", "--tau", "0.5"),
+     "--tau is not used by --family linear"),
+    (("scan", "--family", "kg", "--tau", "0.5", "--h", "H"), "--h is not used by --family kg"),
+    (("hermitize", "--h", "H", "--metric", "M", "--beta", "0.0"), "--beta sets the builtin"),
+    (("perturb", "--kg", "0.2", "--metric", "M", "--beta", "0.25"), "--beta sets the builtin"),
+])
+def test_empty_or_unread_flag_exits_2(capsys, matrices, argv, message):
+    files = {"H": matrices("h", [[0, 1], [1, 0]]), "W": matrices("w", [[0, -1], [0, 0]]),
+             "M": matrices("m", np.eye(2))}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_scan_decreasing_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "kg", "--tau", "2,1", "--lambda", "0")
     assert code == 2

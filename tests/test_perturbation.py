@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import cryptoherm.perturbation as perturbation
 from cryptoherm.spectra import _min_gap as spectra_min_gap
 from cryptoherm import (
-    GAUGE_TAG,
     BiorthogonalSystem,
     DegenerateSpectrumError,
     MetricFamily,
@@ -163,8 +162,7 @@ def test_metric_series_extends_the_orders_a_problem_holds(monkeypatch):
     assert all(a is b for a, b in zip(short.t_coeffs, full.t_coeffs))
     prefix = metric_series(prob, 3)
     assert len(calls) == 5
-    _assert_same_series(prefix, MetricSeries(full.t_coeffs[:4], GAUGE_TAG,
-                                             full.solvability_residuals[:4]))
+    _assert_same_series(prefix, MetricSeries(full.t_coeffs[:4], full.solvability_residuals[:4]))
     assert metric_series(prob, 0).t_coeffs == (theta.theta,)
 
 
@@ -213,7 +211,7 @@ def test_concurrent_metric_series_callers_agree():
     assert errors == [] and len(results) == 24
     for series in results:
         k = series.order
-        _assert_same_series(series, MetricSeries(ref.t_coeffs[: k + 1], GAUGE_TAG,
+        _assert_same_series(series, MetricSeries(ref.t_coeffs[: k + 1],
                                                  ref.solvability_residuals[: k + 1]))
     for (t, res, _), t_ref, res_ref in zip(prob._orders, ref.t_coeffs[1:],
                                             ref.solvability_residuals[1:]):
@@ -305,7 +303,6 @@ def test_metric_series_order_zero():
     series = metric_series(prob, 0)
     assert series.order == 0
     assert np.array_equal(series.t_coeffs[0], prob.theta.theta)
-    assert series.gauge == GAUGE_TAG
 
 
 def test_truncation_error_drops_eightfold_for_k2():
@@ -576,7 +573,7 @@ def test_dyson_from_metric_trivial_cases():
 
     rng = np.random.default_rng(3)
     t1 = random_hermitian(rng, 3)
-    series = MetricSeries((np.eye(3, dtype=complex), t1), GAUGE_TAG, (0.0, 0.0))
+    series = MetricSeries((np.eye(3, dtype=complex), t1), (0.0, 0.0))
     deltas = dyson_from_metric(series, np.eye(3))
     assert np.allclose(deltas.delta_coeffs[0], 0.5 * t1, atol=1e-14)
 
@@ -763,7 +760,7 @@ def test_route_equivalence_on_random_solvable_problems():
 def test_indefinite_raw_metric_rejected():
     # Hermitian with eigenvalues 3 and -1: the Cholesky gate must refuse it
     theta = np.array([[1.0, 2.0j], [-2.0j, 1.0]])
-    series = MetricSeries((theta, np.eye(2, dtype=complex)), GAUGE_TAG, (0.0, 0.0))
+    series = MetricSeries((theta, np.eye(2, dtype=complex)), (0.0, 0.0))
     with pytest.raises(NotPositiveDefiniteError):
         dyson_from_metric(series, theta)
     # a zero perturbation is always solvable, so only the metric gate can fail

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from cryptoherm import (
     DefectiveError,
+    DegenerateSpectrumError,
     NonFiniteError,
     ShapeMismatchError,
+    SpectrumNotRealError,
     as_matrix,
     diagonalize,
     ep_proximity,
+    require_real_nondegenerate,
     spectrum_is_real,
 )
 from cryptoherm import spectra
-from cryptoherm.spectra import require_real_nondegenerate
-from cryptoherm.errors import DegenerateSpectrumError, SpectrumNotRealError
 from oracles import masked_min_gap
 
 TOL = 1e-10
