@@ -10,11 +10,13 @@ Exit codes
 ----------
 ==== =======================================================
 0    success
-2    parse/flag failure (bad files, bad grids, bad options)
+2    parse/flag failure (bad files, bad grids, bad options), or
+     an ``--out`` file that cannot be written
 3    defective eigenbasis
 4    no positive metric solution for the observable set
 5    underdetermined observable set
-6    solvability violated (failing order in the report)
+6    solvability violated (the failing order's report is still
+     written)
 7    hermitization precondition failed (metric not positive
      definite, or H not quasi-Hermitian for it)
 8    any other domain error
@@ -24,7 +26,8 @@ JSON reports are strict JSON: a non-finite number (an infinite
 ``min_gap``, say) is written as the string ``"inf"``, ``"-inf"`` or
 ``"nan"``, each of which ``float()`` parses.
 
-Success paths print nothing to the error stream.
+Success paths print nothing to the error stream; every failure prints
+exactly one ``error: ...`` line there.
 
 Work is capped so every accepted input finishes in bounded time and
 memory: a scan grid holds at most :data:`MAX_GRID_POINTS` points (tau
@@ -89,7 +92,7 @@ MAX_ORDER = 100
 #: classes include the raised error gives the exit code, so
 #: ``MatrixFileError`` exits 2 before ``CryptohermError`` exits 8.
 _EXIT_CODES = (
-    ((ValueError, MatrixFileError), 2),
+    ((ValueError, OSError, MatrixFileError), 2),
     ((DefectiveError,), 3),
     ((NoPositiveSolutionError,), 4),
     ((UnderdeterminedError,), 5),
@@ -117,9 +120,15 @@ def _parse_grid(text: str) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"grid range must be finite with a finite width, got {text!r}")
         _check_grid_size(count)
-        return [float(x) for x in np.linspace(lo, hi, count)]
-    return [float(x) for x in text.split(",")]
+        with np.errstate(over="ignore"):  # its last point may round past hi; linspace sets hi
+            grid = np.linspace(lo, hi, count)
+        return [float(x) for x in grid]
+    values = text.split(",")
+    _check_grid_size(len(values))
+    return [float(x) for x in values]
 
 
 def _check_grid_size(points: int) -> None:
@@ -169,16 +178,16 @@ def _finite_json(value):
     return value
 
 
-def _emit_report(args, report: dict, summary: str) -> None:
-    _emit_text(args, json.dumps(_finite_json(report), indent=2, allow_nan=False), summary)
-
-
-def _emit_text(args, text: str, summary: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text + "\n" if not text.endswith("\n") else text)
+def _emit(args, artifact, summary: str) -> None:
+    """Write ``artifact`` (a report dict, as strict JSON, or CSV text) to
+    ``--out`` and ``summary`` to stdout, or the artifact to stdout."""
+    if isinstance(artifact, dict):
+        artifact = json.dumps(_finite_json(artifact), indent=2, allow_nan=False) + "\n"
+    if args.out is not None:
+        Path(args.out).write_text(artifact)
         print(summary)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(artifact, end="")
 
 
 def _pairs(values) -> list[list[float]]:
@@ -215,11 +224,11 @@ def scan_csv(report: ScanReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact, --out summary line) for _emit
 # ---------------------------------------------------------------------------
 
 
-def cmd_diag(args) -> int:
+def cmd_diag(args) -> tuple[dict, str]:
     h = _load_hamiltonian(args)
     system = diagonalize(h, args.tol)
     real, max_imag = spectrum_is_real(system)
@@ -231,16 +240,11 @@ def cmd_diag(args) -> int:
         "min_gap": min_gap,
         "eigvec_cond": cond,
     }
-    _emit_report(
-        args,
-        report,
-        f"spectrum_real={_csv_bool(real)} max_imag={max_imag:.3e} "
-        f"min_gap={min_gap:.6g} eigvec_cond={cond:.6g}",
-    )
-    return 0
+    return report, (f"spectrum_real={_csv_bool(real)} max_imag={max_imag:.3e} "
+                    f"min_gap={min_gap:.6g} eigvec_cond={cond:.6g}")
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> tuple[dict, str]:
     h = _load_hamiltonian(args)
     system = diagonalize(h, args.tol)
     family = MetricFamily(system)
@@ -252,23 +256,14 @@ def cmd_metric(args) -> int:
         kappa = np.ones(family.dim)
         report["warning"] = f"family has {family.dim - 1} free ratios"
     theta = assemble_metric(family, kappa)
-    report.update(
-        {
-            "kappa": [float(k) for k in kappa],
-            "theta": matrix_to_doc(theta.theta, "theta"),
-            "quasi_hermiticity_residual": quasi_hermiticity_residual(h, theta),
-        }
-    )
-    _emit_report(
-        args,
-        report,
-        f"kappa={np.round(np.asarray(kappa, dtype=float), 12).tolist()}"
-        + (f" ({report['warning']})" if "warning" in report else ""),
-    )
-    return 0
+    report["kappa"] = [float(k) for k in kappa]
+    report["theta"] = matrix_to_doc(theta.theta, "theta")
+    report["quasi_hermiticity_residual"] = quasi_hermiticity_residual(h, theta)
+    return report, (f"kappa={np.round(np.asarray(kappa, dtype=float), 12).tolist()}"
+                    + (f" ({report['warning']})" if "warning" in report else ""))
 
 
-def cmd_hermitize(args) -> int:
+def cmd_hermitize(args) -> tuple[dict, str]:
     h = _load_hamiltonian(args)
     theta = _load_metric(args)
     omega = dyson_map(theta)
@@ -288,13 +283,14 @@ def cmd_hermitize(args) -> int:
         "metric_condition_number": omega.condition_number,
         "ill_conditioned": bool(omega.ill_conditioned),
     }
-    _emit_report(args, report, f"hermiticity_defect={defect:.3e} (rel {rel:.3e})")
-    return 0
+    return report, f"hermiticity_defect={defect:.3e} (rel {rel:.3e})"
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> tuple[dict, str]:
     if args.order > MAX_ORDER:
         raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
+    if not math.isfinite(args.lam):
+        raise ValueError(f"--lam must be finite, got {args.lam}")
     h = _load_hamiltonian(args)
     theta = _load_metric(args)
     w_coeffs = [read_matrix(p) for p in args.w or []]
@@ -302,17 +298,13 @@ def cmd_perturb(args) -> int:
     try:
         series = metric_series(problem, args.order)
     except SolvabilityViolatedError as exc:
-        report = {
-            "error": "SolvabilityViolated",
-            "order": exc.order,
-            "residual": exc.residual,
-        }
-        _emit_report(args, report, f"solvability violated at order {exc.order}")
-        print(str(exc), file=sys.stderr)
-        return 6
+        # the failing order's report is the artifact; main reports the error
+        _emit(args, {"error": "SolvabilityViolated", "order": exc.order,
+                     "residual": exc.residual}, f"solvability violated at order {exc.order}")
+        raise
 
-    deltas = dyson_from_metric(series, problem.theta)
-    delta_at_lam = _taylor(deltas.delta_coeffs, args.lam, problem.dim)
+    deltas = dyson_from_metric(series, problem.theta).delta_coeffs
+    delta_at_lam = _taylor(deltas, args.lam, problem.dim)
     admissible, hh_residual = hidden_hermiticity_test(
         problem.w_at(args.lam), delta_at_lam, h, problem.theta, args.lam, args.tol
     )
@@ -321,24 +313,15 @@ def cmd_perturb(args) -> int:
         "t_coeffs": [
             matrix_to_doc(t, f"T{k}") for k, t in enumerate(series.t_coeffs) if k >= 1
         ],
-        "delta0": None,
-        "delta1": None,
+        "delta0": matrix_to_doc(deltas[0], "delta0") if len(deltas) >= 1 else None,
+        "delta1": matrix_to_doc(deltas[1], "delta1") if len(deltas) >= 2 else None,
         "solvability_residuals": [float(r) for r in series.solvability_residuals],
         "lambda": float(args.lam),
         "admissible": bool(admissible),
         "hidden_hermiticity_residual": float(hh_residual),
     }
-    if len(deltas.delta_coeffs) >= 1:
-        report["delta0"] = matrix_to_doc(deltas.delta_coeffs[0], "delta0")
-    if len(deltas.delta_coeffs) >= 2:
-        report["delta1"] = matrix_to_doc(deltas.delta_coeffs[1], "delta1")
-    _emit_report(
-        args,
-        report,
-        f"order={series.order} admissible={_csv_bool(admissible)} "
-        f"hidden_hermiticity_residual={hh_residual:.3e}",
-    )
-    return 0
+    return report, (f"order={series.order} admissible={_csv_bool(admissible)} "
+                    f"hidden_hermiticity_residual={hh_residual:.3e}")
 
 
 def _build_family(args) -> FamilySpec:
@@ -359,7 +342,7 @@ def _build_family(args) -> FamilySpec:
     return FamilySpec.linear(read_matrix(args.h), read_matrix(args.w), lambdas)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[str, str]:
     spec = _build_family(args)
     report = reality_scan(spec, args.tol)
     text = scan_csv(report)
@@ -367,8 +350,7 @@ def cmd_scan(args) -> int:
         bracket = _parse_bracket(args.find_boundary)
         boundary = lambda_max(spec, bracket, args.tol)
         text += f"# lambda_max,{boundary!r}\n"
-    _emit_text(args, text, f"wrote {len(report)} rows to {args.out}")
-    return 0
+    return text, f"wrote {len(report)} rows to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +419,9 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.tol < 1e-2:
             raise ValueError(f"--tol must lie in (0, 1e-2), got {args.tol}")
-        if args.func is cmd_perturb and not math.isfinite(args.lam):
-            raise ValueError(f"--lam must be finite, got {args.lam}")
-        return args.func(args)
-    except (ValueError, CryptohermError) as exc:
+        _emit(args, *args.func(args))
+        return 0
+    except (ValueError, OSError, CryptohermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NotQuasiHermitianError, ShapeMismatchError
+from .errors import (NonFiniteError, NotPositiveDefiniteError, NotQuasiHermitianError,
+                     ShapeMismatchError)
 from .metric import MetricOperator, quasi_hermiticity_residual
-from .spectra import _check_tol, as_matrix
+from .spectra import _check_tol, _pow2_scale, as_matrix
 
 __all__ = ["DysonMap", "dyson_map", "hermitize", "pullback_observable"]
 
@@ -47,7 +48,8 @@ def dyson_map(theta: MetricOperator) -> DysonMap:
         Theta fails positivity at working precision.
     """
     th = as_matrix(theta.theta, "theta")
-    w, u = np.linalg.eigh(0.5 * (th + th.conj().T))
+    # halves before the sum, so entries near the float limit cannot overflow
+    w, u = np.linalg.eigh(0.5 * th + 0.5 * th.conj().T)
     if w[0] <= 0.0 or w[0] <= w.size * _EPS * w[-1]:
         raise NotPositiveDefiniteError(
             f"metric has smallest eigenvalue {w[0]:.3e}; not positive "
@@ -72,6 +74,8 @@ def hermitize(h, omega: DysonMap, tol: float) -> np.ndarray:
     NotQuasiHermitianError
         H is not quasi-Hermitian for the map's metric within ``tol``; the
         image would not come out Hermitian.
+    NonFiniteError
+        The image leaves the float range.
     """
     h = as_matrix(h, "H")
     tol = _check_tol(tol)
@@ -80,7 +84,14 @@ def hermitize(h, omega: DysonMap, tol: float) -> np.ndarray:
         raise NotQuasiHermitianError(
             f"quasi-Hermiticity residual {res:.3e} exceeds tol {tol:.3e}"
         )
-    return omega.omega @ h @ omega.omega_inv
+    # formed on H scaled by a power of two (exact), so an image inside the
+    # float range cannot overflow on the way
+    s = _pow2_scale(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = omega.omega @ (h * s) @ omega.omega_inv / s
+    if not np.isfinite(image).all():
+        raise NonFiniteError("the hermitized H leaves the float range")
+    return image
 
 
 def pullback_observable(v, omega: DysonMap) -> np.ndarray:

@@ -43,7 +43,7 @@ def matrix_from_doc(doc) -> np.ndarray:
 
     Raises MatrixFileError on any structural problem: missing keys, row or
     entry counts disagreeing with ``dim``, non-numeric or non-finite
-    values.
+    values, or an integer past the float range.
     """
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix document must be a JSON object")
@@ -72,7 +72,10 @@ def matrix_from_doc(doc) -> np.ndarray:
                 raise MatrixFileError(
                     f"entry ({i}, {j}) must be a [re, im] pair of numbers"
                 )
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise MatrixFileError(f"entry ({i}, {j}) lies outside the float range") from None
     if not np.isfinite(out).all():
         raise MatrixFileError("matrix document contains non-finite entries")
     return out
@@ -84,9 +87,13 @@ def write_matrix(path, m, name: str | None = None) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read and validate a matrix document from ``path``."""
+    """Read and validate a matrix document from ``path``.
+
+    A file that cannot be read or decoded as UTF-8 JSON, or is nested too
+    deeply to parse, raises MatrixFileError naming the file.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MatrixFileError(f"cannot parse matrix file {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MatrixFileError(f"cannot parse matrix file {str(path)!r}: {exc}") from exc
     return matrix_from_doc(doc)

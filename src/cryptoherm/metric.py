@@ -383,12 +383,17 @@ def kg_hamiltonian(tau: float) -> np.ndarray:
     """Two-level Klein-Gordon Hamiltonian [[0, e^{2 tau}], [1, 0]].
 
     Non-Hermitian for tau != 0, yet its eigenvalues are +-e^tau, real and
-    non-degenerate for every real tau.
+    non-degenerate for every real tau.  Raises NonFiniteError for a tau
+    that is not finite or whose e^{2 tau} leaves the float range.
     """
     tau = float(tau)
     if not np.isfinite(tau):
         raise NonFiniteError("tau must be finite")
-    return np.array([[0.0, np.exp(2.0 * tau)], [1.0, 0.0]], dtype=complex)
+    with np.errstate(over="ignore"):
+        e2 = np.exp(2.0 * tau)
+    if not np.isfinite(e2):
+        raise NonFiniteError(f"e^(2 tau) leaves the float range at tau = {tau!r}")
+    return np.array([[0.0, e2], [1.0, 0.0]], dtype=complex)
 
 
 def kg_metric(tau: float, beta: float) -> MetricOperator:
@@ -402,6 +407,8 @@ def kg_metric(tau: float, beta: float) -> MetricOperator:
     ------
     BetaOutOfRangeError
         |beta| >= 1.
+    NonFiniteError
+        tau or beta is not finite, or e^{|tau|} leaves the float range.
     """
     tau = float(tau)
     beta = float(beta)
@@ -409,9 +416,10 @@ def kg_metric(tau: float, beta: float) -> MetricOperator:
         raise NonFiniteError("tau and beta must be finite")
     if abs(beta) >= 1.0:
         raise BetaOutOfRangeError(f"|beta| = {abs(beta)} >= 1 loses positivity")
-    th = np.array(
-        [[np.exp(-tau), beta], [beta, np.exp(tau)]], dtype=complex
-    )
+    with np.errstate(over="ignore"):
+        th = np.array([[np.exp(-tau), beta], [beta, np.exp(tau)]], dtype=complex)
+    if not np.isfinite(th).all():
+        raise NonFiniteError(f"e^|tau| leaves the float range at tau = {tau!r}")
     th.setflags(write=False)
     return MetricOperator(th)
 

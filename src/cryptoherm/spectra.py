@@ -72,8 +72,11 @@ def _pow2_scale(a: np.ndarray) -> float:
     formed on ``a * _pow2_scale(a)`` equal those of ``a`` but cannot
     overflow, even for entries near the float limit.  The scale is at
     least ``2**-1023``, so dividing a scaled result by it is exact too.
+    A complex entry with finite parts but a modulus past the float range
+    gets the smallest scale, ``2**-1023``.
     """
-    return 2.0 ** -max(math.frexp(float(np.abs(a).max(initial=0.0)))[1] - 1, 0)
+    top = float(np.abs(a).max(initial=0.0))
+    return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
 
 
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -186,7 +189,7 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
         Near a Jordan block the eigenvector basis degenerates; the
         condition-number gate (or a residual check) fails.
     NonFiniteError
-        Input contains NaN/Inf.
+        Input contains NaN/Inf, or the eigensolver's result does.
     """
     h = as_matrix(h, "H")
     tol = _check_tol(tol)
@@ -194,6 +197,9 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
 
     a = _real_if_exact(h)
     evals, vr = np.linalg.eig(a)
+    if not np.isfinite(evals).all():
+        # LAPACK returns NaN for an entry whose modulus overflows
+        raise NonFiniteError("the eigenvalues of H leave the float range")
     cond = _cond(vr / _col_norms(vr))
     if cond > 1.0 / tol:
         raise DefectiveError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CryptohermError, InvalidBracketError, SeriesOverflowError
+from .errors import CryptohermError, InvalidBracketError, NonFiniteError, SeriesOverflowError
 from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
@@ -110,6 +110,8 @@ class ScanPoint:
     ``note`` carries the name of the per-point failure ("Defective",
     "SpectrumNotReal", ...) and is empty on success;
     ``theta_min_eig`` is NaN when no metric witness could be assembled.
+    A "NonFinite" point, whose H or spectrum leaves the float range, has
+    ``spectrum_real`` and ``metric_exists`` false and NaN in every number.
     """
 
     lam: float
@@ -135,13 +137,17 @@ class ScanReport:
 
 def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
     lam, tau = point
-    h = spec.hamiltonian_at(lam, tau)
-
     metric_exists = False
     theta_min = float("nan")
     note = ""
     try:
+        # an H past the float range raises NonFiniteError, here or in diagonalize
+        with np.errstate(over="ignore"):
+            h = spec.hamiltonian_at(lam, tau)
         system = diagonalize(h, tol)
+    except NonFiniteError:
+        real, note = False, "NonFinite"
+        max_imag = min_gap = eigvec_cond = float("nan")
     except CryptohermError as exc:
         # No biorthogonal system: the row still reports the raw spectrum.
         note = type(exc).__name__.removesuffix("Error")
@@ -215,6 +221,9 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     ------
     InvalidBracketError
         The endpoints do not straddle a reality transition.
+    NonFiniteError
+        H at an endpoint leaves the float range.  H is affine in lambda,
+        so no probe between the endpoints can.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -227,8 +236,8 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
             raise ValueError("boundary search on a kg family needs a single tau")
         tau = float(spec.taus[0])
 
-    def probe(x: float) -> tuple[bool, float]:
-        evals = np.linalg.eigvals(_real_if_exact(spec.hamiltonian_at(x, tau)))
+    def probe(h: np.ndarray) -> tuple[bool, float]:
+        evals = np.linalg.eigvals(_real_if_exact(h))
         real, max_imag = _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
         if real:
@@ -236,8 +245,13 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
             return real, -(gap * gap)
         return real, (2.0 * max_imag) * (2.0 * max_imag)
 
-    real_lo, f_lo = probe(lo)
-    real_hi, f_hi = probe(hi)
+    with np.errstate(over="ignore"):
+        h_lo, h_hi = spec.hamiltonian_at(lo, tau), spec.hamiltonian_at(hi, tau)
+    for x, h in ((lo, h_lo), (hi, h_hi)):
+        if not np.isfinite(h).all():
+            raise NonFiniteError(f"H leaves the float range at lambda = {x!r}")
+    real_lo, f_lo = probe(h_lo)
+    real_hi, f_hi = probe(h_hi)
     if not real_lo or real_hi:
         raise InvalidBracketError(
             "bracket endpoints do not straddle a reality transition",
@@ -258,7 +272,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
             fa, fb, fc = fb, fc, fb
             real_c = not real_c
         width = abs(c - b)
-        mid = 0.5 * (b + c)
+        mid = 0.5 * b + 0.5 * c  # halves first, so ends near the float limit cannot overflow
         if width <= tol or mid in (b, c):
             return mid  # within tol, or the pair is down to adjacent floats
         xm = mid - b
@@ -288,7 +302,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
         x = b + d if abs(d) > step else b + math.copysign(step, xm)
         if not min(b, c) < x < max(b, c):
             x = mid  # the float spacing, or a non-finite step, reached c
-        real_x, fx = probe(x)
+        real_x, fx = probe(spec.hamiltonian_at(x, tau))
         if real_x == real_c:
             # x replaces c's side; the old b becomes the kept point
             c, fc, real_c = b, fb, not real_c

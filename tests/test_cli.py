@@ -246,7 +246,8 @@ def test_perturb_solvability_violation_exits_6(capsys, matrices):
     report = json.loads(out)
     assert report["error"] == "SolvabilityViolated"
     assert report["order"] == 1
-    assert err
+    assert err.startswith("error: order-1 solvability condition violated")
+    assert err.count("\n") == 1
 
 
 def test_perturb_tests_admissibility_with_every_delta_term(capsys, matrices):
@@ -347,6 +348,7 @@ def test_scan_empty_grid_exits_2(capsys):
     (("scan", "--family", "kg", "--tau", "0.5", "--h", "H"), "--h is not used by --family kg"),
     (("hermitize", "--h", "H", "--metric", "M", "--beta", "0.0"), "--beta sets the builtin"),
     (("perturb", "--kg", "0.2", "--metric", "M", "--beta", "0.25"), "--beta sets the builtin"),
+    (("diag", "--kg", "0.3", "--out", ""), "[Errno 21] Is a directory: '.'"),
 ])
 def test_empty_or_unread_flag_exits_2(capsys, matrices, argv, message):
     files = {"H": matrices("h", [[0, 1], [1, 0]]), "W": matrices("w", [[0, -1], [0, 0]]),
@@ -371,6 +373,30 @@ def test_scan_out_file(capsys, tmp_path):
     text = out_path.read_text()
     assert text.startswith(EXPECTED_HEADER)
     assert "wrote 5 rows" in out
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_exits_2(capsys, tmp_path, matrices, target):
+    out = str(tmp_path / target)
+    solvability_violated = ("perturb", "--h", matrices("diagH", np.diag([1.0, 2.0])),
+                            "--metric", matrices("eye", np.eye(2)),
+                            "--w", matrices("wbad", [[1j, 0], [0, 0]]))
+    for argv in (("diag", "--kg", "0.3"), ("scan", "--family", "kg", "--tau", "0"),
+                 solvability_violated):
+        code, stdout, err = run_cli(capsys, *argv, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: [Errno") and out in err and err.count("\n") == 1
+
+
+def test_scan_grid_cap_holds_for_a_linear_comma_list(capsys, monkeypatch, matrices):
+    # the range form and --family kg are capped in test_input_caps_exit_2
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+    files = ("--h", matrices("h", np.diag([1.0, 2.0])), "--w", matrices("w", [[0, 1], [1, 0]]))
+    code, out, err = run_cli(capsys, "scan", "--family", "linear", *files,
+                             "--lambda", "0,0.1,0.2,0.3")
+    assert (code, out, err) == (2, "", "error: scan grid has 4 points, above the cap of 3\n")
+    code, out, err = run_cli(capsys, "scan", "--family", "linear", *files, "--lambda", "0,0.1,0.2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------

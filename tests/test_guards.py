@@ -45,13 +45,18 @@ class CliExit(Exception):
     """A nonzero exit of the command line that printed one line, to stderr only."""
 
 
-def cli(*argv):
-    """Run ``crypto-metric *argv`` in-process, ``H.json`` naming a 2x2 matrix
-    file.  A nonzero exit with empty stdout and one stderr line raises
-    :class:`CliExit` with message ``"exit <code>: <line>"``."""
+def cli(*argv, h_bytes=None):
+    """Run ``crypto-metric *argv`` in-process, ``H.json`` naming a file that
+    holds ``h_bytes``, or a 2x2 matrix by default.  A nonzero exit with
+    empty stdout and one stderr line raises :class:`CliExit` with message
+    ``"exit <code>: <line>"``."""
     with tempfile.TemporaryDirectory() as tmp:
         h = os.path.join(tmp, "H.json")
-        write_matrix(h, np.diag([1.0, 2.0]))
+        if h_bytes is None:
+            write_matrix(h, np.diag([1.0, 2.0]))
+        else:
+            with open(h, "wb") as fh:
+                fh.write(h_bytes)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([h if a == "H.json" else a for a in argv])
@@ -84,6 +89,17 @@ CASES = {
                            "tau must be finite"),
     "kg_metric-nan-beta": (lambda: kg_metric(0.0, float("nan")), NonFiniteError,
                            "beta must be finite"),
+    "kg_hamiltonian-exp-overflow": (lambda: kg_hamiltonian(400.0), NonFiniteError,
+                                    r"e\^\(2 tau\) leaves the float range at tau = 400.0"),
+    "kg_metric-exp-overflow": (lambda: kg_metric(-800.0, 0.0), NonFiniteError,
+                               r"e\^\|tau\| leaves the float range at tau = -800.0"),
+    "diagonalize-complex-modulus-past-float-range": (
+        lambda: diagonalize([[1.7e308 + 1.7e308j]], TOL), NonFiniteError,
+        "the eigenvalues of H leave the float range"),
+    "lambda_max-H-past-float-range-at-hi": (
+        lambda: lambda_max(FamilySpec.linear(np.diag([1.0, 2.0]), [[0.0, 10.0], [10.0, 0.0]],
+                                             [0.0]), (0.0, 1e308), TOL),
+        NonFiniteError, r"H leaves the float range at lambda = 1e\+308"),
     "assemble_metric-one-weight-for-N2": (lambda: assemble_metric(kg_family(), [1.0]),
                                           ShapeMismatchError, "expected 2 weights"),
     "quasi_hermiticity_residual-2x2-H-3x3-theta": (
@@ -117,6 +133,26 @@ CASES = {
     "matrix_from_doc-nan-entry": (
         lambda: matrix_from_doc({"dim": 1, "data": [[[float("nan"), 0.0]]]}), MatrixFileError,
         "non-finite entries"),
+    "matrix_from_doc-int-past-float-range": (
+        lambda: matrix_from_doc({"dim": 2, "data": [[[0, 0], [0, 0]], [[0, 10**400], [0, 0]]]}),
+        MatrixFileError, r"entry \(1, 0\) lies outside the float range"),
+    "cli-matrix-int-past-float-range": (
+        lambda: cli("diag", "--h", "H.json",
+                    h_bytes=b'{"dim": 1, "data": [[[1' + b"0" * 400 + b", 0]]]}"),
+        CliExit, r"^exit 2: error: entry \(0, 0\) lies outside the float range$"),
+    "cli-matrix-int-past-digit-limit": (
+        lambda: cli("diag", "--h", "H.json",
+                    h_bytes=b'{"dim": 1, "data": [[[' + b"1" * 5000 + b", 0]]]}"),
+        CliExit, r"^exit 2: error: cannot parse matrix file '.*H\.json': Exceeds the limit"),
+    "cli-matrix-nested-too-deeply": (
+        lambda: cli("diag", "--h", "H.json", h_bytes=b"[" * 100_000 + b"]" * 100_000),
+        CliExit, r"^exit 2: error: cannot parse matrix file '.*H\.json': maximum recursion"),
+    "cli-matrix-not-utf8": (
+        lambda: cli("diag", "--h", "H.json", h_bytes=b'\xff{"dim": 1}'), CliExit,
+        r"^exit 2: error: cannot parse matrix file '.*H\.json': 'utf-8' codec"),
+    "cli-matrix-empty-path": (
+        lambda: cli("diag", "--h", ""), CliExit,
+        "^exit 2: error: cannot parse matrix file '': "),
     "cli-lambda-range-without-count": (
         lambda: cli("scan", "--family", "kg", "--tau", "0.5", "--lambda", "0:1"), CliExit,
         "^exit 2: error: grid range must be lo:hi:count"),

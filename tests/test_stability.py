@@ -68,6 +68,23 @@ def test_scan_reality_flip_and_defective_point():
             assert np.isnan(p.theta_min_eig)
 
 
+@pytest.mark.parametrize("spec", [
+    FamilySpec.linear(np.diag([1.0, 2.0]), [[0.0, 10.0], [10.0, 0.0]], [0.0, 1e308]),
+    FamilySpec.kg([0.0, 700.0], [0.0]),
+    # finite parts, but a modulus past the float range: LAPACK returns NaN
+    FamilySpec.linear(np.zeros((1, 1)), [[1.0 + 1.0j]], [0.0, 1.7e308]),
+], ids=["linear-lambda-W-overflows", "kg-exp-overflows", "complex-modulus-overflows"])
+def test_scan_point_past_the_float_range_is_a_nonfinite_row(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, last = reality_scan(spec, TOL).points
+    assert first.note == "" and first.spectrum_real and first.metric_exists
+    assert last.note == "NonFinite"
+    assert not last.spectrum_real and not last.metric_exists
+    assert all(math.isnan(x) for x in (last.max_imag, last.min_gap, last.eigvec_cond,
+                                       last.theta_min_eig))
+
+
 def test_scan_metric_existence_coherence():
     rng = np.random.default_rng(71)
     for _ in range(20):
@@ -164,6 +181,15 @@ def test_lambda_max_negative_direction():
     w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     boundary = lambda_max(FamilySpec.linear(h, -w, [0.0, 2.0]), (0.0, 2.0), 1e-8)
     assert abs(boundary - 1.0) <= 1e-8
+
+
+def test_lambda_max_with_bracket_ends_summing_past_the_float_range():
+    # [[a, lam], [-lam, 0]] is real up to lam = a/2; lo + hi overflows
+    spec = FamilySpec.linear(np.diag([1.6e308, 0.0]), [[0.0, 1.0], [-1.0, 0.0]], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boundary = lambda_max(spec, (0.7e308, 1.2e308), TOL)
+    assert abs(boundary - 0.8e308) <= 1e-8 * 0.8e308
 
 
 def test_lambda_max_probes_in_the_arithmetic_of_the_family(monkeypatch):
