@@ -344,13 +344,13 @@ def _build_family(args) -> FamilySpec:
 
 def cmd_scan(args) -> tuple[str, str]:
     spec = _build_family(args)
-    report = reality_scan(spec, args.tol)
-    text = scan_csv(report)
+    # the boundary search first, so a bad bracket fails before the grid runs
+    tail = ""
     if args.find_boundary is not None:
-        bracket = _parse_bracket(args.find_boundary)
-        boundary = lambda_max(spec, bracket, args.tol)
-        text += f"# lambda_max,{boundary!r}\n"
-    return text, f"wrote {len(report)} rows to {args.out}"
+        boundary = lambda_max(spec, _parse_bracket(args.find_boundary), args.tol)
+        tail = f"# lambda_max,{boundary!r}\n"
+    report = reality_scan(spec, args.tol)
+    return scan_csv(report) + tail, f"wrote {len(report)} rows to {args.out}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonFiniteError, NotPositiveDefiniteError, NotQuasiHermitianError,
-                     ShapeMismatchError)
+from .errors import NotPositiveDefiniteError, NotQuasiHermitianError, ShapeMismatchError
 from .metric import MetricOperator, quasi_hermiticity_residual
-from .spectra import _check_tol, _pow2_scale, as_matrix
+from .spectra import _check_tol, _finite, _pow2_scale, as_matrix
 
 __all__ = ["DysonMap", "dyson_map", "hermitize", "pullback_observable"]
 
@@ -88,10 +87,7 @@ def hermitize(h, omega: DysonMap, tol: float) -> np.ndarray:
     # float range cannot overflow on the way
     s = _pow2_scale(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        image = omega.omega @ (h * s) @ omega.omega_inv / s
-    if not np.isfinite(image).all():
-        raise NonFiniteError("the hermitized H leaves the float range")
-    return image
+        return _finite(omega.omega @ (h * s) @ omega.omega_inv / s, "the hermitized H")
 
 
 def pullback_observable(v, omega: DysonMap) -> np.ndarray:
@@ -99,11 +95,15 @@ def pullback_observable(v, omega: DysonMap) -> np.ndarray:
     V = Omega^{-1} v Omega.
 
     When v is Hermitian, the result is quasi-Hermitian with respect to the
-    map's source metric (V^dag Theta = Theta V).
+    map's source metric (V^dag Theta = Theta V).  Formed, like
+    :func:`hermitize`'s image, on v scaled by a power of two; raises
+    NonFiniteError when the result leaves the float range.
     """
     v = as_matrix(v, "v")
     if v.shape != omega.omega.shape:
         raise ShapeMismatchError(
             f"operator has shape {v.shape}, expected {omega.omega.shape}"
         )
-    return omega.omega_inv @ v @ omega.omega
+    s = _pow2_scale(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(omega.omega_inv @ (v * s) @ omega.omega / s, "the pulled-back operator")

@@ -47,13 +47,17 @@ class DefectiveError(CryptohermError):
 
     The failed gate's measured value sits next to its threshold:
     ``condition_number`` and ``bound`` for the eigenvector-basis condition
-    gate, ``residual`` and ``bound`` for the biorthogonal residual gate.
-    Fields of the other gate are ``None``.
+    gate, ``residual`` and ``bound`` for the biorthogonal residual gate
+    (``residual`` is ``None`` for the other).  Both gates carry the
+    measured ``condition_number`` and the complex ``eigenvalues`` in the
+    eigensolver's order, so the matrix needs no second decomposition.
     """
 
     def __init__(self, message: str, *, condition_number: float | None = None,
-                 residual: float | None = None, bound: float | None = None):
+                 eigenvalues=None, residual: float | None = None,
+                 bound: float | None = None):
         self.condition_number = condition_number
+        self.eigenvalues = eigenvalues
         self.residual = residual
         self.bound = bound
         super().__init__(message)

@@ -41,6 +41,7 @@ from .errors import (
 from .spectra import (
     BiorthogonalSystem,
     _check_tol,
+    _finite,
     _pow2_scale,
     as_matrix,
     require_real_nondegenerate,
@@ -165,9 +166,7 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     l = family.system.left_vectors
     with np.errstate(over="ignore", invalid="ignore"):
         theta = (l * k) @ l.conj().T
-        theta = 0.5 * (theta + theta.conj().T)
-    if not np.isfinite(theta).all():
-        raise NonFiniteError("metric Theta(kappa) leaves the double-precision range")
+        theta = _finite(0.5 * (theta + theta.conj().T), "metric Theta(kappa)")
     for a in (theta, k):
         a.setflags(write=False)
     return MetricOperator(theta, family.system, k)
@@ -432,9 +431,13 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
     ------
     DegenerateObservableError
         d = a; that observable class leaves beta undetermined.
+    NonFiniteError
+        An argument is not finite, or beta or a term of it leaves the
+        float range.
     """
     if d == a:
         raise DegenerateObservableError(
             "observables with d = a do not determine the metric parameter"
         )
-    return float((c * np.exp(tau) - b * np.exp(-tau)) / (d - a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_finite((c * np.exp(tau) - b * np.exp(-tau)) / (d - a), "beta"))

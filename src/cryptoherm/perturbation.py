@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
-    NonFiniteError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     SeriesOverflowError,
@@ -58,6 +57,7 @@ from .metric import MetricOperator, metric_from_matrix, quasi_hermiticity_residu
 from .spectra import (
     BiorthogonalSystem,
     _check_tol,
+    _finite,
     _pow2_scale,
     as_matrix,
     diagonalize,
@@ -93,13 +93,6 @@ def _taylor(coeffs, lam: float, n: int) -> np.ndarray:
         for k, c in enumerate(coeffs):
             acc = acc + np.float64(lam) ** k * c
     return _finite(acc, f"a Taylor sum at lambda={lam!r}")
-
-
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """``a``, or NonFiniteError naming ``what`` when an entry is not finite."""
-    if not np.isfinite(a).all():
-        raise NonFiniteError(f"{what} leaves the double-precision range")
-    return a
 
 
 class _Eigenbasis(NamedTuple):
@@ -473,12 +466,17 @@ def commutator_gap(v, w, delta0, h) -> float:
     For V produced by :func:`v_from_w` at parameter lam with
     Delta = Delta_0 this gap is O(lam): the leading difference between the
     prescribed perturbation and its image is the commutator term alone.
+    Raises NonFiniteError where a term or the gap leaves the
+    double-precision range.
     """
     v = as_matrix(v, "V")
     w, delta0, h = _check_trio(w, delta0, h)
     if v.shape != w.shape:
         raise ShapeMismatchError("V and W must share one square shape")
-    return float(np.linalg.norm((v - w) - (delta0 @ h - h @ delta0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _finite((v - w) - (delta0 @ h - h @ delta0), "the commutator gap")
+        s = _pow2_scale(gap)  # exact, so the norm's squares cannot overflow
+        return float(_finite(np.linalg.norm(gap * s) / s, "the commutator gap"))
 
 
 def hidden_hermiticity_test(w, delta, h, theta, lam: float, tol: float) -> tuple[bool, float]:

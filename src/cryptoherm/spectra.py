@@ -34,8 +34,12 @@ _EPS = float(np.finfo(float).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a square complex array, rejecting NaN/Inf entries."""
-    m = np.array(a, dtype=complex)
+    """Coerce ``a`` to a square complex array, rejecting NaN/Inf entries
+    and entries (such as a huge int) past the float range."""
+    try:
+        m = np.array(a, dtype=complex)
+    except OverflowError:
+        raise NonFiniteError(f"{name} has an entry outside the float range") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeMismatchError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -79,6 +83,13 @@ def _pow2_scale(a: np.ndarray) -> float:
     return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
 
 
+def _finite(a, what: str):
+    """``a``, or NonFiniteError naming ``what`` when an entry is not finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} leaves the double-precision range")
+    return a
+
+
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
     """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``; ``tol`` unchecked."""
     max_imag = float(np.abs(eigenvalues.imag).max())
@@ -101,7 +112,8 @@ def _cond(x: np.ndarray) -> float:
     """Spectral condition number of ``x``; ``inf`` when it is singular.
     Eigenvector bases are gated on ``_cond(vr / _col_norms(vr))``."""
     sv = np.linalg.svd(x, compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    # Python floats: a ratio past the float range is inf, with no warning
+    return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
 
 
 def _min_gap(eigenvalues: np.ndarray) -> float:
@@ -187,7 +199,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     ------
     DefectiveError
         Near a Jordan block the eigenvector basis degenerates; the
-        condition-number gate (or a residual check) fails.
+        condition-number gate (or a residual check) fails.  The error
+        carries the measured condition number and eigenvalues.
     NonFiniteError
         Input contains NaN/Inf, or the eigensolver's result does.
     """
@@ -201,11 +214,13 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
         # LAPACK returns NaN for an entry whose modulus overflows
         raise NonFiniteError("the eigenvalues of H leave the float range")
     cond = _cond(vr / _col_norms(vr))
+    spectrum = evals  # in the eigensolver's order, for a DefectiveError
     if cond > 1.0 / tol:
         raise DefectiveError(
             "eigenvector-basis condition number exceeds "
             f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
             condition_number=cond,
+            eigenvalues=spectrum.astype(complex),
             bound=1.0 / tol,
         )
     order = np.lexsort((evals.imag, evals.real))
@@ -232,6 +247,8 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
         raise DefectiveError(
             f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; "
             "eigenbasis is unreliable",
+            condition_number=cond,
+            eigenvalues=spectrum.astype(complex),
             residual=worst,
             bound=bound,
         )

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CryptohermError, InvalidBracketError, NonFiniteError, SeriesOverflowError
+from .errors import (CryptohermError, DefectiveError, InvalidBracketError, NonFiniteError,
+                     SeriesOverflowError)
 from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_col_norms, _cond, _min_gap, _pow2_scale, _real_if_exact, _reality,
-                      ep_proximity, spectrum_is_real)
+from .spectra import (_min_gap, _pow2_scale, _real_if_exact, _reality, ep_proximity,
+                      spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -33,7 +34,10 @@ __all__ = [
 
 
 def _validate_grid(values, name: str) -> np.ndarray:
-    g = np.atleast_1d(np.asarray(values, dtype=float))
+    try:
+        g = np.atleast_1d(np.asarray(values, dtype=float))
+    except OverflowError:
+        raise ValueError(f"{name} grid contains values outside the float range") from None
     if g.ndim != 1 or g.size == 0:
         raise ValueError(f"{name} grid must be a nonempty 1-d sequence")
     if not np.isfinite(g).all():
@@ -148,12 +152,11 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
     except NonFiniteError:
         real, note = False, "NonFinite"
         max_imag = min_gap = eigvec_cond = float("nan")
-    except CryptohermError as exc:
-        # No biorthogonal system: the row still reports the raw spectrum.
-        note = type(exc).__name__.removesuffix("Error")
-        evals, vr = np.linalg.eig(_real_if_exact(h))
-        real, max_imag = _reality(evals, tol)
-        min_gap, eigvec_cond = _min_gap(evals), _cond(vr / _col_norms(vr))
+    except DefectiveError as exc:
+        # no biorthogonal system: the row reports what diagonalize measured
+        note = "Defective"
+        real, max_imag = _reality(exc.eigenvalues, tol)
+        min_gap, eigvec_cond = _min_gap(exc.eigenvalues), exc.condition_number
     else:
         try:
             family = MetricFamily(system)

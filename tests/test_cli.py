@@ -532,6 +532,38 @@ def test_scan_row_with_a_metric_past_the_float_range_keeps_stderr_empty(matrices
     assert [r.split(",")[6] for r in rows[1:]] == ["true", "true"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_eigenvector_condition_past_the_float_range_prints_no_warning(capsys, matrices):
+    # the condition number's SVD ratio overflowed: numpy's RuntimeWarning
+    # on stderr of a successful scan, and before diag's and metric's error line
+    h = matrices("h", [[1.0, 1.7e308], [0.0, 2.0]])
+    code, out, err = run_cli(capsys, "scan", "--family", "linear", "--h", h, "--w", h,
+                             "--lambda", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "0.0,,true,0.0,1.0,inf,false,nan"
+    for command in ("diag", "metric"):
+        code, out, err = run_cli(capsys, command, "--h", h)
+        assert (code, out) == (3, "")
+        assert err == ("error: eigenvector-basis condition number exceeds 1/tol = 1.000e+10; "
+                       "matrix is (near-)defective\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--family", "kg", "--tau", "0", "--find-boundary", "nonsense"], 2),
+    (["--family", "kg", "--tau", "0:1:3", "--find-boundary", "0:1"], 2),  # one tau needed
+    (["--family", "kg", "--tau", "0", "--find-boundary", "0:1"], 8),  # real at both ends
+    (["--family", "linear", "--h", "H", "--w", "W", "--find-boundary", "0:1e308"], 8),
+], ids=["malformed", "multi-tau", "invalid-bracket", "endpoint-past-float-range"])
+def test_find_boundary_fails_before_the_grid_runs(capsys, monkeypatch, matrices, argv, code):
+    scans = []
+    monkeypatch.setattr(cli, "reality_scan", lambda *args: scans.append(args))
+    files = {"H": matrices("h", np.diag([1.0, 2.0])), "W": matrices("w", [[0, 10], [10, 0]])}
+    got, out, err = run_cli(capsys, "scan", *[files.get(a, a) for a in argv],
+                            "--lambda", "0:1:200")
+    assert (got, out, scans) == (code, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_input_caps_exit_2():
     from cryptoherm.cli import MAX_GRID_POINTS, MAX_ORDER
 

@@ -28,6 +28,9 @@ H = json.dumps({"dim": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}).encode(
 W10 = json.dumps({"dim": 2, "data": [[[0, 0], [10, 0]], [[10, 0], [0, 0]]]}).encode()
 H_HUGE = json.dumps({"dim": 2, "data": [[[1.6e308, 0], [0, 0]], [[0, 0], [0, 0]]]}).encode()
 W_ROT = json.dumps({"dim": 2, "data": [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]}).encode()
+# eigenvector condition number past the float range
+H_COND_OVERFLOW = json.dumps({"dim": 2, "data": [[[1, 0], [1.7e308, 0]],
+                                                 [[0, 0], [2, 0]]]}).encode()
 
 
 def one_by_one(value):
@@ -46,6 +49,7 @@ extreme = st.one_of(
     st.integers(-(10**400), 10**400),
 )
 junk = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.just([]), st.just({}))
+near_limit = st.floats(1e300, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
 def pairs(value, n):
@@ -59,8 +63,15 @@ def document(n):
                         unique=True)
     diagonal = distinct.map(lambda d: {"dim": n, "data": [
         [[d[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]})
+    # ill-conditioned but finite: upper triangular, one entry near the float limit
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)] or [(0, 0)]
+    triangular = st.tuples(pairs(moderate, n), near_limit, st.sampled_from(upper)).map(
+        lambda t: {"dim": n, "data": [
+            [[t[1], 0.0] if (i, j) == t[2] else t[0][i][j] if j >= i else [0.0, 0.0]
+             for j in range(n)] for i in range(n)]})
     docs = st.one_of(
         diagonal,
+        triangular,
         st.fixed_dictionaries({"dim": st.just(n), "data": pairs(moderate, n)}),
         st.fixed_dictionaries({"dim": st.just(n), "data": pairs(st.one_of(moderate, extreme), n)}),
         st.fixed_dictionaries({"dim": st.just(n), "data": pairs(st.one_of(moderate, junk), n)}),
@@ -161,6 +172,9 @@ def run(file_bytes, argv):
 @example(file_bytes=[], argv=["scan", "--family=kg", "--tau=0", "--lambda=-1e308:1e308:3"])
 @example(file_bytes=[H_HUGE, W_ROT], argv=["scan", "--family=linear", "--h={dir}/f0.json",
                                            "--w={dir}/f1.json", "--find-boundary=0.7e308:1.2e308"])
+@example(file_bytes=[H_COND_OVERFLOW], argv=["scan", "--family=linear", "--h={dir}/f0.json",
+                                           "--w={dir}/f0.json", "--lambda=0"])
+@example(file_bytes=[H_COND_OVERFLOW], argv=["diag", "--h={dir}/f0.json"])
 @example(file_bytes=[], argv=["diag", "--kg=400"])
 @example(file_bytes=[one_by_one(1e300)], argv=["hermitize", "--h={dir}/f0.json",
                                                 "--metric={dir}/f0.json"])

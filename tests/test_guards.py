@@ -20,13 +20,17 @@ from cryptoherm import (
     assemble_metric,
     commutator_gap,
     diagonalize,
+    dyson_map,
     fix_ambiguity,
+    kg_beta,
     kg_hamiltonian,
     kg_metric,
     lambda_max,
     matrix_from_doc,
     matrix_to_doc,
+    metric_from_matrix,
     metric_series,
+    pullback_observable,
     quasi_hermiticity_residual,
     v_from_w,
     write_matrix,
@@ -35,6 +39,7 @@ from cryptoherm.cli import main
 
 TOL = 1e-10
 EP_FAMILY = FamilySpec.linear(np.diag([-1.0, 1.0]), [[0.0, 1.0], [-1.0, 0.0]], [0.0])
+HUGE_ROTATION = np.array([[1e300, 1e300], [-1e300, 1e300]])
 
 
 def kg_family():
@@ -100,6 +105,27 @@ CASES = {
         lambda: lambda_max(FamilySpec.linear(np.diag([1.0, 2.0]), [[0.0, 10.0], [10.0, 0.0]],
                                              [0.0]), (0.0, 1e308), TOL),
         NonFiniteError, r"H leaves the float range at lambda = 1e\+308"),
+    "kg_beta-exp-overflow": (lambda: kg_beta(0, 1, 1, 2, 710.0), NonFiniteError,
+                             "beta leaves the double-precision range"),
+    "kg_beta-product-overflow": (lambda: kg_beta(0, 1.7e308, 1.7e308, 1, 0.3), NonFiniteError,
+                                 "beta leaves the double-precision range"),
+    "kg_beta-nan-tau": (lambda: kg_beta(0, 1, 1, 2, float("nan")), NonFiniteError,
+                        "beta leaves the double-precision range"),
+    "commutator_gap-product-overflow": (
+        lambda: commutator_gap(HUGE_ROTATION, -HUGE_ROTATION, HUGE_ROTATION, HUGE_ROTATION),
+        NonFiniteError, "the commutator gap leaves the double-precision range"),
+    "pullback_observable-past-float-range": (
+        lambda: pullback_observable([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
+                                    dyson_map(kg_metric(0.3, 0.2))),
+        NonFiniteError, "the pulled-back operator leaves the double-precision range"),
+    "diagonalize-int-past-float-range": (lambda: diagonalize([[10**400]], TOL), NonFiniteError,
+                                         "H has an entry outside the float range"),
+    "metric_from_matrix-int-past-float-range": (
+        lambda: metric_from_matrix([[10**400]], TOL), NonFiniteError,
+        "theta has an entry outside the float range"),
+    "FamilySpec.linear-int-past-float-range-in-grid": (
+        lambda: FamilySpec.linear([[1.0]], [[1.0]], [10**400]), ValueError,
+        "lambda grid contains values outside the float range"),
     "assemble_metric-one-weight-for-N2": (lambda: assemble_metric(kg_family(), [1.0]),
                                           ShapeMismatchError, "expected 2 weights"),
     "quasi_hermiticity_residual-2x2-H-3x3-theta": (

@@ -217,12 +217,15 @@ def test_defective_error_fields_name_the_failed_gate():
         try:
             diagonalize(h, tol)
         except DefectiveError as exc:
+            # both gates carry the spectrum the eigensolver returned for H
+            assert exc.eigenvalues.dtype == complex
+            assert np.array_equal(exc.eigenvalues, np.linalg.eig(h)[0])
             if exc.residual is None:
                 gates.add("condition")
                 assert exc.condition_number > exc.bound == 1.0 / tol
             else:
                 gates.add("residual")
-                assert exc.condition_number is None
+                assert exc.condition_number <= 1.0 / tol
                 assert exc.residual > exc.bound
                 assert str(exc) == (
                     f"biorthogonal residual {exc.residual:.3e} exceeds {exc.bound:.3e}; "

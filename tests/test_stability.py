@@ -351,7 +351,7 @@ def test_scan_rows_match_per_point_formula(spec, defective):
 def test_defective_rows_match_per_point_formula():
     # S J S^-1 for a 2x2 Jordan block at 0.5 beside -1: rounding splits the
     # block, and the eigenvector condition number (about 1e8) fails the gate
-    # at tol 1e-6, so each row comes from the scan's raw-spectrum fallback.
+    # at tol 1e-6, so each row comes from what DefectiveError carries.
     tol = 1e-6
     rows_differ = 0
     for seed in range(6):
@@ -365,6 +365,17 @@ def test_defective_rows_match_per_point_formula():
         assert (p.spectrum_real, p.max_imag, p.min_gap, p.eigvec_cond) == expected
         rows_differ += expected != per_point_spectrum(spec.hamiltonian_at(0.0), tol, True)
     assert rows_differ > 0  # the real and complex solvers are told apart
+
+
+def test_scan_decomposes_each_point_once(monkeypatch):
+    # a Defective row is built from the spectrum and condition number that
+    # diagonalize measured; the scan never decomposes H a second time
+    spec = sqrt_family(np.linspace(0.0, 2.0, 21))
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    report = reality_scan(spec, TOL)
+    assert [p.lam for p in report.points if p.note == "Defective"] == [1.0]
+    assert len(calls) == len(report)
 
 
 def reality_predicate(spec, x, tol):
