@@ -23,6 +23,7 @@ in closed form: :func:`kg_hamiltonian`, :func:`kg_metric`, :func:`kg_beta`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .spectra import (
     _check_tol,
     _finite,
     _pow2_scale,
+    _real,
     as_matrix,
     require_real_nondegenerate,
 )
@@ -78,11 +80,19 @@ class MetricOperator:
     :func:`~cryptoherm.perturbation.dyson_from_metric` inverts Theta as
     R diag(1/kappa) R^dag instead of through its Cholesky factor.  Both are
     ``None`` for a metric of any other origin.
+
+    A metric with a read-only ``theta`` (every metric this package makes)
+    also holds a weak reference to the last
+    :class:`~cryptoherm.perturbation.PerturbationProblem` built on it, so
+    that a build on the same bytes at the same tolerance returns that
+    problem, with the orders it has solved, for as long as a caller keeps
+    it alive.
     """
 
     theta: np.ndarray
     system: BiorthogonalSystem | None = field(default=None, compare=False, repr=False)
     weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _problem: weakref.ref | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def metric_from_matrix(theta, tol: float) -> MetricOperator:
@@ -153,7 +163,10 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     NonFiniteError
         A weight is NaN/Inf, or an entry of Theta leaves the float range.
     """
-    k = np.array(kappa, dtype=float)
+    try:
+        k = np.array(kappa, dtype=float)
+    except OverflowError:
+        raise NonFiniteError("weights contain values outside the float range") from None
     if k.shape != (family.dim,):
         raise ShapeMismatchError(
             f"expected {family.dim} weights, got shape {k.shape}"
@@ -385,7 +398,7 @@ def kg_hamiltonian(tau: float) -> np.ndarray:
     non-degenerate for every real tau.  Raises NonFiniteError for a tau
     that is not finite or whose e^{2 tau} leaves the float range.
     """
-    tau = float(tau)
+    tau = _real(tau)
     if not np.isfinite(tau):
         raise NonFiniteError("tau must be finite")
     with np.errstate(over="ignore"):
@@ -409,8 +422,7 @@ def kg_metric(tau: float, beta: float) -> MetricOperator:
     NonFiniteError
         tau or beta is not finite, or e^{|tau|} leaves the float range.
     """
-    tau = float(tau)
-    beta = float(beta)
+    tau, beta = _real(tau), _real(beta)
     if not (np.isfinite(tau) and np.isfinite(beta)):
         raise NonFiniteError("tau and beta must be finite")
     if abs(beta) >= 1.0:
@@ -427,17 +439,22 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
     """Metric parameter selected by the 2x2 observable [[a, b], [c, d]]:
     beta = (c e^tau - b e^{-tau}) / (d - a).
 
+    A zero coefficient b or c makes its term an exact zero, even where its
+    exponential leaves the float range.
+
     Raises
     ------
     DegenerateObservableError
         d = a; that observable class leaves beta undetermined.
     NonFiniteError
-        An argument is not finite, or beta or a term of it leaves the
-        float range.
+        An argument is not finite, or beta or a nonzero term of it leaves
+        the float range.
     """
+    a, b, c, d, tau = map(_real, (a, b, c, d, tau))
     if d == a:
         raise DegenerateObservableError(
             "observables with d = a do not determine the metric parameter"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_finite((c * np.exp(tau) - b * np.exp(-tau)) / (d - a), "beta"))
+        beta = ((c * np.exp(tau) if c else 0.0) - (b * np.exp(-tau) if b else 0.0)) / (d - a)
+    return float(_finite((a, b, c, d, tau, beta), "beta")[-1])

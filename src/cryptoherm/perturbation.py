@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     SeriesOverflowError,
@@ -133,6 +135,12 @@ class PerturbationProblem:
         Either way the spectrum and the quasi-Hermiticity gates run, and
         the eigenbasis constants of :func:`solve_order` are formed behind
         their real-part gap gate.
+
+        A metric with a read-only array weakly holds the last problem built
+        on it.  While that problem is alive, a build on the same Theta at
+        the same ``tol`` with bit-for-bit equal H and W coefficients returns
+        it, orders and all, and does not rerun the gates that passed on
+        those bytes.
         """
         h = as_matrix(h, "H")
         tol = _check_tol(tol)
@@ -148,6 +156,11 @@ class PerturbationProblem:
             w.setflags(write=False)
             ws.append(w)
         h.setflags(write=False)
+        held = theta._problem and theta._problem()
+        if (held is not None and held.tol == tol and held.h.tobytes() == h.tobytes()
+                and len(held.w_coeffs) == len(ws)
+                and all(a.tobytes() == b.tobytes() for a, b in zip(held.w_coeffs, ws))):
+            return held
         system = theta.system
         # Bytes, not values: -0.0 == 0.0, yet a signed zero can steer
         # LAPACK's reflections to another (equally valid) eigenbasis.
@@ -161,6 +174,9 @@ class PerturbationProblem:
                                          f"residual {res:.3e}")
         problem = cls(h, theta, tuple(ws), system)
         problem._eigenbasis  # its gap gate raises here, not on the first solve
+        # A writable Theta could change under the problem, so none is held.
+        if not theta.theta.flags.writeable:
+            object.__setattr__(theta, "_problem", weakref.ref(problem))
         return problem
 
     @functools.cached_property
@@ -387,7 +403,10 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
     metric series, T^(1) = Delta_0^dag Theta + Theta Delta_0, and is
     computed by that route:
     ``dyson_from_metric(metric_series(problem, 1), Theta).delta_coeffs[0]``
-    for ``problem = PerturbationProblem.build(H, Theta, [W0], tol)``.
+    for ``problem = PerturbationProblem.build(H, Theta, [W0], tol)``.  While
+    the caller holds a problem built on the same Theta from the same bytes
+    of H and W0 at ``tol``, that build returns it, so its T^(1) is reused
+    rather than solved again.
 
     Raises
     ------
@@ -414,6 +433,41 @@ def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:
     return m
 
 
+def _pow2(a, e: int):
+    """``a * 2**e``, exact wherever the result stays in the normal range
+    (inf past it, with no warning); a complex array through its parts."""
+    if not e:
+        return a
+    with np.errstate(over="ignore", under="ignore"):
+        if np.iscomplexobj(a):
+            return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
+        return np.ldexp(a, e)
+
+
+def _at_one_scale(what: str, *terms) -> tuple[list, int]:
+    """Each term, a matrix or a product ``(a, b)`` of two, times one power
+    of two ``2**-E``, and E.  A product is formed on factors scaled by
+    their own powers of two, so none overflows; E follows the largest
+    term's value, not its bound, so a small product of large factors (the
+    commutator of commuting ones) pushes no other term out of the range.
+
+    Raises NonFiniteError naming ``what`` where a nonzero term falls below
+    the normal range at that scale: its low bits are lost there, and where
+    the larger terms cancel they would carry the result.
+    """
+    held = []  # (a, e, top): the term is a * 2**e, and max |a| is in [2**(top-1), 2**top)
+    for t in terms:
+        a, e = None, 0
+        for f in t if isinstance(t, tuple) else (t,):
+            s = _pow2_scale(f)
+            a, e = (f * s if a is None else a @ (f * s)), e + 1 - math.frexp(s)[1]
+        held.append((a, e, math.frexp(float(np.abs(a).max()))[1] if a.any() else None))
+    big = max((e + top for _, e, top in held if top is not None), default=0)
+    if any(top is not None and min(top, top + e - big) < -1021 for _, e, top in held):
+        raise NonFiniteError(f"a term of {what} underflows at the scale of its largest term")
+    return [_pow2(a, e - big) for a, e, _ in held], big
+
+
 def _check_trio(w, delta, h):
     w = as_matrix(w, "W")
     delta = as_matrix(delta, "Delta")
@@ -432,18 +486,30 @@ def v_from_w(w, delta, h, lam: float) -> np.ndarray:
     V satisfies the intertwining relation
     (H + lam V)(1 + lam Delta) = (1 + lam Delta)(H + lam W) identically.
 
+    Where a product overflows, the products are formed again on factors
+    scaled by powers of two, brought to one scale for the sum and unscaled
+    at the end.  Wherever no term falls below the normal range at the
+    scale of the largest, that gives the bits the same sums, in the same
+    order, give without a bound on the exponent.  Where one does, its low
+    bits are lost, and with them the result if the larger terms cancel,
+    so NonFiniteError is raised instead.
+
     Raises
     ------
     SingularResolventError
         1 + lam Delta is numerically singular.
     NonFiniteError
-        1 + lam Delta or V leaves the double-precision range.
+        1 + lam Delta or V leaves the double-precision range, or a term of
+        V underflows at the scale of its largest term.
     """
     w, delta, h = _check_trio(w, delta, h)
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        num = m @ w + delta @ h - h @ delta
-        return _finite(np.linalg.solve(m.T, num.T).T, "V")
+        v = np.linalg.solve(m.T, (m @ w + delta @ h - h @ delta).T).T
+        if not np.isfinite(v).all():
+            (a, b, c), e = _at_one_scale("V", (m, w), (delta, h), (h, delta))
+            v = _pow2(np.linalg.solve(m.T, (a + b - c).T).T, e)
+    return _finite(v, "V")
 
 
 def w_from_v(v, delta, h, lam: float) -> np.ndarray:
@@ -453,11 +519,17 @@ def w_from_v(v, delta, h, lam: float) -> np.ndarray:
 
     The rearrangement never divides by lam, so the lam -> 0 limit is
     evaluated directly; composing with :func:`v_from_w` is the identity.
+    Products that overflow are formed again as in :func:`v_from_w`, and
+    raise as there where a term underflows at the scale of the largest.
     """
     v, delta, h = _check_trio(v, delta, h)
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(np.linalg.solve(m, v @ m + h @ delta - delta @ h), "W")
+        w = np.linalg.solve(m, v @ m + h @ delta - delta @ h)
+        if not np.isfinite(w).all():
+            (a, b, c), e = _at_one_scale("W", (v, m), (h, delta), (delta, h))
+            w = _pow2(np.linalg.solve(m, a + b - c), e)
+    return _finite(w, "W")
 
 
 def commutator_gap(v, w, delta0, h) -> float:
@@ -466,17 +538,25 @@ def commutator_gap(v, w, delta0, h) -> float:
     For V produced by :func:`v_from_w` at parameter lam with
     Delta = Delta_0 this gap is O(lam): the leading difference between the
     prescribed perturbation and its image is the commutator term alone.
-    Raises NonFiniteError where a term or the gap leaves the
-    double-precision range.
+    Where a product overflows, the terms are formed again as in
+    :func:`v_from_w`.  NonFiniteError where the gap itself leaves the
+    double-precision range, or where a term underflows at the scale of
+    the largest.
     """
     v = as_matrix(v, "V")
     w, delta0, h = _check_trio(w, delta0, h)
     if v.shape != w.shape:
         raise ShapeMismatchError("V and W must share one square shape")
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = _finite((v - w) - (delta0 @ h - h @ delta0), "the commutator gap")
+        gap, e = (v - w) - (delta0 @ h - h @ delta0), 0
+        if not np.isfinite(gap).all():
+            what = "the commutator gap"
+            (v, w, p, q), e = _at_one_scale(what, v, w, (delta0, h), (h, delta0))
+            # at its own scale, so that the norm's squares stay in range
+            (gap,), e_gap = _at_one_scale(what, (v - w) - (p - q))
+            e += e_gap
         s = _pow2_scale(gap)  # exact, so the norm's squares cannot overflow
-        return float(_finite(np.linalg.norm(gap * s) / s, "the commutator gap"))
+        return float(_finite(_pow2(np.linalg.norm(gap * s) / s, e), "the commutator gap"))
 
 
 def hidden_hermiticity_test(w, delta, h, theta, lam: float, tol: float) -> tuple[bool, float]:

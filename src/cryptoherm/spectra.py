@@ -58,8 +58,18 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a if a.imag.any() else a.real
 
 
+def _real(x) -> float:
+    """``float(x)``, with a number past the float range (such as a huge
+    int, where ``float`` raises OverflowError) read as an infinity of its
+    sign, so that each caller rejects it as it rejects that infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _check_tol(tol: float) -> float:
-    tol = float(tol)
+    tol = _real(tol)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     return tol

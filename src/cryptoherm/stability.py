@@ -19,7 +19,7 @@ from .metric import MetricFamily, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_min_gap, _pow2_scale, _real_if_exact, _reality, ep_proximity,
+from .spectra import (_min_gap, _pow2_scale, _real, _real_if_exact, _reality, ep_proximity,
                       spectrum_is_real)
 
 __all__ = [
@@ -228,7 +228,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
         H at an endpoint leaves the float range.  H is affine in lambda,
         so no probe between the endpoints can.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = _real(bracket[0]), _real(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got {(lo, hi)}")
     tol = _check_tol(tol)
@@ -349,12 +349,17 @@ def series_vs_exact(problem: PerturbationProblem, order: int, lambdas) -> list[t
 
     Every grid value must lie inside the reality domain of the perturbed
     family; per-point failures (defective or complex-spectrum points) and
-    series solvability failures propagate.  As lam -> 0 the log-log slope
+    series solvability failures propagate, and a lam outside the float
+    range raises NonFiniteError.  As lam -> 0 the log-log slope
     of the error column approaches order + 1.
     """
+    try:
+        lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    except OverflowError:
+        raise NonFiniteError("lambdas contain values outside the float range") from None
     series = metric_series(problem, order)
     rows = []
-    for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
+    for lam in lambdas:
         diff = series.truncated(float(lam)) - exact_matched_metric(problem, float(lam))
         scale = _pow2_scale(diff)
         err = float(np.linalg.norm(diff * scale)) / scale

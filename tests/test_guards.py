@@ -32,7 +32,9 @@ from cryptoherm import (
     metric_series,
     pullback_observable,
     quasi_hermiticity_residual,
+    series_vs_exact,
     v_from_w,
+    w_from_v,
     write_matrix,
 )
 from cryptoherm.cli import main
@@ -111,9 +113,20 @@ CASES = {
                                  "beta leaves the double-precision range"),
     "kg_beta-nan-tau": (lambda: kg_beta(0, 1, 1, 2, float("nan")), NonFiniteError,
                         "beta leaves the double-precision range"),
-    "commutator_gap-product-overflow": (
-        lambda: commutator_gap(HUGE_ROTATION, -HUGE_ROTATION, HUGE_ROTATION, HUGE_ROTATION),
+    "commutator_gap-gap-past-float-range": (
+        lambda: commutator_gap(np.zeros((2, 2)), np.zeros((2, 2)), [[0.0, 1e300], [0.0, 0.0]],
+                               np.diag([1e10, -1e10])),
         NonFiniteError, "the commutator gap leaves the double-precision range"),
+    # [M, M] = 0 with M M near 2e600: the term I underflows at that scale
+    "commutator_gap-term-underflows-under-cancelling-products": (
+        lambda: commutator_gap(np.eye(2), np.zeros((2, 2)), HUGE_ROTATION, HUGE_ROTATION),
+        NonFiniteError, "a term of the commutator gap underflows at the scale of its largest"),
+    "v_from_w-term-underflows-under-cancelling-products": (
+        lambda: v_from_w(np.eye(2), HUGE_ROTATION, HUGE_ROTATION, 1e-300), NonFiniteError,
+        "a term of V underflows at the scale of its largest"),
+    "w_from_v-term-underflows-under-cancelling-products": (
+        lambda: w_from_v(np.eye(2), HUGE_ROTATION, HUGE_ROTATION, 1e-300), NonFiniteError,
+        "a term of W underflows at the scale of its largest"),
     "pullback_observable-past-float-range": (
         lambda: pullback_observable([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
                                     dyson_map(kg_metric(0.3, 0.2))),
@@ -123,6 +136,23 @@ CASES = {
     "metric_from_matrix-int-past-float-range": (
         lambda: metric_from_matrix([[10**400]], TOL), NonFiniteError,
         "theta has an entry outside the float range"),
+    "kg_hamiltonian-int-past-float-range": (lambda: kg_hamiltonian(10**400), NonFiniteError,
+                                            "tau must be finite"),
+    "kg_metric-int-past-float-range": (lambda: kg_metric(0.0, 10**400), NonFiniteError,
+                                       "tau and beta must be finite"),
+    "assemble_metric-int-past-float-range": (
+        lambda: assemble_metric(kg_family(), [10**400, 1]), NonFiniteError,
+        "weights contain values outside the float range"),
+    "lambda_max-int-past-float-range-in-bracket": (
+        lambda: lambda_max(EP_FAMILY, (0, 10**400), TOL), ValueError, "bracket must be finite"),
+    "diagonalize-int-past-float-range-tol": (lambda: diagonalize(np.eye(2), 10**400), ValueError,
+                                             r"tolerance must lie in \(0, 1\), got inf"),
+    "kg_beta-int-past-float-range": (lambda: kg_beta(0, 10**400, 1, 2, 0.3), NonFiniteError,
+                                     "beta leaves the double-precision range"),
+    "series_vs_exact-int-past-float-range": (
+        lambda: series_vs_exact(PerturbationProblem.build(kg_hamiltonian(0.3), kg_metric(0.3, 0.0),
+                                                          [np.eye(2)], TOL), 1, [10**400]),
+        NonFiniteError, "lambdas contain values outside the float range"),
     "FamilySpec.linear-int-past-float-range-in-grid": (
         lambda: FamilySpec.linear([[1.0]], [[1.0]], [10**400]), ValueError,
         "lambda grid contains values outside the float range"),
@@ -202,3 +232,20 @@ def test_guard_rejects_its_argument(name):
     call, error, message = CASES[name]
     with pytest.raises(error, match=message):
         call()
+
+
+# Finite results of huge factors: each is formed at power-of-two scales.
+FINITE = {
+    "commutator_gap-commuting-huge-factors": (
+        lambda: commutator_gap(HUGE_ROTATION, -HUGE_ROTATION, HUGE_ROTATION, HUGE_ROTATION),
+        4e300),
+    "kg_beta-zero-coefficient-times-overflowing-exponential": (
+        lambda: kg_beta(0, 1, 0, 2, 710.0), -np.exp(-710.0) / 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_result_of_huge_terms(name):
+    call, expected = FINITE[name]
+    assert call() == expected

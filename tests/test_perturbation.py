@@ -1,6 +1,7 @@
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cryptoherm import (
     BiorthogonalSystem,
     DegenerateSpectrumError,
     MetricFamily,
+    MetricOperator,
     MetricSeries,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -216,6 +218,102 @@ def test_concurrent_metric_series_callers_agree():
     for (t, res, _), t_ref, res_ref in zip(prob._orders, ref.t_coeffs[1:],
                                             ref.solvability_residuals[1:]):
         assert np.array_equal(t, t_ref) and res == res_ref
+
+
+def _run_threads(worker, n=8):
+    """Run ``worker(i)`` on n threads at a tiny switch interval; return the
+    exceptions they raised."""
+    errors = []
+
+    def guarded(i):
+        try:
+            worker(i)
+        except Exception as exc:  # reported by the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_leading_delta_reuses_the_problem_the_caller_holds(monkeypatch):
+    h, w = _random_problem_inputs()
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), np.linspace(1.0, 2.0, 4))
+    problem = PerturbationProblem.build(h, theta, [w], TOL)
+    metric_series(problem, 3)
+    counts = {name: _counting(monkeypatch, name)
+              for name in ("solve_order", "quasi_hermiticity_residual", "diagonalize")}
+    delta0 = leading_delta(w, h, theta, TOL)
+    assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
+    expected = dyson_from_metric(metric_series(problem, 1), theta).delta_coeffs[0]
+    assert delta0.tobytes() == expected.tobytes()
+
+
+def test_build_returns_the_held_problem_only_for_the_same_bytes_and_tol():
+    h, theta, w = kg_hamiltonian(0.2), kg_metric(0.2, 0.25), SIGMA_X
+    one_ulp = h.copy()
+    one_ulp[0, 1] = np.nextafter(h[0, 1].real, np.inf)
+    minus_zero = w.copy()
+    minus_zero[0, 0] = -0.0
+    writable = MetricOperator(theta.theta.copy())
+    cases = {
+        "another tol": (h, theta, [w], 1e-9),
+        "one ulp in H": (one_ulp, theta, [w], TOL),
+        "-0.0 in W": (h, theta, [minus_zero], TOL),
+        "an extra W coefficient": (h, theta, [w, np.zeros((2, 2))], TOL),
+        "a raw-matrix theta": (h, theta.theta, [w], TOL),
+        "a writable theta": (h, writable, [w], TOL),
+    }
+    for name, args in cases.items():
+        problem = PerturbationProblem.build(h, theta, [w], TOL)
+        assert PerturbationProblem.build(h, theta, [w.copy()], TOL) is problem, name
+        other = PerturbationProblem.build(*args)
+        assert other is not problem, name
+        # a read-only metric now holds the last problem built on it
+        assert (PerturbationProblem.build(*args) is other) == (args[1] is theta), name
+    assert writable._problem is None
+
+
+def test_a_metric_keeps_no_problem_alive(monkeypatch):
+    h, theta, w = kg_hamiltonian(0.2), kg_metric(0.2, 0.25), SIGMA_X
+    problem = PerturbationProblem.build(h, theta, [w], TOL)
+    metric_series(problem, 2)
+    ref = weakref.ref(problem)
+    del problem
+    assert ref() is None and theta._problem() is None
+    calls = _counting(monkeypatch, "solve_order")
+    metric_series(PerturbationProblem.build(h, theta, [w], TOL), 2)
+    assert [c[1] for c in calls] == [1, 2]
+
+
+def test_concurrent_builders_on_one_metric_agree():
+    h, w = _random_problem_inputs()
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), np.linspace(1.0, 2.0, 4))
+    ref_series = metric_series(PerturbationProblem.build(h, theta, [w], TOL), 4)
+    ref_delta = leading_delta(w, h, theta, TOL)
+    results = []
+
+    def worker(i):
+        for _ in range(3):
+            problem = PerturbationProblem.build(h, theta, [w], TOL)
+            series = metric_series(problem, 1 + i % 4)
+            results.append((series, leading_delta(w, h, theta, TOL)))
+
+    assert _run_threads(worker) == [] and len(results) == 24
+    for series, delta0 in results:
+        k = series.order
+        _assert_same_series(series, MetricSeries(ref_series.t_coeffs[: k + 1],
+                                                 ref_series.solvability_residuals[: k + 1]))
+        assert delta0.tobytes() == ref_delta.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +990,43 @@ def test_resolvent_past_the_float_range_raises_without_a_warning():
     with pytest.raises(NonFiniteError):
         perturbation._resolvent(d, 1e308)
     with pytest.raises(NonFiniteError):
-        v_from_w(np.full((2, 2), 1e300), d, np.eye(2), 1e10)
+        v_from_w(np.full((2, 2), 1e308), d, np.eye(2), 1e10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_v_and_w_past_the_unscaled_products_range_scale_exactly():
+    # m W and V m overflow unscaled, yet V and W are finite; at a power of
+    # two scale both conversions give the scaled bits of the unit-scale ones.
+    # H = 2**20 commutes with Delta, and its products with Delta stay in the
+    # normal range at the scale of m W (test_guards has them below it).
+    d = np.array([[0.5, 2.0], [0.0, 1.0]], dtype=complex)
+    h = 2.0**20 * np.eye(2)
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    big = 2.0**996
+    for convert in (v_from_w, w_from_v):
+        unit = convert(w, d, h, 1e10)
+        assert np.abs(unit).max() > 1.0
+        assert np.array_equal(convert(big * w, d, h, 1e10), big * unit)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cancelling_products_past_the_float_range_leave_the_other_terms_exact():
+    # [M, M] = 0 while M M overflows: the retry must return the bits of the
+    # call with H = 0, where no product is past the range.  In the gap the
+    # products cancel first and V survives, normal at their scale; below it
+    # the gap raises (test_guards).  In V and W the products are the
+    # smaller terms, so they must not push the larger ones out of range.
+    zero = np.zeros((2, 2))
+    rng = np.random.default_rng(5)
+    v, w = (2.0**980 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            for _ in range(2))
+    r = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    huge = 2.0**996 * r
+    assert commutator_gap(v, zero, huge, huge) == commutator_gap(v, zero, huge, zero)
+    m = 2.0**520 * r
+    for convert in (v_from_w, w_from_v):
+        assert np.array_equal(convert(w, m, m, 2.0**480), convert(w, m, zero, 2.0**480))
 
 
 def test_singular_resolvent_detected():
