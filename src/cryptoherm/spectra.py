@@ -127,12 +127,22 @@ def _cond(x: np.ndarray) -> float:
 
 
 def _min_gap(eigenvalues: np.ndarray) -> float:
-    """Smallest pairwise eigenvalue separation; ``inf`` below two values."""
+    """Smallest pairwise eigenvalue separation; ``inf`` below two values.
+
+    A real-dtype array takes the smallest gap between sorted neighbours.
+    Rounding is monotone, so for a <= b <= c the rounded c - a is never
+    below the rounded b - a: that equals the pairwise minimum bit for bit,
+    and the absolute value turns a tie of -0.0 and 0.0 into +0.0, as the
+    complex modulus does.
+    """
     if eigenvalues.size < 2:
         return float("inf")
     # Halving is exact for normal floats and keeps the differences of
     # near-overflow eigenvalues finite; doubling a Python float cannot warn.
     half = 0.5 * eigenvalues
+    if half.dtype.kind == "f":
+        half.sort()
+        return 2.0 * abs(float((half[1:] - half[:-1]).min()))
     diff = np.abs(half[:, None] - half[None, :])
     diff.flat[:: eigenvalues.size + 1] = np.inf
     return 2.0 * float(diff.min())

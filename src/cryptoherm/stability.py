@@ -211,10 +211,13 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     and doubles as the relative reality threshold at probe points; the
     result is the midpoint of the final real/non-real pair.
 
-    Each probe diagonalizes H once and evaluates the signed discriminant
-    ``-min_gap**2`` where the spectrum is real and ``(2 max|Im E|)**2``
-    where it is not, close to linear through a square-root exceptional
-    point; Brent's zeroin (Brent 1973, ch. 4) runs on it, keeping one real
+    Each probe is one ``eigvals`` call on H, in real arithmetic when H0 and
+    W0 have no nonzero imaginary entry (tested once per search), and
+    evaluates the signed discriminant ``-min_gap**2`` where the spectrum is
+    real and ``(2 max|Im E|)**2`` where it is not, close to linear through
+    a square-root exceptional point.  A spectrum returned in a real dtype
+    has every Im E exactly 0, so it is real at any ``tol`` untested.
+    Brent's zeroin (Brent 1973, ch. 4) runs on it, keeping one real
     and one non-real point.  After k probes past the endpoints a pair wider
     than ``2 (hi - lo) 2**(-k/2)`` takes a bisection step, so a search above
     the float spacing needs at most ``2 ceil(log2((hi - lo) / tol)) + 5``
@@ -239,9 +242,15 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
             raise ValueError("boundary search on a kg family needs a single tau")
         tau = float(spec.taus[0])
 
+    # H0 + x W0 is exactly real at every finite x when neither has a
+    # nonzero imaginary part (a kg family has no H0: H(tau) is real), so
+    # that is tested once; a complex pencil can be exactly real at 0.
+    real_pencil = not any(m is not None and m.imag.any() for m in (spec.h0, spec.w0))
+
     def probe(h: np.ndarray) -> tuple[bool, float]:
-        evals = np.linalg.eigvals(_real_if_exact(h))
-        real, max_imag = _reality(evals, tol)
+        evals = np.linalg.eigvals(h.real if real_pencil else _real_if_exact(h))
+        # numpy returns a real dtype only when every Im E is exactly 0
+        real, max_imag = (True, 0.0) if evals.dtype.kind == "f" else _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
         if real:
             gap = _min_gap(evals)

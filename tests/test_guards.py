@@ -117,16 +117,25 @@ CASES = {
         lambda: commutator_gap(np.zeros((2, 2)), np.zeros((2, 2)), [[0.0, 1e300], [0.0, 0.0]],
                                np.diag([1e10, -1e10])),
         NonFiniteError, "the commutator gap leaves the double-precision range"),
-    # [M, M] = 0 with M M near 2e600: the term I underflows at that scale
+    # [M, M] = 0 with M M near 2e600: the products leave the float range
+    # before they cancel, so each helper raises rather than lose the term I
     "commutator_gap-term-underflows-under-cancelling-products": (
         lambda: commutator_gap(np.eye(2), np.zeros((2, 2)), HUGE_ROTATION, HUGE_ROTATION),
-        NonFiniteError, "a term of the commutator gap underflows at the scale of its largest"),
+        NonFiniteError, "the commutator gap leaves the double-precision range"),
     "v_from_w-term-underflows-under-cancelling-products": (
         lambda: v_from_w(np.eye(2), HUGE_ROTATION, HUGE_ROTATION, 1e-300), NonFiniteError,
-        "a term of V underflows at the scale of its largest"),
+        "V leaves the double-precision range"),
     "w_from_v-term-underflows-under-cancelling-products": (
         lambda: w_from_v(np.eye(2), HUGE_ROTATION, HUGE_ROTATION, 1e-300), NonFiniteError,
-        "a term of W underflows at the scale of its largest"),
+        "W leaves the double-precision range"),
+    # V = W, about 1.05e298 I, is finite, but m W lies far below the
+    # cancelling products: a sum at their scale would lose it entirely
+    "v_from_w-huge-term-beside-cancelling-products": (
+        lambda: v_from_w(2.0**990 * np.eye(2), HUGE_ROTATION, HUGE_ROTATION, 2.0**-700),
+        NonFiniteError, "V leaves the double-precision range"),
+    "commutator_gap-commuting-huge-factors": (
+        lambda: commutator_gap(HUGE_ROTATION, -HUGE_ROTATION, HUGE_ROTATION, HUGE_ROTATION),
+        NonFiniteError, "the commutator gap leaves the double-precision range"),
     "pullback_observable-past-float-range": (
         lambda: pullback_observable([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
                                     dyson_map(kg_metric(0.3, 0.2))),
@@ -234,11 +243,8 @@ def test_guard_rejects_its_argument(name):
         call()
 
 
-# Finite results of huge factors: each is formed at power-of-two scales.
+# Finite results of huge terms.
 FINITE = {
-    "commutator_gap-commuting-huge-factors": (
-        lambda: commutator_gap(HUGE_ROTATION, -HUGE_ROTATION, HUGE_ROTATION, HUGE_ROTATION),
-        4e300),
     "kg_beta-zero-coefficient-times-overflowing-exponential": (
         lambda: kg_beta(0, 1, 0, 2, 710.0), -np.exp(-710.0) / 2),
 }

@@ -994,39 +994,36 @@ def test_resolvent_past_the_float_range_raises_without_a_warning():
 
 
 @pytest.mark.filterwarnings("error")
-def test_v_and_w_past_the_unscaled_products_range_scale_exactly():
-    # m W and V m overflow unscaled, yet V and W are finite; at a power of
-    # two scale both conversions give the scaled bits of the unit-scale ones.
-    # H = 2**20 commutes with Delta, and its products with Delta stay in the
-    # normal range at the scale of m W (test_guards has them below it).
+def test_v_and_w_past_the_unscaled_products_range_raise():
+    # m W and V m overflow, although V and W themselves would be finite: a
+    # product past the float range raises, with no floating-point warning.
     d = np.array([[0.5, 2.0], [0.0, 1.0]], dtype=complex)
     h = 2.0**20 * np.eye(2)
     rng = np.random.default_rng(5)
     w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    big = 2.0**996
-    for convert in (v_from_w, w_from_v):
-        unit = convert(w, d, h, 1e10)
-        assert np.abs(unit).max() > 1.0
-        assert np.array_equal(convert(big * w, d, h, 1e10), big * unit)
+    for convert, name in ((v_from_w, "V"), (w_from_v, "W")):
+        assert np.abs(convert(w, d, h, 1e10)).max() > 1.0
+        with pytest.raises(NonFiniteError, match=f"^{name} leaves the double-precision range"):
+            convert(2.0**996 * w, d, h, 1e10)
 
 
 @pytest.mark.filterwarnings("error")
-def test_cancelling_products_past_the_float_range_leave_the_other_terms_exact():
-    # [M, M] = 0 while M M overflows: the retry must return the bits of the
-    # call with H = 0, where no product is past the range.  In the gap the
-    # products cancel first and V survives, normal at their scale; below it
-    # the gap raises (test_guards).  In V and W the products are the
-    # smaller terms, so they must not push the larger ones out of range.
+def test_cancelling_products_past_the_float_range_raise():
+    # [M, M] = 0 while M M overflows: where the same call with H = 0 is
+    # finite, the products still leave the range before they cancel, so
+    # each helper raises instead of returning the other terms' bits.
     zero = np.zeros((2, 2))
     rng = np.random.default_rng(5)
-    v, w = (2.0**980 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            for _ in range(2))
-    r = np.array([[1.0, 1.0], [-1.0, 1.0]])
-    huge = 2.0**996 * r
-    assert commutator_gap(v, zero, huge, huge) == commutator_gap(v, zero, huge, zero)
-    m = 2.0**520 * r
-    for convert in (v_from_w, w_from_v):
-        assert np.array_equal(convert(w, m, m, 2.0**480), convert(w, m, zero, 2.0**480))
+    v = 2.0**980 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    huge = 2.0**996 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    assert np.isfinite(commutator_gap(v, zero, huge, zero))
+    with pytest.raises(NonFiniteError, match="^the commutator gap leaves"):
+        commutator_gap(v, zero, huge, huge)
+    m = 2.0**-400 * huge
+    for convert, name in ((v_from_w, "V"), (w_from_v, "W")):
+        assert np.isfinite(convert(np.eye(2), m, zero, 2.0**-600)).all()
+        with pytest.raises(NonFiniteError, match=f"^{name} leaves the double-precision range"):
+            convert(np.eye(2), m, m, 2.0**-600)
 
 
 def test_singular_resolvent_detected():

@@ -71,6 +71,21 @@ def test_one_flipped_bit_in_a_metric_coefficient_changes_the_series_digest(monke
     assert row_digest.workload_digest("series", [0]) != before
 
 
+def test_one_more_probe_changes_the_probes_digest(monkeypatch):
+    before = row_digest.workload_digest("probes", [0])
+    search = row_digest.lambda_max
+    extra = [1]
+
+    def one_more(spec, bracket, tol):
+        if extra:  # one more hamiltonian_at call in the first search; no result changes
+            extra.pop()
+            spec.hamiltonian_at(*spec.grid()[0])
+        return search(spec, bracket, tol)
+
+    monkeypatch.setattr(row_digest, "lambda_max", one_more)
+    assert row_digest.workload_digest("probes", [0]) != before
+
+
 def _flip_exit_code(main):
     def flipped(argv):
         code = main(argv)

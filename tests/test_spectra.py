@@ -434,6 +434,24 @@ def test_spectral_summaries_match_the_reference_formulas(seed, n, kind, exponent
     assert ep_proximity(system)[0] == gap
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+# A small pool makes ties and +-0.0 pairs frequent; the rest spans the range.
+_GAP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+    st.floats(1.6e308, _FLOAT_MAX), st.floats(-_FLOAT_MAX, -1.6e308),
+    st.floats(-_FLOAT_MAX, _FLOAT_MAX),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_GAP_VALUES, min_size=1, max_size=64))
+def test_min_gap_of_a_real_array_is_the_complex_casts_bit_for_bit(values):
+    real = np.array(values)
+    got = spectra._min_gap(real)
+    assert got.hex() == spectra._min_gap(real.astype(complex)).hex()  # the sign of zero too
+    assert real.tobytes() == np.array(values).tobytes()  # sorted on a copy
+
+
 def test_spectral_summaries_are_never_shared_between_systems():
     def summaries(system):
         return system._gap, system._max_imag, system._scale

@@ -448,3 +448,57 @@ def test_lambda_max_probe_bound_with_real_side_crossing(monkeypatch):
             assert abs(boundary - 1.0) <= tol
             bisection = 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
             assert probes <= 2 * bisection + 1, (bracket, tol, probes)
+
+
+def _random_pencil(n, seed):
+    """Symmetric H0 and antisymmetric W0: real at 0, complex once W0 dominates."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return FamilySpec.linear(h + h.T, w - w.T, [0.0])
+
+
+_ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+# (family, bracket, tol, (repr of the result or the error's class, number of
+# FamilySpec.hamiltonian_at calls)).  The values were recorded with a probe
+# that tested every H for an imaginary part and every spectrum for reality;
+# the probe's shortcuts for real pencils and real-dtype spectra keep them.
+BOUNDARY_SEARCHES = {
+    "linear-N1": (lambda: FamilySpec.linear([[2.0]], [[1.0]], [0.0]), (0.0, 1.0), 1e-8,
+                  ("InvalidBracketError", 2)),
+    "linear-N2": (lambda: FamilySpec.linear(np.diag([-1.0, 1.0]), _ROTATION, [0.0]),
+                  (0.0, 2.0), 1e-10, ("1.0000000000162848", 10)),
+    "linear-N4": (lambda: _random_pencil(4, 4), (0.0, 10.0), 1e-10,
+                  ("0.18005284139175065", 20)),
+    "linear-N8": (lambda: _random_pencil(8, 8), (0.0, 10.0), 1e-10,
+                  ("0.4989340193478312", 17)),
+    "kg-without-w0": (lambda: FamilySpec.kg([0.3]), (0.0, 1.0), 1e-10,
+                      ("InvalidBracketError", 2)),
+    # [[0, e^0.8 - lam], [1, 0]]: EP at e^0.8
+    "kg-with-w0": (lambda: FamilySpec.kg([0.4], w0=NILPOTENT_COUPLING), (0.0, 5.0), 1e-10,
+                   ("2.225540928517468", 4)),
+    # H(0) is exactly real, every other probe complex
+    "real-h0-complex-w0": (
+        lambda: FamilySpec.linear(np.diag([-1.0, 1.0]), [[0.0, 1j], [1j, 0.0]], [0.0]),
+        (0.0, 2.0), 1e-10, ("1.0000000000162848", 10)),
+    # eigenvalues +-sqrt(1 - lam^2) and 1e6: past the EP at 1 the pair is
+    # complex, yet real at tol 1e-6 up to lam = sqrt(2)
+    "real-pencil-complex-spectra": (
+        lambda: FamilySpec.linear(np.diag([-1.0, 1.0, 1e6]), np.pad(_ROTATION, (0, 1)), [0.0]),
+        (0.0, 3.0), 1e-6, ("1.4142136863493442", 27)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SEARCHES))
+def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
+    make, bracket, tol, expected = BOUNDARY_SEARCHES[name]
+    spec = make()
+    calls = []
+    original = FamilySpec.hamiltonian_at
+    monkeypatch.setattr(FamilySpec, "hamiltonian_at",
+                        lambda self, *args: calls.append(args) or original(self, *args))
+    try:
+        result = repr(lambda_max(spec, bracket, tol))
+    except InvalidBracketError as exc:
+        result = type(exc).__name__
+    assert (result, len(calls)) == expected

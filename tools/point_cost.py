@@ -1,4 +1,5 @@
-"""Cost of one ``reality_scan`` point, split into LAPACK calls and the rest.
+"""Cost of one ``reality_scan`` point and of one ``lambda_max`` probe,
+each split into LAPACK calls and the rest.
 
     python3 tools/point_cost.py [--src SRC ...] [--sizes 2 8 32] [--seed 0] [--repeats 50]
 
@@ -12,12 +13,18 @@ the column-normalized eigenvectors and ``inv`` of the sorted ones at
 every point, plus ``eigvalsh`` of the metric witness wherever a metric
 was assembled.
 
+A second table times ``lambda_max`` on the same family over its
+bracket, as the scan workload does: per call, its probe count (the
+``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
+``eigvals`` on the matrices the probes pass it and the rest.
+
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
-process.  Each of ``--repeats`` rounds times one scan pass per tree, in
-alternating order, and one pass of the LAPACK calls, so all of them see
-the same machine state.  The figures are medians over rounds, per point;
-the package overhead is the median of the per-round differences.
+process.  Each of ``--repeats`` rounds times one scan pass (one search)
+per tree, in alternating order, and one pass of the LAPACK calls, so
+all of them see the same machine state.  The figures are medians over
+rounds, per point (per probe); the package overhead (the rest) is the
+median of the per-round differences.
 OpenBLAS runs on one thread.  numpy and the standard library only,
 besides the package.
 """
@@ -70,10 +77,40 @@ def lapack_calls(ch, spec, rows) -> list:
     return calls
 
 
+def probe_matrices(ch, spec, bracket) -> list:
+    """The matrix each ``lambda_max`` probe hands ``eigvals``: H in real
+    arithmetic where it has no nonzero imaginary entry."""
+    hs = []
+    original = ch.FamilySpec.hamiltonian_at
+
+    def recorded(self, *args):
+        hs.append(original(self, *args))
+        return hs[-1]
+
+    ch.FamilySpec.hamiltonian_at = recorded
+    try:
+        ch.lambda_max(spec, bracket, gen.TOL)
+    finally:
+        ch.FamilySpec.hamiltonian_at = original
+    return [h if h.imag.any() else h.real for h in hs]
+
+
 def wall(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def alternate(trees, repeats: int, run_tree, run_lapack) -> tuple:
+    """Per-tree and LAPACK wall times over ``repeats`` rounds, the trees
+    in alternating order."""
+    times = [[] for _ in trees]
+    lapack = []
+    for r in range(repeats):
+        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+            times[i].append(wall(lambda: run_tree(i)))
+        lapack.append(wall(run_lapack))
+    return times, lapack
 
 
 def main(argv=None) -> int:
@@ -84,28 +121,50 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args(argv)
     trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
+    fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
+    specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in trees]
+             for n, f in fams.items()}
+
+    def per_unit(walls, lapack, count):
+        return (statistics.median(x) / count * 1e6 for x in (
+            walls, lapack, [t - l for t, l in zip(walls, lapack)]))
+
     print("| N | src | µs per point | LAPACK calls | package overhead |")
     print("|---|---|---|---|---|")
     for n in args.sizes:
-        fam = gen.linear_family(np.random.default_rng(args.seed), n)
-        specs = [ch.FamilySpec.linear(fam.h0, fam.w0, fam.lambdas) for ch in trees]
-        rows = trees[0].reality_scan(specs[0], gen.TOL).points
-        calls = lapack_calls(trees[0], specs[0], rows)
+        rows = trees[0].reality_scan(specs[n][0], gen.TOL).points
+        calls = lapack_calls(trees[0], specs[n][0], rows)
 
         def run_lapack():
             for fn, x in calls:
                 fn(x)
 
-        scans = [[] for _ in trees]
-        lapack = []
-        for r in range(args.repeats):
-            for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-                scans[i].append(wall(lambda: trees[i].reality_scan(specs[i], gen.TOL)))
-            lapack.append(wall(run_lapack))
+        scans, lapack = alternate(trees, args.repeats,
+                                  lambda i: trees[i].reality_scan(specs[n][i], gen.TOL),
+                                  run_lapack)
         for src, walls in zip(args.src, scans):
-            total, calls_t, overhead = (statistics.median(x) / len(rows) * 1e6 for x in (
-                walls, lapack, [t - l for t, l in zip(walls, lapack)]))
+            total, calls_t, overhead = per_unit(walls, lapack, len(rows))
             print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
+
+    print()
+    print("| N | src | µs per lambda_max | probes | µs per probe | eigvals | rest |")
+    print("|---|---|---|---|---|---|---|")
+    for n in args.sizes:
+        bracket = fams[n].bracket
+        probes = [probe_matrices(ch, specs[n][i], bracket) for i, ch in enumerate(trees)]
+
+        def run_eigvals():
+            for a in probes[0]:
+                np.linalg.eigvals(a)
+
+        searches, eigvals = alternate(trees, args.repeats,
+                                      lambda i: trees[i].lambda_max(specs[n][i], bracket, gen.TOL),
+                                      run_eigvals)
+        for src, hs, walls in zip(args.src, probes, searches):
+            call = statistics.median(walls) * 1e6
+            per_probe, calls_t, rest = per_unit(walls, eigvals, len(hs))
+            print(f"| {n} | {src} | {call:.0f} | {len(hs)} | {per_probe:.1f} | {calls_t:.1f} "
+                  f"| {rest:.1f} |")
     return 0
 
 

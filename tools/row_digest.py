@@ -9,6 +9,9 @@ changing them.  The script prints one SHA-256 per workload:
 - ``scan`` hashes the ``repr`` of every ``reality_scan`` row and of every
   ``lambda_max`` result, with the specs, bracket and tolerance of the
   scan workload;
+- ``probes`` hashes, for the same ``lambda_max`` calls, the ``repr`` of
+  each result with the number of ``FamilySpec.hamiltonian_at`` calls the
+  search made, which the benchmark's traced probe counter counts too;
 - ``pipeline`` hashes the eigenvalues, both bases (raw bytes) and the
   ``repr`` of ``condition_number`` that ``diagonalize`` returns for each
   problem's H0 and for H0 + lambda W0 at each of its series lambdas, or
@@ -83,16 +86,43 @@ def digest(chunks) -> str:
     return h.hexdigest()
 
 
-def scan_chunks(seed: int):
-    """``repr`` of each scan row, then of the family's ``lambda_max``."""
+def scan_specs(seed: int):
+    """``(scan spec, boundary-search spec, bracket)`` of each scan family."""
     for fam in gen.scan_inputs(np.random.default_rng(seed)):
         if fam.kind == "kg":
-            spec = FamilySpec.kg(fam.taus, fam.lambdas, w0=fam.w0)
-            bspec = FamilySpec.kg([fam.boundary_tau], [0.0], w0=fam.w0)
+            yield (FamilySpec.kg(fam.taus, fam.lambdas, w0=fam.w0),
+                   FamilySpec.kg([fam.boundary_tau], [0.0], w0=fam.w0), fam.bracket)
         else:
-            spec = bspec = FamilySpec.linear(fam.h0, fam.w0, fam.lambdas)
+            spec = FamilySpec.linear(fam.h0, fam.w0, fam.lambdas)
+            yield spec, spec, fam.bracket
+
+
+def scan_chunks(seed: int):
+    """``repr`` of each scan row, then of the family's ``lambda_max``."""
+    for spec, bspec, bracket in scan_specs(seed):
         yield from (repr(p) for p in reality_scan(spec, TOL).points)
-        yield repr(lambda_max(bspec, fam.bracket, TOL))
+        yield repr(lambda_max(bspec, bracket, TOL))
+
+
+def probes_chunks(seed: int):
+    """``repr`` of each scan family's ``lambda_max`` result, then the
+    number of ``FamilySpec.hamiltonian_at`` calls the search made."""
+    calls = 0
+    original = FamilySpec.hamiltonian_at
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    for _, bspec, bracket in scan_specs(seed):
+        calls = 0
+        FamilySpec.hamiltonian_at = counted
+        try:
+            result = lambda_max(bspec, bracket, TOL)
+        finally:
+            FamilySpec.hamiltonian_at = original
+        yield from (repr(result), repr(calls))
 
 
 def pipeline_chunks(seed: int):
@@ -189,7 +219,7 @@ def cli_chunks(seed: int):
 
 
 WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks, "series": series_chunks,
-             "cli": cli_chunks}
+             "cli": cli_chunks, "probes": probes_chunks}
 
 
 def workload_digest(name: str, seeds) -> str:
