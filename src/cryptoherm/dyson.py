@@ -9,11 +9,10 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, NotQuasiHermitianError, ShapeMismatchError
 from .metric import MetricOperator, quasi_hermiticity_residual
-from .spectra import _check_tol, _finite, _pow2_scale, as_matrix
+from .spectra import _EPS, _check_tol, _finite, _pow2_scale, as_matrix
 
 __all__ = ["DysonMap", "dyson_map", "hermitize", "pullback_observable"]
 
-_EPS = float(np.finfo(float).eps)
 _COND_GUARD = 1e12
 
 

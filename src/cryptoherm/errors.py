@@ -129,15 +129,11 @@ class SolvabilityViolatedError(CryptohermError):
 
 class SeriesOverflowError(CryptohermError):
     """The metric coefficient T^(order) lies outside the double-precision
-    range: past the convergence radius r the coefficients grow like r**-k.
-    ``order`` is ``None`` when the exact metric the series is compared
-    with lies outside it."""
+    range: past the convergence radius r the coefficients grow like r**-k."""
 
-    def __init__(self, order: int | None):
-        self.order = None if order is None else int(order)
+    def __init__(self, order: int):
+        self.order = int(order)
         super().__init__(
-            "exact matched metric exceeds the double-precision range"
-            if order is None else
             f"order-{order} metric coefficient exceeds the double-precision "
             "range (series past its convergence radius)"
         )

@@ -40,6 +40,7 @@ from .errors import (
     UnderdeterminedError,
 )
 from .spectra import (
+    _EPS,
     BiorthogonalSystem,
     _check_tol,
     _finite,
@@ -61,8 +62,6 @@ __all__ = [
     "quasi_hermiticity_residual",
 ]
 
-_ROOT2 = math.sqrt(2.0)
-_EPS = float(np.finfo(float).eps)
 # Room the Gram route leaves on each side of the rank threshold for the
 # rounding of the exact kernel, whose outcome it must reproduce.
 _GRAM_MARGIN = 2.0
@@ -147,6 +146,13 @@ class MetricFamily:
         return np.einsum("in,jn->nij", l, l.conj())
 
 
+def _projector_sum(l: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Symmetrized sum_n k_n l_n l_n^dag, unvalidated: any real weights,
+    and entries past the float range come back inf or NaN."""
+    t = (l * k) @ l.conj().T
+    return 0.5 * (t + t.conj().T)
+
+
 def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     """Build Theta(kappa) = sum_n kappa_n L_n L_n^dag for positive weights.
 
@@ -176,10 +182,8 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
         raise NonFiniteError("weights contain NaN/Inf")
     if lo <= 0.0:
         raise NonPositiveWeightError(f"weights must be positive, got {k.tolist()}")
-    l = family.system.left_vectors
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = (l * k) @ l.conj().T
-        theta = _finite(0.5 * (theta + theta.conj().T), "metric Theta(kappa)")
+        theta = _finite(_projector_sum(family.system.left_vectors, k), "metric Theta(kappa)")
     for a in (theta, k):
         a.setflags(write=False)
     return MetricOperator(theta, family.system, k)
@@ -345,7 +349,7 @@ def _gram_weights(ohs, l: np.ndarray, floor: float, tol: float):
             gap = mu[-2] - mu[-1] - delta
             sin = min(delta / gap if gap > 0.0 else math.inf,
                       res[0] / math.sqrt(mu[-2] - delta))
-            eta = _ROOT2 * sin
+            eta = math.sqrt(2.0) * sin
     return _null_line(lo, hi, floor, tol, _GRAM_MARGIN, v, eta)
 
 
@@ -359,7 +363,9 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
     * max_n ||l_n||^2)``.  The outcome is read from the N x N Gram matrix
     of the constraint rows wherever a rounding bound certifies it, and
     from the exact QR kernel otherwise; the README gives the construction,
-    the certificate and the cost.
+    the certificate and the cost.  The threshold has no rounding floor, so
+    a ``tol`` below a few eps reads the rounding of an exact null line as
+    rank: a consistent set then raises InconsistentError.
 
     Raises
     ------

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CryptohermError, DefectiveError, InvalidBracketError, NonFiniteError,
-                     SeriesOverflowError)
-from .metric import MetricFamily, assemble_metric, kg_hamiltonian
+from .errors import CryptohermError, DefectiveError, InvalidBracketError, NonFiniteError
+from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonian
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_min_gap, _pow2_scale, _real, _real_if_exact, _reality, ep_proximity,
-                      spectrum_is_real)
+from .spectra import (_finite, _min_gap, _pow2_scale, _real, _real_if_exact, _reality,
+                      ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -327,39 +326,36 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     """Exact metric of the perturbed Hamiltonian, gauge-matched to the
     problem's unperturbed metric.
 
-    The perturbed family of metrics is assembled from the perturbed
-    eigenbasis; its weights are chosen so the diagonal biorthogonal
-    components in the *unperturbed* basis equal Theta's (the diagonal of
-    the problem's X^(0) = R^dag Theta R).  That is exactly
-    the gauge the Taylor series uses (zero diagonal for every correction),
-    so the result is directly comparable to the truncated series.  Raises
-    SeriesOverflowError (``order`` None) when that metric, and
-    NonFiniteError when H + lam W_lam, lies outside the float range.
+    Sum_n kappa_n L_n L_n^dag over the perturbed left eigenvectors, with
+    weights that make its diagonal biorthogonal components in the
+    *unperturbed* basis equal Theta's (the diagonal of the problem's
+    X^(0) = R^dag Theta R): the zero-diagonal gauge of the Taylor series,
+    so the result is the series' exact target.  Nothing keeps those
+    weights positive, so away from lam = 0 it can be indefinite, yet it
+    solves the quasi-Hermiticity relation for H + lam W_lam.  Raises
+    NonFiniteError when it, or H + lam W_lam, lies outside the float range.
     """
     h_lam = problem.hamiltonian_at(lam)
     system = diagonalize(h_lam, problem.tol)
     require_real_nondegenerate(system)
-    r0 = problem.system.right_vectors
     basis = problem._eigenbasis
-    g = system.left_vectors.conj().T @ r0          # g[n, m] = L_n(lam)^dag R0_m
+    g = system.left_vectors.conj().T @ problem.system.right_vectors  # L_n(lam)^dag R0_m
     # Solved and assembled at X^(0)'s power-of-two scale, which is exact,
-    # so only a metric that is itself past the float range overflows.
+    # so only a matrix that is itself past the float range overflows.
     weights = np.linalg.solve((np.abs(g) ** 2).T, np.diag(basis.x0).real)
-    l = system.left_vectors
-    t = (l * weights) @ l.conj().T
-    t = 0.5 * (t + t.conj().T)
-    if not math.isfinite(float(np.abs(t).max()) / basis.x0_scale):
-        raise SeriesOverflowError(None)
-    return t / basis.x0_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _projector_sum(system.left_vectors, weights) / basis.x0_scale
+        return _finite(t, "exact matched metric")
 
 
 def series_vs_exact(problem: PerturbationProblem, order: int, lambdas) -> list[tuple[float, float]]:
     """Error table (lam, ||T_truncated(lam) - T_exact(lam)||_F).
 
-    Every grid value must lie inside the reality domain of the perturbed
-    family; per-point failures (defective or complex-spectrum points) and
-    series solvability failures propagate, and a lam outside the float
-    range raises NonFiniteError.  As lam -> 0 the log-log slope
+    The exact side is :func:`exact_matched_metric`, which may be
+    indefinite.  Every grid value must lie inside the reality domain of
+    the perturbed family; per-point failures (defective or complex-spectrum
+    points) and series solvability failures propagate, and a lam outside
+    the float range raises NonFiniteError.  As lam -> 0 the log-log slope
     of the error column approaches order + 1.
     """
     try:

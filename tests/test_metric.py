@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -44,6 +44,7 @@ from oracles import (
 )
 
 TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -114,6 +115,41 @@ def test_assemble_scale_covariance_generic():
     a = assemble_metric(family, s * kappa).theta
     b = s * assemble_metric(family, kappa).theta
     assert np.allclose(a, b, rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    j=st.integers(-600, 600),
+    mantissa=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+)
+@example(seed=0, n=4, j=-600, mantissa=1.5)
+@example(seed=1, n=6, j=600, mantissa=1.9)
+def test_assemble_scale_covariance_property(seed, n, j, mantissa):
+    rng = np.random.default_rng(seed)
+    h, _, _ = random_real_spectrum_matrix(rng, n)
+    family = MetricFamily(diagonalize(h, TOL))
+    l = family.system.left_vectors
+    # With every real and imaginary part of L zero or in [2**-100, 2**20],
+    # and weights in [0.5, 2], each product the sum forms, and each nonzero
+    # cancellation of two of them, stays in the normal range under 2**j.
+    parts = np.abs(np.concatenate([l.real.ravel(), l.imag.ravel()]))
+    assume(parts[parts > 0.0].min() >= 2.0**-100 and parts.max() <= 2.0**20)
+    kappa = rng.uniform(0.5, 2.0, n)
+    theta = assemble_metric(family, kappa).theta
+    s = mantissa * 2.0**j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = assemble_metric(family, 2.0**j * kappa).theta
+        scaled = assemble_metric(family, s * kappa).theta
+    assert np.array_equal(exact, 2.0**j * theta)
+    # Each side is s * Theta(kappa) within (n + 5) u |L| diag(kappa) |L|^dag
+    # entrywise, u = eps / 2: n complex products summed, the rounding of
+    # s * kappa or of s * Theta, and the symmetrization.  Twice that bounds
+    # their difference.
+    bound = (n + 5) * EPS * s * ((np.abs(l) * kappa) @ np.abs(l).T)
+    assert np.all(np.abs(scaled - s * theta) <= bound)
 
 
 def test_assemble_rejects_nonpositive_weights():
@@ -462,6 +498,74 @@ def test_fix_ambiguity_scale_invariance(seed, n, kind, j):
     assert scaled == outcome
     if kappa is not None:
         assert np.max(np.abs(scaled_kappa - kappa)) <= 1e-12 * np.max(np.abs(kappa))
+
+
+def _chain(h, obs):
+    """Outcome class, system and weights of diagonalize, MetricFamily and
+    fix_ambiguity on one H and observable set."""
+    system = diagonalize(h, TOL)
+    try:
+        family = MetricFamily(system)
+    except SpectrumNotRealError:
+        return "SpectrumNotRealError", system, None
+    outcome, kappa = _outcome(family, obs)
+    return outcome, system, kappa
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["planted", "indefinite", "hamiltonian", "random", "complex"]),
+)
+def test_permutation_invariance(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    h, e, s = random_real_spectrum_matrix(rng, n)
+    family = MetricFamily(diagonalize(h, TOL))
+    if kind == "complex":
+        # one eigenvalue 0.5 off the real axis, over 1e9 times the reality
+        # threshold, and the real parts stay 0.3 apart, so both runs sort alike
+        e = e.astype(complex)
+        e[rng.integers(n)] += 0.5j
+        h = s @ np.diag(e) @ np.linalg.inv(s)
+        obs = [h]
+    else:
+        obs = _observable_set(rng, family, h, kind)
+        # away from the rank threshold: each singular value of the
+        # constraint rows is 1e3 times above or below it, and the null
+        # vector's entries are 1e-3 of its largest or more in magnitude
+        sv, vt, floor = _constraint_svd(family, [np.asarray(o, dtype=complex) for o in obs])
+        thr = TOL * max(float(sv[0]), floor)
+        assume(np.all((sv > 1e3 * thr) | (sv < 1e-3 * thr)))
+        assume(kind not in ("planted", "indefinite")
+               or np.abs(vt[-1]).min() >= 1e-3 * np.abs(vt[-1]).max())
+    perm = rng.permutation(n)
+    outcome, system, kappa = _chain(h, obs)
+    p_outcome, p_system, p_kappa = _chain(h[np.ix_(perm, perm)],
+                                          [o[np.ix_(perm, perm)] for o in obs])
+    assert p_outcome == outcome
+    # A backward-stable eig returns the eigenvalues of H + E with
+    # ||E|| <= 10 n eps ||H||; Bauer-Fike moves each by at most cond(R) ||E||,
+    # and the two runs differ by at most twice that.
+    cond = max(system.condition_number, p_system.condition_number)
+    h_norm = float(np.linalg.norm(h, 2))
+    assert np.all(np.abs(p_system.eigenvalues - system.eigenvalues)
+                  <= 2.0 * 10.0 * n * EPS * h_norm * cond)
+    if kappa is None:
+        return
+    # The eigenvectors move by cond^2 ||E|| / gap relative to their size,
+    # the constraint rows, quadratic in L, by twice that plus their own
+    # rounding (n eps), all relative to the constraint scale; the null
+    # line turns by that over sigma_{N-1}, and kappa = v / v_1 moves by the
+    # angle times (1 + max |kappa|) ||kappa||.  Twice that bounds both runs.
+    if n > 1:
+        gap = float(np.min(np.diff(e.real)))
+        rows = 10.0 * n * EPS * (2.0 * cond**2 * h_norm / gap + 1.0)
+        angle = rows * floor / float(sv[-2])
+        bound = 2.0 * angle * (1.0 + np.abs(kappa).max()) * np.linalg.norm(kappa)
+    else:
+        bound = 0.0  # kappa = [1]
+    assert np.max(np.abs(p_kappa - kappa)) <= bound
 
 
 def _count_kernel_calls(monkeypatch) -> list:

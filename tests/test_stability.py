@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from cryptoherm import (
     FamilySpec,
     InvalidBracketError,
+    MetricFamily,
+    NonFiniteError,
     PerturbationProblem,
-    SeriesOverflowError,
+    assemble_metric,
+    diagonalize,
     exact_matched_metric,
     kg_hamiltonian,
     kg_metric,
     lambda_max,
+    quasi_hermiticity_residual,
     reality_scan,
     series_vs_exact,
 )
@@ -256,14 +260,32 @@ def test_series_vs_exact_where_the_eigenbasis_metric_leaves_the_float_range():
         assert abs(err - 2.0**1023 * ref_err) <= 1e-12 * 2.0**1023 * ref_err
 
 
-def test_exact_metric_past_the_float_range_raises_series_overflow():
+def test_exact_metric_past_the_float_range_raises_non_finite():
     big = PerturbationProblem.build(FLOAT_EDGE_H, np.finfo(float).max * FLOAT_EDGE_THETA,
                                     [FLOAT_EDGE_W], TOL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SeriesOverflowError) as info:
+        with pytest.raises(NonFiniteError, match="exact matched metric"):
             exact_matched_metric(big, 1e-3)
-    assert info.value.order is None
+
+
+def test_exact_matched_metric_may_be_indefinite():
+    # A benchmark pipeline problem (N = 2, first EP at lambda ~ 20.73) at
+    # lambda = 6.218: the matched weights give eigenvalues near -0.121 and
+    # 1.707, a solution of the quasi-Hermiticity relation but not a metric.
+    h = np.array([[-1.103770933668789, -0.5256527081843316],
+                  [-0.6800093419640896, 1.117840199808221]])
+    w = np.array([[0.14436807176508895, 0.03728285011916122],
+                  [-0.658386034238113, -0.14436807176508895]])
+    lam = 6.218
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), [1.0, 0.4796522637905347])
+    problem = PerturbationProblem.build(h, theta, [w], TOL)
+    exact = exact_matched_metric(problem, lam)
+    assert float(np.linalg.eigvalsh(exact).min()) < 0.0
+    assert quasi_hermiticity_residual(h + lam * w, exact) <= TOL
+    # it is still the series' target: here the series is exact from order 1
+    [(_, err)] = series_vs_exact(problem, 1, [lam])
+    assert err <= 1e-12 * float(np.linalg.norm(exact))
 
 
 def per_point_spectrum(h, tol, complex_arithmetic=False):
