@@ -76,7 +76,7 @@ from .perturbation import (
     hidden_hermiticity_test,
     metric_series,
 )
-from .spectra import _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
+from .spectra import _lapack, _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
 from .stability import FamilySpec, ScanReport, lambda_max, reality_scan
 
 SCAN_CSV_HEADER = (
@@ -279,7 +279,7 @@ def cmd_hermitize(args) -> tuple[dict, str]:
         "h_image": matrix_to_doc(h_image, "h_image"),
         "hermiticity_defect": defect,
         "hermiticity_defect_rel": rel,
-        "eigenvalues": _pairs(np.sort_complex(np.linalg.eigvals(h_image))),
+        "eigenvalues": _pairs(np.sort_complex(_lapack("eigvals", h_image))),
         "metric_condition_number": omega.condition_number,
         "ill_conditioned": bool(omega.ill_conditioned),
     }

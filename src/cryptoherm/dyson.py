@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, NotQuasiHermitianError, ShapeMismatchError
 from .metric import MetricOperator, quasi_hermiticity_residual
-from .spectra import _EPS, _check_tol, _finite, _pow2_scale, as_matrix
+from .spectra import _EPS, _check_tol, _finite, _lapack, _pow2_scale, as_matrix
 
 __all__ = ["DysonMap", "dyson_map", "hermitize", "pullback_observable"]
 
@@ -47,7 +47,7 @@ def dyson_map(theta: MetricOperator) -> DysonMap:
     """
     th = as_matrix(theta.theta, "theta")
     # halves before the sum, so entries near the float limit cannot overflow
-    w, u = np.linalg.eigh(0.5 * th + 0.5 * th.conj().T)
+    w, u = _lapack("eigh", 0.5 * th + 0.5 * th.conj().T)
     if w[0] <= 0.0 or w[0] <= w.size * _EPS * w[-1]:
         raise NotPositiveDefiniteError(
             f"metric has smallest eigenvalue {w[0]:.3e}; not positive "

@@ -44,6 +44,7 @@ from .spectra import (
     BiorthogonalSystem,
     _check_tol,
     _finite,
+    _lapack,
     _pow2_scale,
     _real,
     as_matrix,
@@ -111,7 +112,7 @@ def metric_from_matrix(theta, tol: float) -> MetricOperator:
             f"metric is not Hermitian: defect {defect / s:.3e} exceeds tolerance"
         )
     th = 0.5 * (ths + ths.conj().T) / s
-    smallest = float(np.linalg.eigvalsh(th).min())
+    smallest = float(_lapack("eigvalsh", th).min())
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
             f"metric has non-positive eigenvalue {smallest:.3e}"
@@ -320,7 +321,7 @@ def _gram_weights(ohs, l: np.ndarray, floor: float, tol: float):
     # adds about N eps ||G|| <= 4 N eps * size (trace G <= 4 size).  Both
     # together stay under 16 (N + M + 1) eps * size.
     delta = 16.0 * (n + len(ohs) + 1) * _EPS * size
-    mu, vecs = np.linalg.eigh(g)
+    mu, vecs = _lapack("eigh", g)
     mu = mu[::-1]
     lo = np.sqrt(np.maximum(mu - delta, 0.0))
     hi = np.sqrt(np.maximum(mu + delta, 0.0))

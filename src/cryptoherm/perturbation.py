@@ -58,7 +58,9 @@ from .metric import MetricOperator, metric_from_matrix, quasi_hermiticity_residu
 from .spectra import (
     BiorthogonalSystem,
     _check_tol,
+    _cond,
     _finite,
+    _lapack,
     _pow2_scale,
     as_matrix,
     diagonalize,
@@ -377,7 +379,7 @@ def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
             th_inv = (r / theta.weights) @ r.conj().T
         else:
             try:
-                l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (th + th.conj().T)))
+                l_inv = _lapack("inv", np.linalg.cholesky(0.5 * (th + th.conj().T)))
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefiniteError(f"metric inversion failed: {exc}") from exc
             th_inv = l_inv.conj().T @ l_inv
@@ -426,7 +428,7 @@ def leading_delta(w0, h, theta, tol: float) -> np.ndarray:
 
 def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:
     m = _taylor((np.eye(len(delta), dtype=complex), delta), lam, len(delta))
-    cond = float(np.linalg.cond(m))
+    cond = _cond(m)
     if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
         raise SingularResolventError(f"1 + lambda*Delta has condition number {cond:.3e}")
     return m
@@ -462,7 +464,7 @@ def v_from_w(w, delta, h, lam: float) -> np.ndarray:
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         num = m @ w + delta @ h - h @ delta
-        return _finite(np.linalg.solve(m.T, num.T).T, "V")
+        return _finite(_lapack("solve", m.T, num.T).T, "V")
 
 
 def w_from_v(v, delta, h, lam: float) -> np.ndarray:
@@ -477,7 +479,7 @@ def w_from_v(v, delta, h, lam: float) -> np.ndarray:
     v, delta, h = _check_trio(v, delta, h)
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(np.linalg.solve(m, v @ m + h @ delta - delta @ h), "W")
+        return _finite(_lapack("solve", m, v @ m + h @ delta - delta @ h), "W")
 
 
 def commutator_gap(v, w, delta0, h) -> float:

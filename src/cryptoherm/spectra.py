@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     DefectiveError,
@@ -31,6 +32,63 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _raiser(message: str):
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return fail
+
+
+_NOT_CONVERGED = _raiser("Eigenvalues did not converge")
+_SINGULAR = _raiser("Singular matrix")
+
+# routine -> (gufunc, real signature, complex signature, error callback),
+# each as numpy.linalg's wrapper of that routine chooses it
+_ROUTINES = {
+    "eig": (_umath_linalg.eig, "d->DD", "D->DD", _NOT_CONVERGED),
+    "eigvals": (_umath_linalg.eigvals, "d->D", "D->D", _NOT_CONVERGED),
+    "eigh": (_umath_linalg.eigh_lo, "d->dd", "D->dD", _NOT_CONVERGED),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", "D->d", _NOT_CONVERGED),
+    "svdvals": (_umath_linalg.svd, "d->d", "D->d", _raiser("SVD did not converge")),
+    "inv": (_umath_linalg.inv, "d->d", "D->D", _SINGULAR),
+    "solve": (_umath_linalg.solve, "dd->d", "DD->D", _SINGULAR),
+    "solve1": (_umath_linalg.solve1, "dd->d", "DD->D", _SINGULAR),
+}
+
+
+def _lapack(routine: str, *operands: np.ndarray):
+    """numpy.linalg's ``routine`` without its per-call Python wrapper.
+
+    ``eig``, ``eigvals``, ``eigh``, ``eigvalsh`` (lower triangle),
+    ``svdvals`` (``svd(a, compute_uv=False)``), ``inv`` and ``solve(a, b)``
+    call the LAPACK gufunc that numpy.linalg calls, with the signature it
+    picks (the complex one when any operand is complex), under the same
+    ``np.errstate``, and raise LinAlgError with its message.  Results match
+    numpy.linalg's byte for byte, in values, dtype and strides: ``eig`` and
+    ``eigvals`` of a real matrix come back real (``.real`` views of the
+    complex result) exactly when every imaginary part of the eigenvalues
+    is zero.
+
+    The checks numpy.linalg makes first are skipped: square operands of a
+    supported dtype and, for ``eig`` and ``eigvals``, finite entries.
+    Callers hand over square ``float64`` or ``complex128`` arrays, and every
+    matrix they decompose is finite: :func:`as_matrix` checks it, or
+    ``lambda_max`` its bracket ends (H is affine in lambda).
+    """
+    if routine == "solve" and operands[1].ndim == 1:
+        routine = "solve1"
+    gufunc, real_sig, complex_sig, fail = _ROUTINES[routine]
+    # one operand, or solve's two
+    real = operands[0].dtype.kind == "f" and operands[-1].dtype.kind == "f"
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        out = gufunc(*operands, signature=real_sig if real else complex_sig)
+    # np.count_nonzero tests w.imag.any() in a third of its time
+    if real and routine == "eigvals" and not np.count_nonzero(out.imag):
+        return out.real
+    if real and routine == "eig" and not np.count_nonzero(out[0].imag):
+        return out[0].real, out[1].real
+    return out
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -121,7 +179,7 @@ def _fro(x: np.ndarray) -> float:
 def _cond(x: np.ndarray) -> float:
     """Spectral condition number of ``x``; ``inf`` when it is singular.
     Eigenvector bases are gated on ``_cond(vr / _col_norms(vr))``."""
-    sv = np.linalg.svd(x, compute_uv=False)
+    sv = _lapack("svdvals", x)
     # Python floats: a ratio past the float range is inf, with no warning
     return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
 
@@ -229,7 +287,7 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     n = h.shape[0]
 
     a = _real_if_exact(h)
-    evals, vr = np.linalg.eig(a)
+    evals, vr = _lapack("eig", a)
     if not np.isfinite(evals).all():
         # LAPACK returns NaN for an entry whose modulus overflows
         raise NonFiniteError("the eigenvalues of H leave the float range")
@@ -246,7 +304,7 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     order = np.lexsort((evals.imag, evals.real))
     evals, vr = evals[order], vr[:, order]
     vr = vr / _col_norms(vr)
-    vl = np.linalg.inv(vr).conj().T
+    vl = _lapack("inv", vr).conj().T
 
     # Residuals can only be as good as eps * cond allows; gate on the
     # achievable bound so well-posed inputs never fail spuriously.  They are

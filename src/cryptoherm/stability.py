@@ -18,8 +18,8 @@ from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonia
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_finite, _min_gap, _pow2_scale, _real, _real_if_exact, _reality,
-                      ep_proximity, spectrum_is_real)
+from .spectra import (_finite, _lapack, _min_gap, _pow2_scale, _real, _real_if_exact,
+                      _reality, ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -160,7 +160,7 @@ def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
         try:
             family = MetricFamily(system)
             witness = assemble_metric(family, np.ones(system.dim))
-            theta_min = float(np.linalg.eigvalsh(witness.theta).min())
+            theta_min = float(_lapack("eigvalsh", witness.theta).min())
             metric_exists = theta_min > 0.0
         except CryptohermError as exc:
             note = type(exc).__name__.removesuffix("Error")
@@ -247,8 +247,8 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     real_pencil = not any(m is not None and m.imag.any() for m in (spec.h0, spec.w0))
 
     def probe(h: np.ndarray) -> tuple[bool, float]:
-        evals = np.linalg.eigvals(h.real if real_pencil else _real_if_exact(h))
-        # numpy returns a real dtype only when every Im E is exactly 0
+        evals = _lapack("eigvals", h.real if real_pencil else _real_if_exact(h))
+        # a real dtype comes back only when every Im E is exactly 0
         real, max_imag = (True, 0.0) if evals.dtype.kind == "f" else _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
         if real:
@@ -342,7 +342,7 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     g = system.left_vectors.conj().T @ problem.system.right_vectors  # L_n(lam)^dag R0_m
     # Solved and assembled at X^(0)'s power-of-two scale, which is exact,
     # so only a matrix that is itself past the float range overflows.
-    weights = np.linalg.solve((np.abs(g) ** 2).T, np.diag(basis.x0).real)
+    weights = _lapack("solve", (np.abs(g) ** 2).T, np.diag(basis.x0).real)
     with np.errstate(over="ignore", invalid="ignore"):
         t = _projector_sum(system.left_vectors, weights) / basis.x0_scale
         return _finite(t, "exact matched metric")

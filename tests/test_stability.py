@@ -22,6 +22,7 @@ from cryptoherm import (
     reality_scan,
     series_vs_exact,
 )
+from cryptoherm import spectra, stability
 
 TOL = 1e-10
 
@@ -198,13 +199,14 @@ def test_lambda_max_with_bracket_ends_summing_past_the_float_range():
 
 def test_lambda_max_probes_in_the_arithmetic_of_the_family(monkeypatch):
     dtypes = []
-    eigvals = np.linalg.eigvals
+    lapack = stability._lapack
 
-    def recorded(a):
-        dtypes.append(a.dtype)
-        return eigvals(a)
+    def recorded(routine, *operands):
+        if routine == "eigvals":
+            dtypes.append(operands[0].dtype)
+        return lapack(routine, *operands)
 
-    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    monkeypatch.setattr(stability, "_lapack", recorded)
     h = np.diag([-1.0, 1.0]).astype(complex)
     # eigenvalues +-sqrt(1 - lam^2) for both couplings: EP at lam = 1
     for w, dtype in [(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.float64),
@@ -393,8 +395,14 @@ def test_scan_decomposes_each_point_once(monkeypatch):
     # a Defective row is built from the spectrum and condition number that
     # diagonalize measured; the scan never decomposes H a second time
     spec = sqrt_family(np.linspace(0.0, 2.0, 21))
-    eig, calls = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    lapack, calls = spectra._lapack, []
+
+    def recorded(routine, *operands):
+        if routine == "eig":
+            calls.append(operands[0].shape)
+        return lapack(routine, *operands)
+
+    monkeypatch.setattr(spectra, "_lapack", recorded)
     report = reality_scan(spec, TOL)
     assert [p.lam for p in report.points if p.note == "Defective"] == [1.0]
     assert len(calls) == len(report)

@@ -7,11 +7,13 @@ For each size N, ``perfbench/gen.py`` draws one linear scan family
 H0 + lambda W0 (30 lambdas over [0, 2], first exceptional point at
 lambda = 1, so about half the points have a non-real spectrum) from
 ``numpy.random.default_rng(seed)``.  The script times ``reality_scan``
-over the family and, separately, the LAPACK calls its points make, each
-through its numpy wrapper and on the same matrices: ``eig``, the SVD of
-the column-normalized eigenvectors and ``inv`` of the sorted ones at
-every point, plus ``eigvalsh`` of the metric witness wherever a metric
-was assembled.
+over the family and, separately, the LAPACK calls its points make, on
+the same matrices: ``eig``, the SVD of the column-normalized eigenvectors
+and ``inv`` of the sorted ones at every point, plus ``eigvalsh`` of the
+metric witness wherever a metric was assembled.  Each call goes through
+the package's LAPACK entry, ``cryptoherm.spectra._lapack``, as the
+package makes it, the entry's ``np.errstate`` included; the package
+overhead is everything else.
 
 A second table times ``lambda_max`` on the same family over its
 bracket, as the scan workload does: per call, its probe count (the
@@ -20,9 +22,11 @@ bracket, as the scan workload does: per call, its probe count (the
 
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
-process.  Each of ``--repeats`` rounds times one scan pass (one search)
-per tree, in alternating order, and one pass of the LAPACK calls, so
-all of them see the same machine state.  The figures are medians over
+process.  The LAPACK calls are timed through the entry of this
+checkout's ``src``, whatever the trees compared.  Each of ``--repeats``
+rounds times one scan pass (one search) per tree, in alternating order,
+and one pass of the LAPACK calls, so all of them see the same machine
+state.  The figures are medians over
 rounds, per point (per probe); the package overhead (the rest) is the
 median of the per-round differences.
 OpenBLAS runs on one thread.  numpy and the standard library only,
@@ -59,21 +63,21 @@ def load_package(src: Path, name: str):
     return mod
 
 
-def lapack_calls(ch, spec, rows) -> list:
-    """``(function, argument)`` for every LAPACK call the scan's points make."""
+def lapack_calls(ch, entry, spec, rows) -> list:
+    """``(routine, argument)`` of the LAPACK ``entry`` for every call the
+    scan's points make."""
     calls = []
     for p in rows:
         a = spec.hamiltonian_at(p.lam).real
-        evals, vr = np.linalg.eig(a)
+        evals, vr = entry("eig", a)
         order = np.lexsort((evals.imag, evals.real))
-        calls += [(np.linalg.eig, a),
-                  (lambda x: np.linalg.svd(x, compute_uv=False),
-                   vr / np.linalg.norm(vr, axis=0)),
-                  (np.linalg.inv, vr[:, order] / np.linalg.norm(vr[:, order], axis=0))]
+        calls += [("eig", a),
+                  ("svdvals", vr / np.linalg.norm(vr, axis=0)),
+                  ("inv", vr[:, order] / np.linalg.norm(vr[:, order], axis=0))]
         if p.note == "":
             family = ch.MetricFamily(ch.diagonalize(spec.hamiltonian_at(p.lam), gen.TOL))
             theta = ch.assemble_metric(family, np.ones(a.shape[0])).theta
-            calls.append((np.linalg.eigvalsh, theta))
+            calls.append(("eigvalsh", theta))
     return calls
 
 
@@ -121,6 +125,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args(argv)
     trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
+    entry = load_package(ROOT / "src", "cryptoherm_entry").spectra._lapack
     fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
     specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in trees]
              for n, f in fams.items()}
@@ -133,11 +138,11 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|")
     for n in args.sizes:
         rows = trees[0].reality_scan(specs[n][0], gen.TOL).points
-        calls = lapack_calls(trees[0], specs[n][0], rows)
+        calls = lapack_calls(trees[0], entry, specs[n][0], rows)
 
         def run_lapack():
-            for fn, x in calls:
-                fn(x)
+            for routine, x in calls:
+                entry(routine, x)
 
         scans, lapack = alternate(trees, args.repeats,
                                   lambda i: trees[i].reality_scan(specs[n][i], gen.TOL),
@@ -155,7 +160,7 @@ def main(argv=None) -> int:
 
         def run_eigvals():
             for a in probes[0]:
-                np.linalg.eigvals(a)
+                entry("eigvals", a)
 
         searches, eigvals = alternate(trees, args.repeats,
                                       lambda i: trees[i].lambda_max(specs[n][i], bracket, gen.TOL),
