@@ -76,7 +76,7 @@ from .perturbation import (
     hidden_hermiticity_test,
     metric_series,
 )
-from .spectra import _lapack, _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
+from .spectra import _fro, _lapack, _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
 from .stability import FamilySpec, ScanReport, lambda_max, reality_scan
 
 SCAN_CSV_HEADER = (
@@ -272,9 +272,9 @@ def cmd_hermitize(args) -> tuple[dict, str]:
     # entries near the float limit cannot overflow their squares.
     s = _pow2_scale(h_image)
     hs = h_image * s
-    defect_s = float(np.linalg.norm(hs - hs.conj().T))
+    defect_s = _fro(hs - hs.conj().T)
     defect = defect_s / s
-    rel = defect_s / max(float(np.linalg.norm(hs)), 1e-300)
+    rel = defect_s / max(_fro(hs), 1e-300)
     report = {
         "h_image": matrix_to_doc(h_image, "h_image"),
         "hermiticity_defect": defect,

@@ -44,6 +44,7 @@ from .spectra import (
     BiorthogonalSystem,
     _check_tol,
     _finite,
+    _fro,
     _lapack,
     _pow2_scale,
     _real,
@@ -106,8 +107,8 @@ def metric_from_matrix(theta, tol: float) -> MetricOperator:
     tol = _check_tol(tol)
     s = _pow2_scale(th)
     ths = th * s
-    defect = float(np.linalg.norm(ths - ths.conj().T))
-    if defect > tol * max(s, float(np.linalg.norm(ths))):
+    defect = _fro(ths - ths.conj().T)
+    if defect > tol * max(s, _fro(ths)):
         raise NotPositiveDefiniteError(
             f"metric is not Hermitian: defect {defect / s:.3e} exceeds tolerance"
         )
@@ -203,8 +204,8 @@ def quasi_hermiticity_residual(h, theta) -> float:
         )
     h = h * _pow2_scale(h)
     th = th * _pow2_scale(th)
-    num = float(np.linalg.norm(h.conj().T @ th - th @ h))
-    denom = float(np.linalg.norm(h)) * float(np.linalg.norm(th))
+    num = _fro(h.conj().T @ th - th @ h)
+    denom = _fro(h) * _fro(th)
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / denom

@@ -60,6 +60,7 @@ from .spectra import (
     _check_tol,
     _cond,
     _finite,
+    _fro,
     _lapack,
     _pow2_scale,
     as_matrix,
@@ -253,8 +254,8 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
     their squared entries cannot overflow.
     """
     s = _pow2_scale(whole)
-    num = float(np.linalg.norm(part * s))
-    return num / max(unit * s, float(np.linalg.norm(whole * s))) if num else 0.0
+    num = _fro(part * s)
+    return num / max(unit * s, _fro(whole * s)) if num else 0.0
 
 
 def solve_order(problem: PerturbationProblem, k: int):
@@ -498,7 +499,7 @@ def commutator_gap(v, w, delta0, h) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _finite((v - w) - (delta0 @ h - h @ delta0), "the commutator gap")
         s = _pow2_scale(gap)  # exact, so the norm's squares cannot overflow
-        return float(_finite(np.linalg.norm(gap * s) / s, "the commutator gap"))
+        return _finite(_fro(gap * s) / s, "the commutator gap")
 
 
 def hidden_hermiticity_test(w, delta, h, theta, lam: float, tol: float) -> tuple[bool, float]:

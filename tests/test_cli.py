@@ -349,6 +349,8 @@ def test_scan_empty_grid_exits_2(capsys):
     (("hermitize", "--h", "H", "--metric", "M", "--beta", "0.0"), "--beta sets the builtin"),
     (("perturb", "--kg", "0.2", "--metric", "M", "--beta", "0.25"), "--beta sets the builtin"),
     (("diag", "--kg", "0.3", "--out", ""), "[Errno 21] Is a directory: '.'"),
+    # a flag the chosen mode needs
+    (("scan", "--family", "kg", "--lambda", "0"), "--family kg requires --tau"),
 ])
 def test_empty_or_unread_flag_exits_2(capsys, matrices, argv, message):
     files = {"H": matrices("h", [[0, 1], [1, 0]]), "W": matrices("w", [[0, -1], [0, 0]]),

@@ -1,9 +1,18 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import cryptoherm as ch
+
 ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "tools" / "point_cost.py"
+_SPEC = importlib.util.spec_from_file_location("point_cost", _PATH)
+point_cost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(point_cost)
 
 
 def test_one_round_prints_the_point_and_probe_tables():
@@ -21,3 +30,33 @@ def test_one_round_prints_the_point_and_probe_tables():
         # at least both bracket ends; the split adds up to the probe's cost
         assert int(count) >= 2 and float(call) > 0.0
         assert abs(float(eigvals) + float(rest) - float(per_probe)) <= 0.2
+
+
+def test_recorded_calls_are_the_calls_the_scan_makes():
+    routines = dict(ch.spectra._ROUTINES)
+    spec = ch.FamilySpec.linear([[0, 1], [1, 0]], [[0, 0], [-1, 0]], [0.0, 0.5, 1.0, 1.5])
+    calls = point_cost.recorded(ch, lambda: ch.reality_scan(spec, 1e-10))
+    # the recorder is gone once the pass is over
+    assert ch.spectra._ROUTINES == routines
+    assert [p.note for p in ch.reality_scan(spec, 1e-10).points] == [
+        "", "", "Defective", "SpectrumNotReal"]
+    # the Jordan block at lambda = 1 fails the condition gate before any inv
+    assert [r for r, _ in calls] == ["eig", "svdvals", "inv", "eigvalsh"] * 2 + [
+        "eig", "svdvals", "eig", "svdvals", "inv"]
+    assert np.array_equal(calls[8][1][0], [[0.0, 1.0], [0.0, 0.0]])
+    for routine, operands in calls:
+        ch.spectra._lapack(routine, *operands)
+
+
+def test_a_kg_family_records_its_scan_and_search():
+    fam = point_cost.gen.kg_family(np.random.default_rng(0))
+    spec = ch.FamilySpec.kg(fam.taus, fam.lambdas, w0=fam.w0)
+    scan = point_cost.recorded(ch, lambda: ch.reality_scan(spec, 1e-10))
+    rows = ch.reality_scan(spec, 1e-10).points
+    routines = [r for r, _ in scan]
+    assert routines.count("eig") == len(rows) == fam.taus.size * fam.lambdas.size
+    assert routines.count("eigvalsh") == sum(p.note == "" for p in rows) > 0
+    bspec = ch.FamilySpec.kg([fam.boundary_tau], [0.0], w0=fam.w0)
+    search = point_cost.recorded(ch, lambda: ch.lambda_max(bspec, fam.bracket, 1e-10))
+    assert {r for r, _ in search} == {"eigvals"}
+    assert len(search) == point_cost.probe_count(ch, bspec, fam.bracket) >= 2

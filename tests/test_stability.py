@@ -480,6 +480,19 @@ def test_lambda_max_probe_bound_with_real_side_crossing(monkeypatch):
             assert probes <= 2 * bisection + 1, (bracket, tol, probes)
 
 
+def test_lambda_max_probes_the_midpoint_when_a_step_would_reach_the_kept_point(monkeypatch):
+    # [[0, 1], [e - lam, 0]] turns complex past lam = e = 2 - 2**-52; the
+    # bracket's ends are e's two float neighbours, so ulp(2.0) is the pair's
+    # width and the minimum step from b = 2.0 would land on c.
+    e = 2.0 - 2.0**-52
+    spec = FamilySpec.linear([[0.0, 1.0], [e, 0.0]], [[0.0, 0.0], [-1.0, 0.0]], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boundary, probes = count_probes(monkeypatch, spec, (2.0 - 2.0**-51, 2.0), 1e-20)
+    assert probes == 3
+    assert boundary in (math.nextafter(e, 0.0), math.nextafter(e, 3.0))
+
+
 def _random_pencil(n, seed):
     """Symmetric H0 and antisymmetric W0: real at 0, complex once W0 dominates."""
     rng = np.random.default_rng(seed)

@@ -7,30 +7,27 @@ For each size N, ``perfbench/gen.py`` draws one linear scan family
 H0 + lambda W0 (30 lambdas over [0, 2], first exceptional point at
 lambda = 1, so about half the points have a non-real spectrum) from
 ``numpy.random.default_rng(seed)``.  The script times ``reality_scan``
-over the family and, separately, the LAPACK calls its points make, on
-the same matrices: ``eig``, the SVD of the column-normalized eigenvectors
-and ``inv`` of the sorted ones at every point, plus ``eigvalsh`` of the
-metric witness wherever a metric was assembled.  Each call goes through
-the package's LAPACK entry, ``cryptoherm.spectra._lapack``, as the
-package makes it, the entry's ``np.errstate`` included; the package
-overhead is everything else.
+over the family and, separately, the LAPACK calls the package makes on
+it: each call that reaches the LAPACK entry ``cryptoherm.spectra._lapack``
+during one untimed scan is recorded with its operands and replayed
+through the entry, its ``np.errstate`` included.  The package overhead
+is everything else.
 
 A second table times ``lambda_max`` on the same family over its
 bracket, as the scan workload does: per call, its probe count (the
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
-``eigvals`` on the matrices the probes pass it and the rest.
+the ``eigvals`` calls of one untimed search, recorded and replayed the
+same way, and the rest.
 
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
-process.  The LAPACK calls are timed through the entry of this
+process.  The LAPACK calls are recorded and replayed with this
 checkout's ``src``, whatever the trees compared.  Each of ``--repeats``
 rounds times one scan pass (one search) per tree, in alternating order,
-and one pass of the LAPACK calls, so all of them see the same machine
-state.  The figures are medians over
-rounds, per point (per probe); the package overhead (the rest) is the
-median of the per-round differences.
-OpenBLAS runs on one thread.  numpy and the standard library only,
-besides the package.
+and one replay, so all of them see the same machine state.  The figures
+are medians over rounds, per point (per probe); the package overhead
+(the rest) is the median of the per-round differences.  OpenBLAS runs
+on one thread.  numpy and the standard library only, besides the package.
 """
 
 import os
@@ -63,40 +60,44 @@ def load_package(src: Path, name: str):
     return mod
 
 
-def lapack_calls(ch, entry, spec, rows) -> list:
-    """``(routine, argument)`` of the LAPACK ``entry`` for every call the
-    scan's points make."""
+def recorded(ch, run) -> list:
+    """``(routine, operands)`` of every call that reaches package ``ch``'s
+    LAPACK entry while ``run()`` runs, whichever module makes it."""
     calls = []
-    for p in rows:
-        a = spec.hamiltonian_at(p.lam).real
-        evals, vr = entry("eig", a)
-        order = np.lexsort((evals.imag, evals.real))
-        calls += [("eig", a),
-                  ("svdvals", vr / np.linalg.norm(vr, axis=0)),
-                  ("inv", vr[:, order] / np.linalg.norm(vr[:, order], axis=0))]
-        if p.note == "":
-            family = ch.MetricFamily(ch.diagonalize(spec.hamiltonian_at(p.lam), gen.TOL))
-            theta = ch.assemble_metric(family, np.ones(a.shape[0])).theta
-            calls.append(("eigvalsh", theta))
+    routines = ch.spectra._ROUTINES
+    saved = dict(routines)
+
+    def recorder(routine, gufunc):
+        def call(*operands, **kwargs):
+            calls.append((routine, operands))
+            return gufunc(*operands, **kwargs)
+        return call
+
+    routines.update({r: (recorder(r, g), *rest) for r, (g, *rest) in saved.items()})
+    try:
+        run()
+    finally:
+        routines.update(saved)
     return calls
 
 
-def probe_matrices(ch, spec, bracket) -> list:
-    """The matrix each ``lambda_max`` probe hands ``eigvals``: H in real
-    arithmetic where it has no nonzero imaginary entry."""
-    hs = []
+def probe_count(ch, spec, bracket) -> int:
+    """The ``FamilySpec.hamiltonian_at`` calls of one ``lambda_max``, the
+    benchmark's probe count."""
+    count = 0
     original = ch.FamilySpec.hamiltonian_at
 
-    def recorded(self, *args):
-        hs.append(original(self, *args))
-        return hs[-1]
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        return original(self, *args)
 
-    ch.FamilySpec.hamiltonian_at = recorded
+    ch.FamilySpec.hamiltonian_at = counted
     try:
         ch.lambda_max(spec, bracket, gen.TOL)
     finally:
         ch.FamilySpec.hamiltonian_at = original
-    return [h if h.imag.any() else h.real for h in hs]
+    return count
 
 
 def wall(fn) -> float:
@@ -125,10 +126,17 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args(argv)
     trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
-    entry = load_package(ROOT / "src", "cryptoherm_entry").spectra._lapack
+    ech = load_package(ROOT / "src", "cryptoherm_entry")
+    entry = ech.spectra._lapack
     fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
-    specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in trees]
+    specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in (*trees, ech)]
              for n, f in fams.items()}
+
+    def replay(calls):
+        def run():
+            for routine, operands in calls:
+                entry(routine, *operands)
+        return run
 
     def per_unit(walls, lapack, count):
         return (statistics.median(x) / count * 1e6 for x in (
@@ -137,18 +145,12 @@ def main(argv=None) -> int:
     print("| N | src | µs per point | LAPACK calls | package overhead |")
     print("|---|---|---|---|---|")
     for n in args.sizes:
-        rows = trees[0].reality_scan(specs[n][0], gen.TOL).points
-        calls = lapack_calls(trees[0], entry, specs[n][0], rows)
-
-        def run_lapack():
-            for routine, x in calls:
-                entry(routine, x)
-
+        calls = recorded(ech, lambda: ech.reality_scan(specs[n][-1], gen.TOL))
         scans, lapack = alternate(trees, args.repeats,
                                   lambda i: trees[i].reality_scan(specs[n][i], gen.TOL),
-                                  run_lapack)
+                                  replay(calls))
         for src, walls in zip(args.src, scans):
-            total, calls_t, overhead = per_unit(walls, lapack, len(rows))
+            total, calls_t, overhead = per_unit(walls, lapack, fams[n].lambdas.size)
             print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
 
     print()
@@ -156,19 +158,15 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|---|---|")
     for n in args.sizes:
         bracket = fams[n].bracket
-        probes = [probe_matrices(ch, specs[n][i], bracket) for i, ch in enumerate(trees)]
-
-        def run_eigvals():
-            for a in probes[0]:
-                entry("eigvals", a)
-
+        probes = [probe_count(ch, specs[n][i], bracket) for i, ch in enumerate(trees)]
+        calls = recorded(ech, lambda: ech.lambda_max(specs[n][-1], bracket, gen.TOL))
         searches, eigvals = alternate(trees, args.repeats,
                                       lambda i: trees[i].lambda_max(specs[n][i], bracket, gen.TOL),
-                                      run_eigvals)
-        for src, hs, walls in zip(args.src, probes, searches):
+                                      replay(calls))
+        for src, count, walls in zip(args.src, probes, searches):
             call = statistics.median(walls) * 1e6
-            per_probe, calls_t, rest = per_unit(walls, eigvals, len(hs))
-            print(f"| {n} | {src} | {call:.0f} | {len(hs)} | {per_probe:.1f} | {calls_t:.1f} "
+            per_probe, calls_t, rest = per_unit(walls, eigvals, count)
+            print(f"| {n} | {src} | {call:.0f} | {count} | {per_probe:.1f} | {calls_t:.1f} "
                   f"| {rest:.1f} |")
     return 0
 
