@@ -68,7 +68,8 @@ def _lapack(routine: str, *operands: np.ndarray):
     numpy.linalg's byte for byte, in values, dtype and strides: ``eig`` and
     ``eigvals`` of a real matrix come back real (``.real`` views of the
     complex result) exactly when every imaginary part of the eigenvalues
-    is zero.
+    is zero (for a stack of matrices, a 3-d operand and one gufunc call,
+    every eigenvalue of the stack).
 
     The checks numpy.linalg makes first are skipped: square operands of a
     supported dtype and, for ``eig`` and ``eigvals``, finite entries.
@@ -91,18 +92,28 @@ def _lapack(routine: str, *operands: np.ndarray):
     return out
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a square complex array, rejecting NaN/Inf entries
-    and entries (such as a huge int) past the float range."""
+def _complex(a, name: str) -> np.ndarray:
+    """A complex copy of ``a``; an entry (such as a huge int) past the
+    float range raises NonFiniteError."""
     try:
-        m = np.array(a, dtype=complex)
+        return np.array(a, dtype=complex)
     except OverflowError:
         raise NonFiniteError(f"{name} has an entry outside the float range") from None
+
+
+def _square(m: np.ndarray, name: str) -> np.ndarray:
+    """``m``, unless it is not a nonempty square matrix or has a NaN/Inf entry."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeMismatchError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains NaN/Inf entries")
     return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a square complex array, rejecting NaN/Inf entries
+    and entries (such as a huge int) past the float range."""
+    return _square(_complex(a, name), name)
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -133,8 +144,23 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _spectral_scale(eigenvalues: np.ndarray) -> float:
-    return max(1.0, float(np.abs(eigenvalues).max()))
+# The three summaries of a spectrum reduce its last axis: a float for one
+# spectrum, a list for a stack of them.  The reductions call the ufunc's
+# reduce directly, which skips the Python frame of ndarray.max and .min.
+
+def _floats(x):
+    """A reduction's result as a Python float (0-d) or list."""
+    return float(x) if x.ndim == 0 else x.tolist()
+
+
+def _spectral_scale(eigenvalues: np.ndarray):
+    """max(1, max |E|)."""
+    return _floats(np.maximum.reduce(np.abs(eigenvalues), axis=-1, initial=1.0))
+
+
+def _max_abs_imag(eigenvalues: np.ndarray):
+    """max |Im E|."""
+    return _floats(np.maximum.reduce(np.abs(eigenvalues.imag), axis=-1))
 
 
 def _pow2_scale(a: np.ndarray) -> float:
@@ -147,8 +173,26 @@ def _pow2_scale(a: np.ndarray) -> float:
     A complex entry with finite parts but a modulus past the float range
     gets the smallest scale, ``2**-1023``.
     """
-    top = float(np.abs(a).max(initial=0.0))
+    return _pow2_of(float(np.abs(a).max(initial=0.0)))
+
+
+def _pow2_of(top: float) -> float:
     return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
+
+
+def _pow2_scales(a: np.ndarray) -> list:
+    """:func:`_pow2_scale` of a matrix or of each matrix of a stack."""
+    if a.ndim == 2:
+        return [_pow2_scale(a)]
+    return [_pow2_of(top) for top in np.abs(a).reshape(len(a), -1).max(axis=1).tolist()]
+
+
+def _any_per_matrix(x: np.ndarray) -> list:
+    """``x[g].any()`` for each matrix of a stack, testing the whole stack
+    first."""
+    if not np.count_nonzero(x):
+        return [False] * len(x)
+    return [True] if len(x) == 1 else x.reshape(len(x), -1).any(axis=1).tolist()
 
 
 def _finite(a, what: str):
@@ -160,13 +204,15 @@ def _finite(a, what: str):
 
 def _reality(eigenvalues: np.ndarray, tol: float) -> tuple[bool, float]:
     """``(max |Im E| <= tol * max(1, max |E|), max |Im E|)``; ``tol`` unchecked."""
-    max_imag = float(np.abs(eigenvalues.imag).max())
+    max_imag = _max_abs_imag(eigenvalues)
     return max_imag <= tol * _spectral_scale(eigenvalues), max_imag
 
 
 def _col_norms(x: np.ndarray) -> np.ndarray:
-    """Column 2-norms, summed exactly as ``np.linalg.norm(x, axis=0)`` sums them."""
-    return np.sqrt((x.conj() * x).real.sum(axis=0))
+    """Column 2-norms of each matrix of a stack, as a row per matrix,
+    summed exactly as ``np.linalg.norm(x, axis=-2, keepdims=True)`` sums
+    them."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2, keepdims=True))
 
 
 def _fro(x: np.ndarray) -> float:
@@ -176,16 +222,40 @@ def _fro(x: np.ndarray) -> float:
     return math.sqrt(float(sq))
 
 
-def _cond(x: np.ndarray) -> float:
-    """Spectral condition number of ``x``; ``inf`` when it is singular.
-    Eigenvector bases are gated on ``_cond(vr / _col_norms(vr))``."""
-    sv = _lapack("svdvals", x)
+def _fros(x: np.ndarray) -> list:
+    """:func:`_fro` of a matrix or of each matrix of a stack, summed exactly
+    as it sums (``vecdot`` makes ``dot``'s BLAS call)."""
+    if x.ndim == 2:
+        return [_fro(x)]
+    if x.strides[1] < x.strides[2]:
+        x = x.swapaxes(1, 2)  # column-major matrices, summed in memory order
+    if x.dtype.kind == "c":
+        # the real and the imaginary parts of each matrix as two rows,
+        # added as x.real.dot(x.real) + x.imag.dot(x.imag) adds them
+        parts = x.view(float).reshape(len(x), -1, 2).swapaxes(1, 2)
+        return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts).tolist()]
+    x = x.reshape(len(x), -1)
+    return [math.sqrt(q) for q in np.vecdot(x, x).tolist()]
+
+
+def _conds(x: np.ndarray) -> list:
+    """Spectral condition number of a matrix or of each matrix of a stack;
+    ``inf`` for a singular one.  Eigenvector bases are gated on that of
+    ``vr / _col_norms(vr)``."""
     # Python floats: a ratio past the float range is inf, with no warning
-    return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
+    sv = _lapack("svdvals", x)
+    return [row[0] / row[-1] if row[-1] > 0.0 else math.inf
+            for row in sv.reshape(-1, sv.shape[-1]).tolist()]
 
 
-def _min_gap(eigenvalues: np.ndarray) -> float:
-    """Smallest pairwise eigenvalue separation; ``inf`` below two values.
+def _cond(x: np.ndarray) -> float:
+    """Spectral condition number of ``x``; ``inf`` when it is singular."""
+    return _conds(x)[0]
+
+
+def _min_gap(eigenvalues: np.ndarray):
+    """Smallest pairwise eigenvalue separation along the last axis (a float
+    for one spectrum, a list for a stack); ``inf`` below two values.
 
     A real-dtype array takes the smallest gap between sorted neighbours.
     Rounding is monotone, so for a <= b <= c the rounded c - a is never
@@ -193,17 +263,24 @@ def _min_gap(eigenvalues: np.ndarray) -> float:
     and the absolute value turns a tie of -0.0 and 0.0 into +0.0, as the
     complex modulus does.
     """
-    if eigenvalues.size < 2:
-        return float("inf")
+    n = eigenvalues.shape[-1]
+    if n < 2:
+        gaps = np.full(eigenvalues.shape[:-1], np.inf)
+    else:
+        half = 0.5 * eigenvalues
+        if half.dtype.kind == "f":
+            half.sort()
+            half = half.T  # each spectrum sorted along the first axis
+            gaps = np.minimum.reduce(half[1:] - half[:-1])
+        else:
+            diff = np.abs(half[..., None] - half[..., None, :])
+            diff.reshape(-1, n * n)[:, :: n + 1] = np.inf
+            gaps = np.minimum.reduce(diff, axis=(-2, -1))
     # Halving is exact for normal floats and keeps the differences of
     # near-overflow eigenvalues finite; doubling a Python float cannot warn.
-    half = 0.5 * eigenvalues
-    if half.dtype.kind == "f":
-        half.sort()
-        return 2.0 * abs(float((half[1:] - half[:-1]).min()))
-    diff = np.abs(half[:, None] - half[None, :])
-    diff.flat[:: eigenvalues.size + 1] = np.inf
-    return 2.0 * float(diff.min())
+    if gaps.ndim == 0:
+        return 2.0 * abs(float(gaps))
+    return [2.0 * abs(gap) for gap in gaps.tolist()]
 
 
 @dataclass(frozen=True)
@@ -226,8 +303,9 @@ class BiorthogonalSystem:
 
     Three tolerance-free summaries of the eigenvalues, the minimum pairwise
     gap, max |Im E| and the spectral scale max(1, max |E|), are formed once
-    per system, on first use, for every gate that reads them; the
-    eigenvalues must therefore never be modified.
+    per system, on first use (or up front, by a stacked :func:`diagonalize`),
+    for every gate that reads them; the eigenvalues must therefore never be
+    modified.
     """
 
     eigenvalues: np.ndarray
@@ -242,7 +320,7 @@ class BiorthogonalSystem:
         return self.eigenvalues.size
 
     _gap = functools.cached_property(lambda self: _min_gap(self.eigenvalues))
-    _max_imag = functools.cached_property(lambda self: float(np.abs(self.eigenvalues.imag).max()))
+    _max_imag = functools.cached_property(lambda self: _max_abs_imag(self.eigenvalues))
     _scale = functools.cached_property(lambda self: _spectral_scale(self.eigenvalues))
 
     def reconstruct(self) -> np.ndarray:
@@ -250,25 +328,35 @@ class BiorthogonalSystem:
         return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
 
 
-def diagonalize(h, tol: float) -> BiorthogonalSystem:
-    """Biorthogonally diagonalize a dense square matrix.
+def diagonalize(h, tol: float):
+    """Biorthogonally diagonalize a dense square matrix, or each matrix of
+    a stack.
 
     Right eigenvectors are normalized to unit length; left eigenvectors
     are then fixed by L^dag = R^{-1}, which biorthonormalizes exactly and
     handles exact degeneracies with full eigenspaces for free.
 
-    When no entry of ``h`` has a nonzero imaginary part, the eigensolver,
-    the condition gate, the inverse and the residual gates run on its real
-    part: LAPACK's real driver (DGEEV) returns exactly real eigenvalues and
-    exact conjugate pairs.  Any other input takes the complex driver
-    (ZGEEV).  Either way the eigenvalues and both bases are returned as
-    read-only ``complex128`` arrays, and ``matrix`` is the complex input.
+    When no entry of a matrix has a nonzero imaginary part, the
+    eigensolver runs on its real part (LAPACK's real driver, DGEEV), which
+    returns exactly real eigenvalues and exact conjugate pairs; when that
+    spectrum is exactly real, the condition gate, the inverse and the
+    residual gates run in real arithmetic too.  Any other matrix takes the
+    complex driver (ZGEEV).  Either way the eigenvalues and both bases are
+    returned as read-only ``complex128`` arrays, and ``matrix`` is the
+    complex input.
+
+    A ``(G, N, N)`` stack is decomposed with one LAPACK call per stage
+    and per arithmetic (real or complex), and returns a tuple of G
+    outcomes: outcome g is, byte for byte, what ``diagonalize(h[g], tol)``
+    returns, or the DefectiveError or NonFiniteError it would raise, with
+    the same fields.  A stack is never raised for one matrix; a bad
+    ``tol``, shape or dtype raises for the whole call.
 
     Parameters
     ----------
     h : array_like
-        Square matrix, assumed diagonalizable well away from exceptional
-        points.
+        Square matrix, or a stack of them, assumed diagonalizable well
+        away from exceptional points.
     tol : float
         Working tolerance in (0, 1).  An eigenvector matrix with spectral
         condition number above ``1/tol`` is rejected as defective.
@@ -282,60 +370,184 @@ def diagonalize(h, tol: float) -> BiorthogonalSystem:
     NonFiniteError
         Input contains NaN/Inf, or the eigensolver's result does.
     """
-    h = as_matrix(h, "H")
+    m = _complex(h, "H")
+    if m.ndim == 3 and m.shape[1] == m.shape[2] > 0:
+        return _diagonalize_stack(m, tol)
+    m = _square(m, "H")
     tol = _check_tol(tol)
-    n = h.shape[0]
+    m.setflags(write=False)
+    out = [None]
+    _eig_stage([m], [0], _real_if_exact(m), tol, out)
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
-    a = _real_if_exact(h)
-    evals, vr = _lapack("eig", a)
-    if not np.isfinite(evals).all():
-        # LAPACK returns NaN for an entry whose modulus overflows
-        raise NonFiniteError("the eigenvalues of H leave the float range")
-    cond = _cond(vr / _col_norms(vr))
+
+def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
+    """:func:`diagonalize` of the ``(G, N, N)`` complex stack ``m``."""
+    if abs(m.strides[1]) < abs(m.strides[2]):
+        # each matrix laid out as a copy of it alone is: column-major here
+        m = np.ascontiguousarray(m.swapaxes(1, 2)).swapaxes(1, 2)
+    else:
+        m = np.ascontiguousarray(m)
+    tol = _check_tol(tol)
+    m.setflags(write=False)
+    out = [None] * len(m)
+    finite = np.isfinite(m).all(axis=(1, 2)).tolist()
+    for i, ok in enumerate(finite):
+        if not ok:
+            out[i] = NonFiniteError("H contains NaN/Inf entries")
+    live = np.flatnonzero(finite)
+    if live.size:
+        stack = m if live.size == len(m) else m[live]
+        # real and complex matrices apart: each part is taken as
+        # _real_if_exact takes one matrix
+        for has_imag, sel in _split(_any_per_matrix(stack.imag)):
+            a, at = _take(sel, stack, live)
+            _eig_stage(m, at, a if has_imag else a.real, tol, out)
+    systems = [x for x in out if isinstance(x, BiorthogonalSystem)]
+    if systems:
+        _fill_summaries(systems)
+    return tuple(out)
+
+
+_ALL = slice(None)
+
+
+def _split(mask: list) -> list:
+    """``(True, members where mask)`` and ``(False, the others)``, each when
+    it is not empty; ``slice(None)`` selects every member, so a stack that
+    takes one route is never copied."""
+    if all(mask):
+        return [(True, _ALL)]
+    if not any(mask):
+        return [(False, _ALL)]
+    mask = np.array(mask)
+    return [(True, np.flatnonzero(mask)), (False, np.flatnonzero(~mask))]
+
+
+@functools.lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The read-only N x N identity."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _take(sel, *arrays) -> tuple:
+    """``arrays`` restricted to the members ``sel`` selects."""
+    return arrays if sel is _ALL else tuple(x[sel] for x in arrays)
+
+
+def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
+    """Fill ``out[at[g]]`` with :func:`diagonalize`'s outcome for matrix
+    ``ms[at[g]]``, given as ``a[g]`` in the arithmetic its eigensolver
+    runs in; ``a`` is one matrix (``at`` is ``[0]``) or a stack."""
+    evals, vr = _lapack("eig", a)  # real exactly when every spectrum is
+    finite = np.isfinite(evals)
+    if not finite.all():
+        # LAPACK returns NaN for an eigenvalue whose modulus overflows
+        finite = finite.reshape(len(at), -1).all(axis=1).tolist()
+        for i, ok in zip(at, finite):
+            if not ok:
+                out[i] = NonFiniteError("the eigenvalues of H leave the float range")
+        keep = np.flatnonzero(finite)
+        if not keep.size:
+            return
+        a, evals, vr, at = _take(keep, a, evals, vr, at)
+    if a.ndim == 2 or a.dtype.kind == "c" or evals.dtype.kind == "f":
+        _gate(ms, at, a, evals, vr, tol, out)  # every member in one arithmetic
+        return
+    # a real stack whose spectra are not all real: an exactly real spectrum
+    # of a real matrix stays in real arithmetic
+    for complex_spectrum, sub in _split(_any_per_matrix(evals.imag)):
+        x, e, v, w = _take(sub, a, evals, vr, at)
+        _gate(ms, w, x, *((e, v) if complex_spectrum else (e.real, v.real)), tol, out)
+
+
+def _gate(ms, at, a, evals, vr, tol, out) -> None:
+    """The condition gate, sort, inverse and residual gate for the matrix
+    or stack ``a`` of matrices ``ms[at[g]]`` that share one arithmetic, with
+    its eigenpairs from LAPACK.
+
+    One matrix keeps its 2-D arrays, as a 2-D call of :func:`diagonalize`
+    hands it over: passed as a stack of one, with the stacked sort, scales
+    and norms, it cost 20-35% more per call at N <= 8.
+    """
+    lone = a.ndim == 2
+    n = a.shape[-1]
+    cond = _conds(vr / _col_norms(vr))
     spectrum = evals  # in the eigensolver's order, for a DefectiveError
-    if cond > 1.0 / tol:
-        raise DefectiveError(
-            "eigenvector-basis condition number exceeds "
-            f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
-            condition_number=cond,
-            eigenvalues=spectrum.astype(complex),
-            bound=1.0 / tol,
-        )
-    order = np.lexsort((evals.imag, evals.real))
-    evals, vr = evals[order], vr[:, order]
+    if max(cond) > 1.0 / tol:
+        for g, c in enumerate(cond):
+            if c > 1.0 / tol:
+                out[at[g]] = DefectiveError(
+                    "eigenvector-basis condition number exceeds "
+                    f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
+                    condition_number=c,
+                    eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
+                    bound=1.0 / tol,
+                )
+        keep = np.array([g for g, c in enumerate(cond) if not c > 1.0 / tol], dtype=int)
+        if not keep.size:
+            return
+        at, a, evals, vr, spectrum = _take(keep, at, a, evals, vr, spectrum)
+        cond = [cond[g] for g in keep]
+    # a stable sort of complex values is by (real, imaginary) part
+    order = evals.argsort(axis=-1, kind="stable")
+    if lone:
+        evals, vr = evals[order], vr[:, order]
+    else:
+        # columns taken as rows of the transposed stack, so that each matrix
+        # is laid out column-major, as vr[:, order] lays out one matrix
+        rows = np.arange(len(a))[:, None]
+        evals, vr = evals[rows, order], vr.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
     vr = vr / _col_norms(vr)
-    vl = _lapack("inv", vr).conj().T
+    vlh = _lapack("inv", vr)
 
     # Residuals can only be as good as eps * cond allows; gate on the
     # achievable bound so well-posed inputs never fail spuriously.  They are
     # formed on the power-of-two-scaled H, so they equal the unscaled
     # ratios and nothing overflows for entries near the float limit.
-    s = _pow2_scale(a)
-    hs, es = a * s, evals * s
-    vlh = vl.conj().T
-    scale = max(s, _fro(hs))
-    bound = max(tol, 100.0 * n * _EPS * cond)
-    right_res = float(_col_norms(hs @ vr - vr * es).max()) / scale
-    left_res = _fro(vlh @ hs - es[:, None] * vlh) / scale
+    s = _pow2_scales(a)
+    sa = s[0] if lone else np.array(s)[:, None, None]
+    hs, es = a * sa, evals[..., None, :] * sa  # es: one row per matrix
+    right = _col_norms(hs @ vr - vr * es).max(axis=-1).ravel().tolist()
+    left = _fros(vlh @ hs - es.swapaxes(-1, -2) * vlh)
     bi = vlh @ vr
-    bi.flat[:: n + 1] -= 1.0  # L^dag R - I, without forming I
-    bi_res = _fro(bi)
-    worst = max(right_res, left_res, bi_res)
-    if worst > bound:
-        raise DefectiveError(
-            f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; "
-            "eigenbasis is unreliable",
-            condition_number=cond,
-            eigenvalues=spectrum.astype(complex),
-            residual=worst,
-            bound=bound,
-        )
+    bi -= _eye(n)  # L^dag R - I: x - 0.0 is x, so only the diagonal moves
 
     # a real decomposition is returned in the complex dtype of every system
-    evals, vr, vl = (x.astype(complex, copy=False) for x in (evals, vr, vl))
-    for arr in (h, evals, vr, vl):
-        arr.setflags(write=False)
-    return BiorthogonalSystem(evals, vr, vl, tol, cond, h)
+    evals, vr = evals.astype(complex, copy=False), vr.astype(complex, copy=False)
+    vl = vlh.conj() if vlh.dtype.kind == "c" else vlh.astype(complex)  # L^dag, transposed below
+    for x in (evals, vr, vl):
+        x.setflags(write=False)
+    fro_hs, bi_res = _fros(hs), _fros(bi)
+    members = [(evals, vr, vl.T)] if lone else zip(evals, vr, vl.swapaxes(1, 2))
+    for g, (i, (e, r, l)) in enumerate(zip(at, members)):
+        scale = max(s[g], fro_hs[g])
+        bound = max(tol, 100.0 * n * _EPS * cond[g])
+        worst = max(right[g] / scale, left[g] / scale, bi_res[g])
+        if worst > bound:
+            out[i] = DefectiveError(
+                f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; "
+                "eigenbasis is unreliable",
+                condition_number=cond[g],
+                eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
+                residual=worst,
+                bound=bound,
+            )
+        else:
+            out[i] = BiorthogonalSystem(e, r, l, tol, cond[g], ms[i])
+
+
+def _fill_summaries(systems: list) -> None:
+    """Form the cached summaries of ``systems`` (one size) on one stack
+    of their eigenvalues, with the functions their properties call."""
+    evals = np.stack([s.eigenvalues for s in systems])
+    cached = zip(_min_gap(evals), _max_abs_imag(evals), _spectral_scale(evals))
+    for system, values in zip(systems, cached):
+        system.__dict__.update(zip(("_gap", "_max_imag", "_scale"), values))
 
 
 def spectrum_is_real(system: BiorthogonalSystem) -> tuple[bool, float]:

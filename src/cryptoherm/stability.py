@@ -138,46 +138,64 @@ class ScanReport:
         return len(self.points)
 
 
-def _scan_point(spec: FamilySpec, tol: float, point) -> ScanPoint:
-    lam, tau = point
-    metric_exists = False
-    theta_min = float("nan")
-    note = ""
-    try:
-        # an H past the float range raises NonFiniteError, here or in diagonalize
-        with np.errstate(over="ignore"):
-            h = spec.hamiltonian_at(lam, tau)
-        system = diagonalize(h, tol)
-    except NonFiniteError:
-        real, note = False, "NonFinite"
-        max_imag = min_gap = eigvec_cond = float("nan")
-    except DefectiveError as exc:
-        # no biorthogonal system: the row reports what diagonalize measured
-        note = "Defective"
-        real, max_imag = _reality(exc.eigenvalues, tol)
-        min_gap, eigvec_cond = _min_gap(exc.eigenvalues), exc.condition_number
-    else:
-        try:
-            family = MetricFamily(system)
-            witness = assemble_metric(family, np.ones(system.dim))
-            theta_min = float(_lapack("eigvalsh", witness.theta).min())
-            metric_exists = theta_min > 0.0
-        except CryptohermError as exc:
-            note = type(exc).__name__.removesuffix("Error")
-        real, max_imag = spectrum_is_real(system)
-        min_gap, eigvec_cond = ep_proximity(system)
+# Matrix entries (G * N**2) per stacked diagonalize call of a scan: a
+# chunk of G grid points holds a few complex arrays of 64 KiB.
+_CHUNK_ENTRIES = 4096
 
-    return ScanPoint(
-        lam=float(lam),
-        tau=None if tau is None else float(tau),
-        spectrum_real=real,
-        max_imag=max_imag,
-        min_gap=min_gap,
-        eigvec_cond=eigvec_cond,
-        metric_exists=metric_exists,
-        theta_min_eig=theta_min,
-        note=note,
-    )
+
+def _scan_chunk(spec: FamilySpec, tol: float, points: list, n: int) -> list:
+    """The rows of ``points``, from one stacked diagonalize call."""
+    hs = np.empty((len(points), n, n), dtype=complex)
+    # an H past the float range is NonFinite, raised here or found by diagonalize
+    with np.errstate(over="ignore"):
+        for h, (lam, tau) in zip(hs, points):
+            try:
+                h[...] = spec.hamiltonian_at(lam, tau)
+            except NonFiniteError:
+                h[...] = np.nan
+    ones = np.ones(n)
+    columns, witnesses = [], {}
+    outcomes = list(diagonalize(hs, tol))
+    for k, out in enumerate(outcomes):
+        outcomes[k] = None  # a system is dropped once its row is formed
+        note = ""
+        if isinstance(out, NonFiniteError):
+            real, note = False, "NonFinite"
+            max_imag = min_gap = eigvec_cond = float("nan")
+        elif isinstance(out, DefectiveError):
+            # no biorthogonal system: the row reports what diagonalize measured
+            note = "Defective"
+            real, max_imag = _reality(out.eigenvalues, tol)
+            min_gap, eigvec_cond = _min_gap(out.eigenvalues), out.condition_number
+        else:
+            try:
+                witnesses[k] = assemble_metric(MetricFamily(out), ones).theta
+            except CryptohermError as exc:
+                note = type(exc).__name__.removesuffix("Error")
+            real, max_imag = spectrum_is_real(out)
+            min_gap, eigvec_cond = ep_proximity(out)
+        columns.append((real, max_imag, min_gap, eigvec_cond, note))
+    # the smallest eigenvalue of each witness, NaN where none was assembled
+    theta_min = [float("nan")] * len(points)
+    if witnesses:
+        smallest = _lapack("eigvalsh", np.stack(list(witnesses.values()))).min(axis=1)
+        for k, value in zip(witnesses, smallest.tolist()):
+            theta_min[k] = value
+    return [
+        ScanPoint(
+            lam=float(lam),
+            tau=None if tau is None else float(tau),
+            spectrum_real=real,
+            max_imag=max_imag,
+            min_gap=min_gap,
+            eigvec_cond=eigvec_cond,
+            metric_exists=theta > 0.0,
+            theta_min_eig=theta,
+            note=note,
+        )
+        for (lam, tau), (real, max_imag, min_gap, eigvec_cond, note), theta
+        in zip(points, columns, theta_min)
+    ]
 
 
 def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
@@ -189,11 +207,19 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
     non-degenerate, so a single witness decides existence.  Per-point
     failures are recorded in the row and never abort the scan.
 
-    Rows are returned in grid order, so reports are deterministic.
-    ``workers`` is deprecated and ignored; points are evaluated serially.
+    The grid is decomposed in chunks of at most ``_CHUNK_ENTRIES`` matrix
+    entries (G points of N x N), one stacked :func:`diagonalize` call
+    each, so memory stays bounded whatever the grid size; every row is
+    byte for byte what a point decomposed alone gives.  Rows are returned
+    in grid order, so reports are deterministic.  ``workers`` is
+    deprecated and ignored; points are evaluated serially.
     """
     tol = _check_tol(tol)
-    return ScanReport(tuple(_scan_point(spec, tol, p) for p in spec.grid()))
+    grid = spec.grid()
+    n = 2 if spec.kind == "kg" else spec.h0.shape[0]
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    return ScanReport(tuple(row for start in range(0, len(grid), step)
+                            for row in _scan_chunk(spec, tol, grid[start:start + step], n)))
 
 
 def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:

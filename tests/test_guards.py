@@ -107,10 +107,8 @@ CASES = {
         lambda: lambda_max(FamilySpec.linear(np.diag([1.0, 2.0]), [[0.0, 10.0], [10.0, 0.0]],
                                              [0.0]), (0.0, 1e308), TOL),
         NonFiniteError, r"H leaves the float range at lambda = 1e\+308"),
-    "kg_beta-exp-overflow": (lambda: kg_beta(0, 1, 1, 2, 710.0), NonFiniteError,
-                             "beta leaves the double-precision range"),
-    "kg_beta-product-overflow": (lambda: kg_beta(0, 1.7e308, 1.7e308, 1, 0.3), NonFiniteError,
-                                 "beta leaves the double-precision range"),
+    "kg_beta-beta-past-float-range": (lambda: kg_beta(0, 1, 1, 2, 712.0), NonFiniteError,
+                                      "beta leaves the double-precision range"),
     "kg_beta-nan-tau": (lambda: kg_beta(0, 1, 1, 2, float("nan")), NonFiniteError,
                         "beta leaves the double-precision range"),
     "commutator_gap-gap-past-float-range": (
@@ -247,6 +245,25 @@ def test_guard_rejects_its_argument(name):
 FINITE = {
     "kg_beta-zero-coefficient-times-overflowing-exponential": (
         lambda: kg_beta(0, 1, 0, 2, 710.0), -np.exp(-710.0) / 2),
+    # kg_beta past the range of one term: each value lies within two ulps
+    # of beta in 60-digit decimal arithmetic.
+    # e^710 leaves the float range, e^710 / 2 does not
+    "kg_beta-exp-overflow": (lambda: kg_beta(0, 1, 1, 2, 710.0), 1.1169973830808557e308),
+    # c e^0.3 leaves the float range, (c e^0.3 - b e^-0.3) / 1 does not
+    "kg_beta-product-overflow": (
+        lambda: kg_beta(0, 1.7e308, 1.7e308, 1, 0.3), 1.035368997720285e308),
+    # c / (d - a) = 5e-401 is below the float range, beta is not
+    "kg_beta-tiny-quotient": (lambda: kg_beta(0, 0, 1e-200, 2e200, 1000.0), 9.850355570085237e33),
+    # c / (d - a) = 1e-310 is subnormal
+    "kg_beta-subnormal-quotient": (lambda: kg_beta(0, 0, 1e-10, 1e300, 720.0), 492.0700930263816),
+    # d - a = 3e308 leaves the float range too
+    "kg_beta-observable-gap-overflow": (
+        lambda: kg_beta(-1.5e308, 0, 1, 1.5e308, 720.0), 16402.33643421272),
+    # tau = 1460 is past twice the exponent range: e^730 overflows too
+    "kg_beta-exp-past-twice-the-range": (
+        lambda: kg_beta(0, 0, 5e-324, 1.7e308, 1460.0), 341.4124186611586),
+    "kg_beta-negative-exp-past-twice-the-range": (
+        lambda: kg_beta(0, 5e-324, 0, -1.7e308, -1460.0), 341.4124186611586),
 }
 
 

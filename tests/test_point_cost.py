@@ -40,10 +40,15 @@ def test_recorded_calls_are_the_calls_the_scan_makes():
     assert ch.spectra._ROUTINES == routines
     assert [p.note for p in ch.reality_scan(spec, 1e-10).points] == [
         "", "", "Defective", "SpectrumNotReal"]
-    # the Jordan block at lambda = 1 fails the condition gate before any inv
-    assert [r for r, _ in calls] == ["eig", "svdvals", "inv", "eigvalsh"] * 2 + [
-        "eig", "svdvals", "eig", "svdvals", "inv"]
-    assert np.array_equal(calls[8][1][0], [[0.0, 1.0], [0.0, 0.0]])
+    # the scan stacks its points, so each operand is a stack of matrices
+    matrices = {}
+    for routine, (stack, *_) in calls:
+        matrices.setdefault(routine, []).extend(stack)
+    assert any(np.array_equal(m, [[0.0, 1.0], [0.0, 0.0]]) for m in matrices["eig"])
+    # the Jordan block at lambda = 1 fails the condition gate before any
+    # inv: each basis inverted is well conditioned, the Jordan block's is not
+    assert len(matrices["inv"]) == 3
+    assert all(np.linalg.cond(m) < 1e10 for m in matrices["inv"])
     for routine, operands in calls:
         ch.spectra._lapack(routine, *operands)
 
@@ -53,9 +58,12 @@ def test_a_kg_family_records_its_scan_and_search():
     spec = ch.FamilySpec.kg(fam.taus, fam.lambdas, w0=fam.w0)
     scan = point_cost.recorded(ch, lambda: ch.reality_scan(spec, 1e-10))
     rows = ch.reality_scan(spec, 1e-10).points
-    routines = [r for r, _ in scan]
-    assert routines.count("eig") == len(rows) == fam.taus.size * fam.lambdas.size
-    assert routines.count("eigvalsh") == sum(p.note == "" for p in rows) > 0
+    # the scan stacks its points: count matrices, the leading dimension of each operand
+    matrices = {}
+    for routine, (stack, *_) in scan:
+        matrices[routine] = matrices.get(routine, 0) + len(stack)
+    assert matrices["eig"] == len(rows) == fam.taus.size * fam.lambdas.size
+    assert matrices["eigvalsh"] == sum(p.note == "" for p in rows) > 0
     bspec = ch.FamilySpec.kg([fam.boundary_tau], [0.0], w0=fam.w0)
     search = point_cost.recorded(ch, lambda: ch.lambda_max(bspec, fam.bracket, 1e-10))
     assert {r for r, _ in search} == {"eigvals"}

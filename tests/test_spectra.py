@@ -474,3 +474,100 @@ def test_spectral_summaries_are_never_shared_between_systems():
     with ThreadPoolExecutor(4) as pool:
         seen = set(pool.map(lambda _: summaries(fresh), range(16)))
     assert seen == {expected(fresh)}
+
+
+def _same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.strides == want.strides and got.tobytes() == want.tobytes())
+
+
+def _stack_member(rng, kind, n):
+    if kind == "real":  # real eigenvalues and conjugate pairs
+        return rng.standard_normal((n, n))
+    if kind == "real-spectrum":
+        s = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        return s @ np.diag(rng.standard_normal(n)) @ np.linalg.inv(s)
+    if kind == "complex":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "near-jordan":  # S J S^-1 plus noise: either Defective gate
+        j = np.diag(np.full(n, rng.standard_normal())) + np.diag(np.ones(n - 1), 1)
+        s = rng.standard_normal((n, n))
+        return s @ j @ np.linalg.inv(s) + 10.0 ** rng.uniform(-16, -4) * rng.standard_normal((n, n))
+    if kind == "inf-entry":
+        h = rng.standard_normal((n, n))
+        h[rng.integers(n), rng.integers(n)] = np.inf
+        return h
+    # finite parts, but eigenvalues whose modulus leaves the float range
+    return np.diag(np.full(n, 1.7e308 + 1.7e308j))
+
+
+_STACK_KINDS = ("real", "real-spectrum", "complex", "near-jordan", "inf-entry", "huge")
+
+
+def _one_matrix_bases(h):
+    """The eigenvalues and both bases of a system, formed with numpy.linalg
+    as for one matrix: sorted columns taken as ``vr[:, order]``, so the
+    bases are column-major."""
+    evals, vr = np.linalg.eig(h if h.imag.any() else h.real)
+    order = np.lexsort((evals.imag, evals.real))
+    vr = vr[:, order]
+    vr = vr / np.linalg.norm(vr, axis=0)
+    vl = np.linalg.inv(vr).conj().T
+    return tuple(x.astype(complex, copy=False) for x in (evals[order], vr, vl))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(_STACK_KINDS), min_size=1, max_size=8),
+    tol=st.sampled_from([1e-10, 1e-6, 1e-13, 1e-3]),
+    column_major=st.booleans(),
+)
+def test_a_stack_decomposes_each_matrix_as_the_matrix_alone(seed, n, kinds, tol, column_major):
+    rng = np.random.default_rng(seed)
+    h = np.array([_stack_member(rng, kind, n) for kind in kinds], dtype=complex)
+    if column_major:
+        h = np.array(h.transpose(0, 2, 1)).transpose(0, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no member may warn
+        got = diagonalize(h, tol)
+    assert isinstance(got, tuple) and len(got) == len(kinds)
+    for g, out in enumerate(got):
+        try:
+            want = diagonalize(h[g], tol)
+        except (DefectiveError, NonFiniteError) as exc:
+            want = exc
+        assert type(out) is type(want)
+        if isinstance(want, Exception):
+            assert out.args == want.args
+            for field in ("condition_number", "residual", "bound"):
+                assert repr(getattr(out, field, None)) == repr(getattr(want, field, None))
+            if isinstance(want, DefectiveError):
+                assert _same_array(out.eigenvalues, want.eigenvalues)
+            continue
+        for field in ("eigenvalues", "right_vectors", "left_vectors", "matrix"):
+            assert _same_array(getattr(out, field), getattr(want, field))
+            assert not getattr(out, field).flags.writeable
+        # and both are what one matrix decomposed with numpy.linalg gives
+        for x, ref in zip((out.eigenvalues, out.right_vectors, out.left_vectors),
+                          _one_matrix_bases(h[g])):
+            assert _same_array(x, ref)
+        assert repr(out.condition_number) == repr(want.condition_number)
+        assert out.tolerance == want.tolerance
+        # a stack forms the summaries up front, to the bit of the lazy ones
+        for field in ("_gap", "_max_imag", "_scale"):
+            assert field in out.__dict__
+            assert repr(getattr(out, field)) == repr(getattr(want, field))
+
+
+def test_a_stack_raises_only_for_the_whole_call():
+    with pytest.raises(ValueError):
+        diagonalize(np.zeros((2, 3, 3)), 0.0)
+    with pytest.raises(ShapeMismatchError):
+        diagonalize(np.zeros((2, 3, 4)), TOL)
+    with pytest.raises(NonFiniteError, match="outside the float range"):
+        diagonalize([[[10**400]]], TOL)
+    assert diagonalize(np.zeros((0, 2, 2)), TOL) == ()
+    outs = diagonalize([[[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]], TOL)
+    assert [type(o) for o in outs] == [DefectiveError, NonFiniteError]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -395,17 +396,18 @@ def test_scan_decomposes_each_point_once(monkeypatch):
     # a Defective row is built from the spectrum and condition number that
     # diagonalize measured; the scan never decomposes H a second time
     spec = sqrt_family(np.linspace(0.0, 2.0, 21))
-    lapack, calls = spectra._lapack, []
+    lapack, decomposed = spectra._lapack, []
 
     def recorded(routine, *operands):
         if routine == "eig":
-            calls.append(operands[0].shape)
+            # the scan stacks its points: count matrices, not calls
+            decomposed.append(operands[0].shape[0])
         return lapack(routine, *operands)
 
     monkeypatch.setattr(spectra, "_lapack", recorded)
     report = reality_scan(spec, TOL)
     assert [p.lam for p in report.points if p.note == "Defective"] == [1.0]
-    assert len(calls) == len(report)
+    assert sum(decomposed) == len(report)
 
 
 def reality_predicate(spec, x, tol):
@@ -545,3 +547,18 @@ def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
     except InvalidBracketError as exc:
         result = type(exc).__name__
     assert (result, len(calls)) == expected
+
+
+def test_scan_memory_is_bounded_by_its_chunk():
+    # unchunked, 300 points at N = 32 would stack about 5 MB per complex array
+    rng = np.random.default_rng(7)
+    h0, w0 = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+    spec = FamilySpec.linear(h0, w0, np.linspace(0.0, 1.0, 300))
+    tracemalloc.start()
+    try:
+        report = reality_scan(spec, TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report) == 300
+    assert peak < 4e6

@@ -10,8 +10,9 @@ lambda = 1, so about half the points have a non-real spectrum) from
 over the family and, separately, the LAPACK calls the package makes on
 it: each call that reaches the LAPACK entry ``cryptoherm.spectra._lapack``
 during one untimed scan is recorded with its operands and replayed
-through the entry, its ``np.errstate`` included.  The package overhead
-is everything else.
+through the entry, its ``np.errstate`` included.  The scan decomposes its
+grid in chunks, so each recorded call of a scan is one stacked call over
+a chunk of points.  The package overhead is everything else.
 
 A second table times ``lambda_max`` on the same family over its
 bracket, as the scan workload does: per call, its probe count (the
