@@ -449,9 +449,10 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
 
     A zero coefficient b or c makes its term an exact zero, even where its
     exponential leaves the float range.  Where a term or d - a leaves the
-    float range but beta does not, beta is formed again in mantissa and
-    exponent parts (:func:`_beta_in_parts`), within a few ulps of each
-    term; where the formula above is finite, it is returned as it stands.
+    float range but beta does not, beta is formed again in 40-digit
+    ``decimal`` arithmetic from the exact arguments and comes back
+    correctly rounded; where the formula above is finite, it is returned
+    as it stands.
 
     Raises
     ------
@@ -468,48 +469,13 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         beta = ((c * np.exp(tau) if c else 0.0) - (b * np.exp(-tau) if b else 0.0)) / (d - a)
     if not np.isfinite(beta) and all(map(math.isfinite, (a, b, c, d, tau))):
-        beta = _beta_in_parts(a, b, c, d, tau)
+        import decimal  # here only: the import costs milliseconds of a cold start
+
+        # an explicit context, so that no global or thread-local one is read
+        # or changed
+        ctx = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[])
+        xa, xb, xc, xd, xt = (decimal.Decimal(x, ctx) for x in (a, b, c, d, tau))  # exact
+        e = ctx.exp(xt)
+        x = ctx.divide(ctx.subtract(ctx.multiply(xc, e), ctx.divide(xb, e)), ctx.subtract(xd, xa))
+        beta = float(ctx.to_sci_string(x))  # rounded once; inf past the float range
     return float(_finite((a, b, c, d, tau, beta), "beta")[-1])
-
-
-def _exp_in_parts(t: float) -> tuple[float, int]:
-    """``(m, e)`` with m 2**e = e^t within a few ulps and 0.5 <= m < 1.
-
-    e^t is formed as (e^{t/k})^k, k a power of two with |t| / k <= 512 (up
-    to k = 16), squaring mantissas and adding exponents, so no factor
-    leaves the normal range; past |t| = 8192, e^{t/16} is 0 or inf.
-    """
-    k = 1
-    while abs(t) > 512.0 * k and k < 16:
-        k *= 2
-    with np.errstate(over="ignore", under="ignore"):
-        m, e = math.frexp(float(np.exp(t / k)))
-    while k > 1:
-        m, e2 = math.frexp(m * m)
-        e, k = 2 * e + e2, k // 2
-    return m, e
-
-
-def _beta_in_parts(a: float, b: float, c: float, d: float, tau: float) -> float:
-    """(c e^tau - b e^{-tau}) / (d - a) for finite arguments, with each
-    term formed as a mantissa in (0.25, 2) and a power of two, and the
-    power applied once to their difference: no intermediate leaves the
-    normal range before beta does.  inf when beta does."""
-    q = d - a
-    if math.isfinite(q):
-        mq, eq = math.frexp(q)
-    else:  # (d - a) / 2 cannot overflow
-        mq, eq = math.frexp(0.5 * d - 0.5 * a)
-        eq += 1
-    terms = []
-    for x, t in ((c, tau), (-b, -tau)):
-        if x:
-            mx, ex = math.frexp(x)
-            m, e = _exp_in_parts(t)
-            terms.append((mx * m / mq, ex + e - eq))
-    top = max(e for _, e in terms)
-    diff = sum(math.ldexp(m, e - top) for m, e in terms)
-    try:
-        return math.ldexp(diff, top)
-    except OverflowError:
-        return math.copysign(math.inf, diff)

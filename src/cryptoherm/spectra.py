@@ -187,14 +187,6 @@ def _pow2_scales(a: np.ndarray) -> list:
     return [_pow2_of(top) for top in np.abs(a).reshape(len(a), -1).max(axis=1).tolist()]
 
 
-def _any_per_matrix(x: np.ndarray) -> list:
-    """``x[g].any()`` for each matrix of a stack, testing the whole stack
-    first."""
-    if not np.count_nonzero(x):
-        return [False] * len(x)
-    return [True] if len(x) == 1 else x.reshape(len(x), -1).any(axis=1).tolist()
-
-
 def _finite(a, what: str):
     """``a``, or NonFiniteError naming ``what`` when an entry is not finite."""
     if not np.isfinite(a).all():
@@ -345,12 +337,13 @@ def diagonalize(h, tol: float):
     returned as read-only ``complex128`` arrays, and ``matrix`` is the
     complex input.
 
-    A ``(G, N, N)`` stack is decomposed with one LAPACK call per stage
-    and per arithmetic (real or complex), and returns a tuple of G
-    outcomes: outcome g is, byte for byte, what ``diagonalize(h[g], tol)``
-    returns, or the DefectiveError or NonFiniteError it would raise, with
-    the same fields.  A stack is never raised for one matrix; a bad
-    ``tol``, shape or dtype raises for the whole call.
+    A ``(G, N, N)`` stack is split by index arrays into the members that
+    share an arithmetic (real or complex), each group decomposed with one
+    LAPACK call per stage, and returns a tuple of G outcomes: outcome g
+    is, byte for byte, what ``diagonalize(h[g], tol)`` returns, or the
+    DefectiveError or NonFiniteError it would raise, with the same fields.
+    A stack is never raised for one matrix; a bad ``tol``, shape or dtype
+    raises for the whole call.
 
     Parameters
     ----------
@@ -392,77 +385,48 @@ def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
         m = np.ascontiguousarray(m)
     tol = _check_tol(tol)
     m.setflags(write=False)
-    out = [None] * len(m)
-    finite = np.isfinite(m).all(axis=(1, 2)).tolist()
-    for i, ok in enumerate(finite):
-        if not ok:
-            out[i] = NonFiniteError("H contains NaN/Inf entries")
-    live = np.flatnonzero(finite)
-    if live.size:
-        stack = m if live.size == len(m) else m[live]
-        # real and complex matrices apart: each part is taken as
-        # _real_if_exact takes one matrix
-        for has_imag, sel in _split(_any_per_matrix(stack.imag)):
-            a, at = _take(sel, stack, live)
-            _eig_stage(m, at, a if has_imag else a.real, tol, out)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    has_imag = m.imag.any(axis=(1, 2))
+    out = [None if ok else NonFiniteError("H contains NaN/Inf entries") for ok in finite.tolist()]
+    # complex and real matrices apart: each part is taken as _real_if_exact
+    # takes one matrix
+    for at, real in ((np.flatnonzero(finite & has_imag), False),
+                     (np.flatnonzero(finite & ~has_imag), True)):
+        if at.size:
+            _eig_stage(m, at, m[at].real if real else m[at], tol, out)
     systems = [x for x in out if isinstance(x, BiorthogonalSystem)]
     if systems:
         _fill_summaries(systems)
     return tuple(out)
 
 
-_ALL = slice(None)
-
-
-def _split(mask: list) -> list:
-    """``(True, members where mask)`` and ``(False, the others)``, each when
-    it is not empty; ``slice(None)`` selects every member, so a stack that
-    takes one route is never copied."""
-    if all(mask):
-        return [(True, _ALL)]
-    if not any(mask):
-        return [(False, _ALL)]
-    mask = np.array(mask)
-    return [(True, np.flatnonzero(mask)), (False, np.flatnonzero(~mask))]
-
-
-@functools.lru_cache(maxsize=64)
-def _eye(n: int) -> np.ndarray:
-    """The read-only N x N identity."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
-def _take(sel, *arrays) -> tuple:
-    """``arrays`` restricted to the members ``sel`` selects."""
-    return arrays if sel is _ALL else tuple(x[sel] for x in arrays)
-
-
 def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
     """Fill ``out[at[g]]`` with :func:`diagonalize`'s outcome for matrix
     ``ms[at[g]]``, given as ``a[g]`` in the arithmetic its eigensolver
-    runs in; ``a`` is one matrix (``at`` is ``[0]``) or a stack."""
+    runs in; ``a`` is one matrix (``at`` is ``[0]``) or a stack (``at`` an
+    index array)."""
     evals, vr = _lapack("eig", a)  # real exactly when every spectrum is
     finite = np.isfinite(evals)
     if not finite.all():
         # LAPACK returns NaN for an eigenvalue whose modulus overflows
-        finite = finite.reshape(len(at), -1).all(axis=1).tolist()
-        for i, ok in zip(at, finite):
-            if not ok:
-                out[i] = NonFiniteError("the eigenvalues of H leave the float range")
+        finite = finite.reshape(len(at), -1).all(axis=1)
+        for g in np.flatnonzero(~finite).tolist():
+            out[at[g]] = NonFiniteError("the eigenvalues of H leave the float range")
         keep = np.flatnonzero(finite)
         if not keep.size:
             return
-        a, evals, vr, at = _take(keep, a, evals, vr, at)
+        a, evals, vr, at = a[keep], evals[keep], vr[keep], at[keep]
     if a.ndim == 2 or a.dtype.kind == "c" or evals.dtype.kind == "f":
         _gate(ms, at, a, evals, vr, tol, out)  # every member in one arithmetic
         return
     # a real stack whose spectra are not all real: an exactly real spectrum
     # of a real matrix stays in real arithmetic
-    for complex_spectrum, sub in _split(_any_per_matrix(evals.imag)):
-        x, e, v, w = _take(sub, a, evals, vr, at)
-        _gate(ms, w, x, *((e, v) if complex_spectrum else (e.real, v.real)), tol, out)
+    complex_spectrum = evals.imag.any(axis=1)
+    for sub, real in ((np.flatnonzero(complex_spectrum), False),
+                      (np.flatnonzero(~complex_spectrum), True)):
+        if sub.size:
+            e, v = (evals[sub].real, vr[sub].real) if real else (evals[sub], vr[sub])
+            _gate(ms, at[sub], a[sub], e, v, tol, out)
 
 
 def _gate(ms, at, a, evals, vr, tol, out) -> None:
@@ -472,26 +436,27 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
 
     One matrix keeps its 2-D arrays, as a 2-D call of :func:`diagonalize`
     hands it over: passed as a stack of one, with the stacked sort, scales
-    and norms, it cost 20-35% more per call at N <= 8.
+    and norms, it cost 20-35% more per call at N <= 8, and 14% more on the
+    ``diagonalize`` row of ``tools/stage_cost.py``.
     """
     lone = a.ndim == 2
     n = a.shape[-1]
     cond = _conds(vr / _col_norms(vr))
     spectrum = evals  # in the eigensolver's order, for a DefectiveError
     if max(cond) > 1.0 / tol:
-        for g, c in enumerate(cond):
-            if c > 1.0 / tol:
-                out[at[g]] = DefectiveError(
-                    "eigenvector-basis condition number exceeds "
-                    f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
-                    condition_number=c,
-                    eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
-                    bound=1.0 / tol,
-                )
-        keep = np.array([g for g, c in enumerate(cond) if not c > 1.0 / tol], dtype=int)
+        over = np.array(cond) > 1.0 / tol
+        for g in np.flatnonzero(over).tolist():
+            out[at[g]] = DefectiveError(
+                "eigenvector-basis condition number exceeds "
+                f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
+                condition_number=cond[g],
+                eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
+                bound=1.0 / tol,
+            )
+        keep = np.flatnonzero(~over)
         if not keep.size:
             return
-        at, a, evals, vr, spectrum = _take(keep, at, a, evals, vr, spectrum)
+        at, a, evals, vr, spectrum = at[keep], a[keep], evals[keep], vr[keep], spectrum[keep]
         cond = [cond[g] for g in keep]
     # a stable sort of complex values is by (real, imaginary) part
     order = evals.argsort(axis=-1, kind="stable")
@@ -515,7 +480,7 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
     right = _col_norms(hs @ vr - vr * es).max(axis=-1).ravel().tolist()
     left = _fros(vlh @ hs - es.swapaxes(-1, -2) * vlh)
     bi = vlh @ vr
-    bi -= _eye(n)  # L^dag R - I: x - 0.0 is x, so only the diagonal moves
+    bi.reshape(-1, n * n)[:, :: n + 1] -= 1.0  # L^dag R - I (a C-contiguous product)
 
     # a real decomposition is returned in the complex dtype of every system
     evals, vr = evals.astype(complex, copy=False), vr.astype(complex, copy=False)

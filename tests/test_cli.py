@@ -451,6 +451,14 @@ def test_cli_import_skips_scipy_and_thread_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_decimal_to_kg_beta_fallback():
+    # kg_beta imports decimal only where its float formula overflows
+    probe = "import sys, cryptoherm.cli; print('decimal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_scan_find_boundary_tol_below_float_spacing(matrices):
     h = matrices("h", [[0, 1], [1, 0]])
     w = matrices("w", [[0, -1], [0, 0]])

@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 import warnings
@@ -722,6 +723,61 @@ def test_kg_beta_values():
     assert np.isclose(kg_beta(0.0, 1.0, 1.0, 2.0, 0.0), 0.0, atol=1e-15)
     with pytest.raises(DegenerateObservableError):
         kg_beta(1.0, 0.3, 0.4, 1.0, 0.2)
+
+
+_BETA_CONTEXT = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[])
+
+
+def _beta60(a, b, c, d, tau):
+    """kg_beta's beta in 60-digit decimal arithmetic, from the exact arguments."""
+    ctx = _BETA_CONTEXT
+    xa, xb, xc, xd, xt = (decimal.Decimal(x, ctx) for x in (a, b, c, d, tau))
+    e = ctx.exp(xt)
+    return ctx.divide(ctx.subtract(ctx.multiply(xc, e), ctx.divide(xb, e)), ctx.subtract(xd, xa))
+
+
+def _double(draw, exponent) -> float:
+    """A double of either sign near 2**exponent, the exponent held to the
+    double range."""
+    m = draw(st.floats(0.5, 1.0, exclude_max=True)) * draw(st.sampled_from([-1.0, 1.0]))
+    return math.ldexp(m, min(max(round(exponent), -1074), 1024))
+
+
+@st.composite
+def _kg_args(draw):
+    """(a, b, c, d, tau) for which kg_beta's float formula overflows: one
+    term x e^t, (x, t) = (c, tau) or (b, -tau), is near 2**top past the
+    float range (or e^t is), and d - a near 2**(top - k), with k the
+    binary exponent that beta is drawn near."""
+    t = draw(st.floats(-100.0, 1500.0))
+    top, k = draw(st.integers(900, 2100)), draw(st.integers(-1074, 1023))
+    x = _double(draw, top - t / math.log(2))
+    eq = top - k
+    d = _double(draw, min(eq, 1023))
+    # past 2**1023, d - a = 2 d and overflows
+    a = -d if eq > 1023 else draw(st.sampled_from([0.0, -d]))
+    y = 0.0 if draw(st.booleans()) else _double(draw, draw(st.integers(-1074, 1024)))
+    if draw(st.booleans()):
+        return a, y, x, d, t
+    return a, x, y, d, -t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(args=_kg_args())
+@example(args=(0.0, 4.994961650568674e+24, 0.0, -9.301881691329443e+305, -1339.9711377603387))
+def test_kg_beta_past_the_range_of_its_terms_is_correctly_rounded(args):
+    a, b, c, d, tau = args
+    assume(d != a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        formula = ((c * np.exp(tau) if c else 0.0) - (b * np.exp(-tau) if b else 0.0)) / (d - a)
+    assume(not np.isfinite(formula))  # a term, d - a or their quotient overflows
+    beta = _beta60(a, b, c, d, tau)
+    assume(math.isfinite(float(_BETA_CONTEXT.to_sci_string(beta))))
+    got = kg_beta(a, b, c, d, tau)
+    # within half an ulp of beta: the double nearest to it
+    ctx = _BETA_CONTEXT
+    error = ctx.abs(ctx.subtract(decimal.Decimal(got, ctx), beta))
+    assert error <= ctx.divide(decimal.Decimal(math.ulp(got), ctx), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -524,6 +524,11 @@ def _one_matrix_bases(h):
     tol=st.sampled_from([1e-10, 1e-6, 1e-13, 1e-3]),
     column_major=st.booleans(),
 )
+# every route at once: a complex spectrum of a real matrix, a real one, a
+# complex matrix, the condition gate, a NaN/Inf entry and an eigenvalue
+# past the float range
+@example(seed=2, n=3, kinds=list(_STACK_KINDS), tol=1e-10, column_major=False)
+@example(seed=2, n=3, kinds=list(_STACK_KINDS), tol=1e-10, column_major=True)
 def test_a_stack_decomposes_each_matrix_as_the_matrix_alone(seed, n, kinds, tol, column_major):
     rng = np.random.default_rng(seed)
     h = np.array([_stack_member(rng, kind, n) for kind in kinds], dtype=complex)
