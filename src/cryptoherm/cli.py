@@ -76,7 +76,8 @@ from .perturbation import (
     hidden_hermiticity_test,
     metric_series,
 )
-from .spectra import _fro, _lapack, _pow2_scale, diagonalize, ep_proximity, spectrum_is_real
+from .spectra import (_lapack, _relative_norm, _scaled_fro, diagonalize, ep_proximity,
+                      spectrum_is_real)
 from .stability import FamilySpec, ScanReport, lambda_max, reality_scan
 
 SCAN_CSV_HEADER = (
@@ -268,13 +269,8 @@ def cmd_hermitize(args) -> tuple[dict, str]:
     theta = _load_metric(args)
     omega = dyson_map(theta)
     h_image = hermitize(h, omega, args.tol)
-    # Both norms are formed on a copy scaled by a power of two (exact), so
-    # entries near the float limit cannot overflow their squares.
-    s = _pow2_scale(h_image)
-    hs = h_image * s
-    defect_s = _fro(hs - hs.conj().T)
-    defect = defect_s / s
-    rel = defect_s / max(_fro(hs), 1e-300)
+    skew = 0.5 * h_image - 0.5 * h_image.conj().T  # from halves, so it cannot overflow
+    defect, rel = 2.0 * _scaled_fro(skew), 2.0 * _relative_norm(skew, h_image, 1e-300)
     report = {
         "h_image": matrix_to_doc(h_image, "h_image"),
         "hermiticity_defect": defect,

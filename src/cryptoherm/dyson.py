@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NotQuasiHermitianError, ShapeMismatchError
+from .errors import NotPositiveDefiniteError, NotQuasiHermitianError
 from .metric import MetricOperator, quasi_hermiticity_residual
-from .spectra import _EPS, _check_tol, _finite, _lapack, _pow2_scale, as_matrix
+from .spectra import _EPS, _check_tol, _finite, _lapack, _pow2_scale, _shaped, as_matrix
 
 __all__ = ["DysonMap", "dyson_map", "hermitize", "pullback_observable"]
 
@@ -98,11 +98,7 @@ def pullback_observable(v, omega: DysonMap) -> np.ndarray:
     :func:`hermitize`'s image, on v scaled by a power of two; raises
     NonFiniteError when the result leaves the float range.
     """
-    v = as_matrix(v, "v")
-    if v.shape != omega.omega.shape:
-        raise ShapeMismatchError(
-            f"operator has shape {v.shape}, expected {omega.omega.shape}"
-        )
+    v = _shaped(as_matrix(v, "v"), omega.omega.shape, "v")
     s = _pow2_scale(v)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(omega.omega_inv @ (v * s) @ omega.omega / s, "the pulled-back operator")

@@ -48,6 +48,7 @@ from .spectra import (
     _lapack,
     _pow2_scale,
     _real,
+    _shaped,
     as_matrix,
     require_real_nondegenerate,
 )
@@ -198,12 +199,8 @@ def quasi_hermiticity_residual(h, theta) -> float:
     """
     h = as_matrix(h, "H")
     th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
-    if th.shape != h.shape:
-        raise ShapeMismatchError(
-            f"H has shape {h.shape} but theta has shape {th.shape}"
-        )
-    h = h * _pow2_scale(h)
-    th = th * _pow2_scale(th)
+    _shaped(th, h.shape, "theta")
+    h, th = (x * _pow2_scale(x) for x in (h, th))
     num = _fro(h.conj().T @ th - th @ h)
     denom = _fro(h) * _fro(th)
     if denom == 0.0:
@@ -383,15 +380,11 @@ def fix_ambiguity(family: MetricFamily, observables, tol: float) -> np.ndarray:
         vector, so the selected metric would not be positive definite.
     """
     tol = _check_tol(tol)
-    n = family.dim
     obs = [as_matrix(o, f"observable[{i}]") for i, o in enumerate(observables)]
     if not obs:
         raise UnderdeterminedError("no observables supplied")
-    for o in obs:
-        if o.shape != (n, n):
-            raise ShapeMismatchError(
-                f"observable has shape {o.shape}, expected {(n, n)}"
-            )
+    for i, o in enumerate(obs):
+        _shaped(o, (family.dim, family.dim), f"observable[{i}]")
     kappa = _gram_weights(*_scaled_adjoints(obs, family.system.left_vectors), tol)
     if kappa is None:
         s, vt, floor = _constraint_svd(family, obs)
@@ -447,12 +440,11 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
     """Metric parameter selected by the 2x2 observable [[a, b], [c, d]]:
     beta = (c e^tau - b e^{-tau}) / (d - a).
 
-    A zero coefficient b or c makes its term an exact zero, even where its
-    exponential leaves the float range.  Where a term or d - a leaves the
-    float range but beta does not, beta is formed again in 40-digit
-    ``decimal`` arithmetic from the exact arguments and comes back
-    correctly rounded; where the formula above is finite, it is returned
-    as it stands.
+    beta is formed from the exact arguments in ``decimal`` arithmetic, with
+    the full exponent range and at least 30 digits of c e^tau - b e^{-tau}
+    left where its terms cancel, and rounded to a float once: it is
+    correctly rounded wherever it is finite, even where a term or d - a is
+    not.  A zero b or c makes its term an exact zero.
 
     Raises
     ------
@@ -466,16 +458,20 @@ def kg_beta(a: float, b: float, c: float, d: float, tau: float) -> float:
         raise DegenerateObservableError(
             "observables with d = a do not determine the metric parameter"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = ((c * np.exp(tau) if c else 0.0) - (b * np.exp(-tau) if b else 0.0)) / (d - a)
-    if not np.isfinite(beta) and all(map(math.isfinite, (a, b, c, d, tau))):
-        import decimal  # here only: the import costs milliseconds of a cold start
+    _finite((a, b, c, d, tau), "beta")
+    import decimal  # here only: the import costs milliseconds of a cold start
 
-        # an explicit context, so that no global or thread-local one is read
-        # or changed
-        ctx = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[])
-        xa, xb, xc, xd, xt = (decimal.Decimal(x, ctx) for x in (a, b, c, d, tau))  # exact
+    # an explicit context, so that no global or thread-local one is read or changed
+    ctx = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[])
+    xa, xb, xc, xd, xt = (decimal.Decimal(x, ctx) for x in (a, b, c, d, tau))  # exact
+    while True:
         e = ctx.exp(xt)
-        x = ctx.divide(ctx.subtract(ctx.multiply(xc, e), ctx.divide(xb, e)), ctx.subtract(xd, xa))
-        beta = float(ctx.to_sci_string(x))  # rounded once; inf past the float range
-    return float(_finite((a, b, c, d, tau, beta), "beta")[-1])
+        up, down = ctx.multiply(xc, e) if c else 0, ctx.divide(xb, e) if b else 0
+        num = ctx.subtract(up, down)
+        # exact cancellation needs a zero term or tau = 0 (e^(2 tau) is irrational)
+        if not (b and c and tau) or num and (
+                num.adjusted() >= max(up.adjusted(), down.adjusted()) - ctx.prec + 30):
+            break
+        ctx.prec *= 2
+    # rounded once; inf past the float range
+    return _finite(float(ctx.to_sci_string(ctx.divide(num, ctx.subtract(xd, xa)))), "beta")

@@ -50,7 +50,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     SeriesOverflowError,
-    ShapeMismatchError,
     SingularResolventError,
     SolvabilityViolatedError,
 )
@@ -60,9 +59,11 @@ from .spectra import (
     _check_tol,
     _cond,
     _finite,
-    _fro,
     _lapack,
     _pow2_scale,
+    _relative_norm,
+    _scaled_fro,
+    _shaped,
     as_matrix,
     diagonalize,
     require_real_nondegenerate,
@@ -148,16 +149,10 @@ class PerturbationProblem:
         tol = _check_tol(tol)
         if not isinstance(theta, MetricOperator):
             theta = metric_from_matrix(theta, tol)
-        if theta.theta.shape != h.shape:
-            raise ShapeMismatchError(f"theta has shape {theta.theta.shape}, expected {h.shape}")
-        ws = []
-        for i, w in enumerate(w_coeffs):
-            w = as_matrix(w, f"W[{i}]")
-            if w.shape != h.shape:
-                raise ShapeMismatchError(f"W[{i}] has shape {w.shape}, expected {h.shape}")
-            w.setflags(write=False)
-            ws.append(w)
-        h.setflags(write=False)
+        _shaped(theta.theta, h.shape, "theta")
+        ws = [_shaped(as_matrix(w, f"W[{i}]"), h.shape, f"W[{i}]") for i, w in enumerate(w_coeffs)]
+        for a in (h, *ws):
+            a.setflags(write=False)
         held = theta._problem and theta._problem()
         if (held is not None and held.tol == tol and held.h.tobytes() == h.tobytes()
                 and len(held.w_coeffs) == len(ws)
@@ -243,19 +238,6 @@ class DysonSeries:
     gauge where Theta Delta_k is Hermitian."""
 
     delta_coeffs: tuple
-
-
-def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
-    """``||part|| / max(unit, ||whole||)`` in the Frobenius norm, for a
-    ``part`` derived from ``whole`` and of comparable size (0 when
-    ``part`` is 0).
-
-    Both norms are formed on copies scaled by ``_pow2_scale(whole)``, so
-    their squared entries cannot overflow.
-    """
-    s = _pow2_scale(whole)
-    num = _fro(part * s)
-    return num / max(unit * s, _fro(whole * s)) if num else 0.0
 
 
 def solve_order(problem: PerturbationProblem, k: int):
@@ -368,9 +350,7 @@ def dyson_from_metric(series: MetricSeries, theta) -> DysonSeries:
         A Delta_k leaves the double-precision range (with no warning).
     """
     th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
-    if th.shape != series.t_coeffs[0].shape:
-        raise ShapeMismatchError(f"theta has shape {th.shape}, "
-                                 f"expected {series.t_coeffs[0].shape}")
+    _shaped(th, series.t_coeffs[0].shape, "theta")
     if not series.order:
         return DysonSeries(())
     deltas, ss = [], []
@@ -435,13 +415,10 @@ def _resolvent(delta: np.ndarray, lam: float) -> np.ndarray:
     return m
 
 
-def _check_trio(w, delta, h):
-    w = as_matrix(w, "W")
-    delta = as_matrix(delta, "Delta")
-    h = as_matrix(h, "H")
-    if not (w.shape == delta.shape == h.shape):
-        raise ShapeMismatchError("W, Delta and H must share one square shape")
-    return w, delta, h
+def _check_trio(x, delta, h, name: str):
+    """``x`` (called ``name``), Delta and H as matrices of H's shape."""
+    x, delta, h = as_matrix(x, name), as_matrix(delta, "Delta"), as_matrix(h, "H")
+    return _shaped(x, h.shape, name), _shaped(delta, h.shape, "Delta"), h
 
 
 def v_from_w(w, delta, h, lam: float) -> np.ndarray:
@@ -461,7 +438,7 @@ def v_from_w(w, delta, h, lam: float) -> np.ndarray:
         1 + lam Delta, V or a product that forms V leaves the
         double-precision range, even where V itself would be finite.
     """
-    w, delta, h = _check_trio(w, delta, h)
+    w, delta, h = _check_trio(w, delta, h, "W")
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         num = m @ w + delta @ h - h @ delta
@@ -477,7 +454,7 @@ def w_from_v(v, delta, h, lam: float) -> np.ndarray:
     evaluated directly; composing with :func:`v_from_w` is the identity.
     It raises as :func:`v_from_w` does, for W and the products forming it.
     """
-    v, delta, h = _check_trio(v, delta, h)
+    v, delta, h = _check_trio(v, delta, h, "V")
     m = _resolvent(delta, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_lapack("solve", m, v @ m + h @ delta - delta @ h), "W")
@@ -493,13 +470,11 @@ def commutator_gap(v, w, delta0, h) -> float:
     double-precision range.
     """
     v = as_matrix(v, "V")
-    w, delta0, h = _check_trio(w, delta0, h)
-    if v.shape != w.shape:
-        raise ShapeMismatchError("V and W must share one square shape")
+    w, delta0, h = _check_trio(w, delta0, h, "W")
+    _shaped(v, h.shape, "V")
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _finite((v - w) - (delta0 @ h - h @ delta0), "the commutator gap")
-        s = _pow2_scale(gap)  # exact, so the norm's squares cannot overflow
-        return _finite(_fro(gap * s) / s, "the commutator gap")
+        return _finite(_scaled_fro(gap), "the commutator gap")
 
 
 def hidden_hermiticity_test(w, delta, h, theta, lam: float, tol: float) -> tuple[bool, float]:

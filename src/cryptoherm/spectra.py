@@ -116,6 +116,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _square(_complex(a, name), name)
 
 
+def _shaped(m: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``m``, unless its shape is not ``shape``."""
+    if m.shape != shape:
+        raise ShapeMismatchError(f"{name} has shape {m.shape}, expected {shape}")
+    return m
+
+
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """``a.real`` when every imaginary part of ``a`` is exactly zero, else ``a``.
 
@@ -212,6 +219,21 @@ def _fro(x: np.ndarray) -> float:
     x = x.ravel(order="K")
     sq = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
     return math.sqrt(float(sq))
+
+
+def _scaled_fro(x: np.ndarray) -> float:
+    """:func:`_fro` of ``x``, formed on a copy scaled by ``_pow2_scale(x)``: no square overflows."""
+    s = _pow2_scale(x)
+    return _fro(x * s) / s
+
+
+def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
+    """``||part|| / max(unit, ||whole||)`` in the Frobenius norm (0 when
+    ``part`` is 0), both formed on copies scaled by ``_pow2_scale(whole)``,
+    for a ``part`` derived from ``whole`` and of comparable size."""
+    s = _pow2_scale(whole)
+    num = _fro(part * s)
+    return num / max(unit * s, _fro(whole * s)) if num else 0.0
 
 
 def _fros(x: np.ndarray) -> list:

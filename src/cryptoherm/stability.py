@@ -18,8 +18,8 @@ from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonia
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_finite, _fro, _lapack, _min_gap, _pow2_scale, _real, _real_if_exact,
-                      _reality, ep_proximity, spectrum_is_real)
+from .spectra import (_finite, _lapack, _min_gap, _real, _real_if_exact, _reality, _scaled_fro,
+                      ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -389,10 +389,5 @@ def series_vs_exact(problem: PerturbationProblem, order: int, lambdas) -> list[t
     except OverflowError:
         raise NonFiniteError("lambdas contain values outside the float range") from None
     series = metric_series(problem, order)
-    rows = []
-    for lam in lambdas:
-        diff = series.truncated(float(lam)) - exact_matched_metric(problem, float(lam))
-        scale = _pow2_scale(diff)
-        err = _fro(diff * scale) / scale
-        rows.append((float(lam), err))
-    return rows
+    return [(lam, _scaled_fro(series.truncated(lam) - exact_matched_metric(problem, lam)))
+            for lam in map(float, lambdas)]

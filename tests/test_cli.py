@@ -502,6 +502,36 @@ def test_hermitize_near_overflow_keeps_stderr_empty(matrices):
     assert 0.0 <= report["hermiticity_defect_rel"] <= 1e-12
 
 
+def test_hermitize_image_whose_skew_part_overflows_keeps_stderr_empty(matrices):
+    # Theta = diag(1, 4e-5) passes H at --tol 0.0099, and the image is
+    # [[0, 1.79e308], [-1.1e306, 0]]: A - A^dag overflows where its halves
+    # do not, so only the defect itself, 2.55e308, leaves the float range
+    eps = 4e-5
+    h = matrices("h", [[0.0, 1.79e308 * eps**0.5], [-1.1e306 / eps**0.5, 0.0]])
+    theta = matrices("theta", np.diag([1.0, eps]))
+    proc = run_cli_process("hermitize", "--h", h, "--metric", theta, "--tol", "0.0099")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["hermiticity_defect"] == "inf"
+    assert report["hermiticity_defect_rel"] == pytest.approx(
+        2**0.5 * (1.79 + 0.011) / np.hypot(1.79, 0.011), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("metric", "--kg", "0.3", "--obs", "{3x3}"),
+     "error: observable[0] has shape (3, 3), expected (2, 2)"),
+    (("hermitize", "--h", "{2x2}", "--metric", "{3x3}"),
+     "error: theta has shape (3, 3), expected (2, 2)"),
+], ids=["metric-obs", "hermitize-metric"])
+def test_shape_mismatch_exits_8_naming_the_operand_and_both_shapes(capsys, matrices, argv, line):
+    files = {"2x2": matrices("h", np.diag([1.0, 2.0])), "3x3": matrices("m", np.eye(3))}
+    code, out, err = run_cli(capsys, *(a.format_map(files) for a in argv))
+    assert code == 8
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
 def test_metric_observable_near_overflow_matches_unscaled(matrices):
     obs = np.array([[0.0, 0.0], [1.0, 2.0]])
     ref = run_cli_process("metric", "--kg", "0.3", "--obs", matrices("o", obs))

@@ -27,6 +27,13 @@ def test_identity_metric_gives_identity_map():
     assert not omega.ill_conditioned
 
 
+def test_ill_conditioned_flag_within_ten_times_its_guard():
+    # cond(Theta) = 1e13 lies between the guard of 1e12 and ten times it
+    omega = dyson_map(metric_from_matrix(np.diag([1.0, 1e-13]), TOL))
+    assert omega.condition_number == pytest.approx(1e13, rel=1e-12)
+    assert omega.ill_conditioned
+
+
 def test_diagonal_metric_square_root():
     omega = dyson_map(metric_from_matrix(np.diag([4.0, 9.0]), TOL))
     assert np.allclose(omega.omega, np.diag([2.0, 3.0]), atol=1e-14)

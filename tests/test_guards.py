@@ -22,6 +22,7 @@ from cryptoherm import (
     diagonalize,
     dyson_map,
     fix_ambiguity,
+    hidden_hermiticity_test,
     kg_beta,
     kg_hamiltonian,
     kg_metric,
@@ -111,6 +112,10 @@ CASES = {
                                       "beta leaves the double-precision range"),
     "kg_beta-nan-tau": (lambda: kg_beta(0, 1, 1, 2, float("nan")), NonFiniteError,
                         "beta leaves the double-precision range"),
+    # an infinite term beside a finite one would never leave 30 digits of
+    # their difference: rejected before any decimal arithmetic
+    "kg_beta-inf-coefficient": (lambda: kg_beta(0, 1e300, float("inf"), 2, 0.1), NonFiniteError,
+                                "beta leaves the double-precision range"),
     "commutator_gap-gap-past-float-range": (
         lambda: commutator_gap(np.zeros((2, 2)), np.zeros((2, 2)), [[0.0, 1e300], [0.0, 0.0]],
                                np.diag([1e10, -1e10])),
@@ -167,9 +172,10 @@ CASES = {
                                           ShapeMismatchError, "expected 2 weights"),
     "quasi_hermiticity_residual-2x2-H-3x3-theta": (
         lambda: quasi_hermiticity_residual(np.eye(2), np.eye(3)), ShapeMismatchError,
-        "but theta has shape"),
+        r"^theta has shape \(3, 3\), expected \(2, 2\)$"),
     "fix_ambiguity-3x3-observable": (lambda: fix_ambiguity(kg_family(), [np.eye(3)], TOL),
-                                     ShapeMismatchError, "observable has shape"),
+                                     ShapeMismatchError,
+                                     r"^observable\[0\] has shape \(3, 3\), expected \(2, 2\)$"),
     "PerturbationProblem.build-3x3-theta": (
         lambda: PerturbationProblem.build(kg_hamiltonian(0.3), np.eye(3), [], TOL),
         ShapeMismatchError, "theta has shape"),
@@ -178,10 +184,21 @@ CASES = {
                                           [np.eye(3)], TOL),
         ShapeMismatchError, r"W\[0\] has shape"),
     "v_from_w-3x3-W": (lambda: v_from_w(np.eye(3), np.zeros((2, 2)), np.eye(2), 0.1),
-                       ShapeMismatchError, "W, Delta and H must share one square shape"),
+                       ShapeMismatchError, r"^W has shape \(3, 3\), expected \(2, 2\)$"),
+    "v_from_w-3x3-Delta": (lambda: v_from_w(np.eye(2), np.zeros((3, 3)), np.eye(2), 0.1),
+                           ShapeMismatchError, r"^Delta has shape \(3, 3\), expected \(2, 2\)$"),
+    "w_from_v-3x3-V": (lambda: w_from_v(np.eye(3), np.zeros((2, 2)), np.eye(2), 0.1),
+                       ShapeMismatchError, r"^V has shape \(3, 3\), expected \(2, 2\)$"),
     "commutator_gap-3x3-V": (
         lambda: commutator_gap(np.eye(3), np.eye(2), np.zeros((2, 2)), np.eye(2)),
-        ShapeMismatchError, "V and W must share one square shape"),
+        ShapeMismatchError, r"^V has shape \(3, 3\), expected \(2, 2\)$"),
+    "hidden_hermiticity_test-3x3-theta": (
+        lambda: hidden_hermiticity_test(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(3), 0.1,
+                                        TOL),
+        ShapeMismatchError, r"^theta has shape \(3, 3\), expected \(2, 2\)$"),
+    "pullback_observable-3x3-operand": (
+        lambda: pullback_observable(np.eye(3), dyson_map(kg_metric(0.3, 0.0))),
+        ShapeMismatchError, r"^v has shape \(3, 3\), expected \(2, 2\)$"),
     "matrix_to_doc-2x3": (lambda: matrix_to_doc(np.zeros((2, 3))), MatrixFileError,
                           "only square matrices are encoded"),
     "matrix_from_doc-list": (lambda: matrix_from_doc([]), MatrixFileError,
@@ -264,6 +281,11 @@ FINITE = {
         lambda: kg_beta(0, 0, 5e-324, 1.7e308, 1460.0), 341.4124186611586),
     "kg_beta-negative-exp-past-twice-the-range": (
         lambda: kg_beta(0, 5e-324, 0, -1.7e308, -1460.0), 341.4124186611586),
+    # d - a = 3.4e308 leaves the float range, each term does not
+    "kg_beta-observable-gap-overflow-finite-terms": (
+        lambda: kg_beta(-1.7e308, 1, 1, 1.7e308, 700.0), 2.9830354551029544e-05),
+    # e^-800 underflows, c e^-800 does not
+    "kg_beta-exp-underflow": (lambda: kg_beta(0, 0, 1e300, 1, -800.0), 3.667874584177687e-48),
 }
 
 

@@ -780,6 +780,37 @@ def test_kg_beta_past_the_range_of_its_terms_is_correctly_rounded(args):
     assert error <= ctx.divide(decimal.Decimal(math.ulp(got), ctx), 2)
 
 
+_WIDE_CONTEXT = decimal.Context(prec=1000, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[])
+
+
+def _beta_wide(a, b, c, d, tau):
+    """beta in 1000-digit decimal arithmetic, enough where the two terms
+    cancel to hundreds of digits (tau near the smallest subnormal)."""
+    ctx = _WIDE_CONTEXT
+    xa, xb, xc, xd, xt = (decimal.Decimal(x, ctx) for x in (a, b, c, d, tau))
+    e = ctx.exp(xt)
+    return ctx.divide(ctx.subtract(ctx.multiply(xc, e), ctx.divide(xb, e)), ctx.subtract(xd, xa))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(args=st.tuples(*[st.floats(-1e6, 1e6)] * 4, st.floats(-50.0, 50.0)))
+# the float formula returned 0.24294187734067346, two ulps above beta
+@example(args=(0.0, 0.3, 0.4, 1.0, 0.2))
+# c e^tau and b e^-tau agree to 30 digits (b / c is a continued-fraction
+# convergent of e^0.6); the float formula returned 0.0
+@example(args=(0.0, 3962505598734238.0, 2174669180673077.0, 1.0, 0.3))
+# beta = 2 sinh(tau): the terms agree to 97 digits, and to 323 at 5e-324
+@example(args=(0.0, 1.0, 1.0, 1.0, 6.209954878528389e-98))
+@example(args=(0.0, 1.0, 1.0, 2.0, 5e-324))
+def test_kg_beta_of_ordinary_arguments_is_correctly_rounded(args):
+    assume(args[3] != args[0])
+    ctx, beta = _WIDE_CONTEXT, _beta_wide(*args)
+    assume(math.isfinite(float(ctx.to_sci_string(beta))))
+    got = kg_beta(*args)
+    error = ctx.abs(ctx.subtract(decimal.Decimal(got, ctx), beta))
+    assert error <= ctx.divide(decimal.Decimal(math.ulp(got), ctx), 2)
+
+
 # ---------------------------------------------------------------------------
 # family completeness (small oracle; the full sweep is in acceptance)
 # ---------------------------------------------------------------------------

@@ -1032,6 +1032,13 @@ def test_singular_resolvent_detected():
         v_from_w(np.eye(2), -np.eye(2), h, 1.0)
 
 
+def test_resolvent_gate_rejects_a_condition_number_within_ten_times_its_limit():
+    # 1 + Delta = diag(1, 1.0003e-13): condition number 9.997e12, above the
+    # limit of 1e12 and below 1e13
+    with pytest.raises(SingularResolventError, match="condition number 9.997e"):
+        v_from_w(np.eye(2), np.diag([0.0, -1.0 + 1e-13]), np.eye(2), 1.0)
+
+
 def test_commutator_gap_trivial_and_scaling():
     rng = np.random.default_rng(59)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -204,6 +204,15 @@ def test_defective_error_carries_condition_gate_fields():
     )
 
 
+def test_condition_gate_rejects_a_basis_within_ten_times_its_bound():
+    # cond 3.16e10 lies between 1/tol and 10/tol: a gate loosened tenfold
+    # passes this basis
+    with pytest.raises(DefectiveError) as info:
+        diagonalize([[1.0, 1.0], [1e-21, 1.0]], TOL)
+    assert 1.0 / TOL < info.value.condition_number < 10.0 / TOL
+    assert info.value.residual is None
+
+
 def test_defective_error_fields_name_the_failed_gate():
     # similarity-transformed Jordan blocks plus noise trip both gates
     gates = set()
