@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,6 @@ from .spectra import (
     _finite,
     _fro,
     _lapack,
-    _pow2_scale,
     _real,
     _shaped,
     as_matrix,
@@ -97,23 +97,40 @@ class MetricOperator:
     _problem: weakref.ref | None = field(default=None, init=False, compare=False, repr=False)
 
 
+def _pow2_factors(*operands: np.ndarray) -> tuple[float, float]:
+    """Two powers of two whose product 2**e brings the largest entry
+    modulus of ``operands`` into [1, 2) (2**-1023 where it is infinite: a
+    complex entry with finite parts whose modulus overflows).
+
+    Unlike ``_pow2_scale`` the scale also grows, so tiny and subnormal
+    operands regain full precision and their squares cannot underflow;
+    2**e may reach 2**1074, past the float range, so it comes as two
+    factors, applied one after the other.
+    """
+    top = max(float(np.abs(a).max()) for a in operands)
+    e = 1 - math.frexp(top)[1] if top < math.inf else -1023
+    return 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+
+
 def metric_from_matrix(theta, tol: float) -> MetricOperator:
     """Validate a raw matrix as a metric operator.
 
     Raises NotPositiveDefiniteError if the matrix is not Hermitian within
-    ``tol`` or has a non-positive eigenvalue.  The Hermiticity gate runs
-    on a copy scaled by a power of two, so it holds near the float limit.
+    ``tol`` (a defect ||Theta - Theta^dag|| above ``tol * ||Theta||``) or
+    has a non-positive eigenvalue.  The Hermiticity gate runs on a copy
+    scaled by a power of two (:func:`_pow2_factors`), so ``2**k * Theta``
+    passes or fails it as Theta does, near the float limit and below.
     """
     th = as_matrix(theta, "theta")
     tol = _check_tol(tol)
-    s = _pow2_scale(th)
-    ths = th * s
+    grow, scale = _pow2_factors(th)
+    ths = th * grow * scale
     defect = _fro(ths - ths.conj().T)
-    if defect > tol * max(s, _fro(ths)):
+    if defect > tol * _fro(ths):
         raise NotPositiveDefiniteError(
-            f"metric is not Hermitian: defect {defect / s:.3e} exceeds tolerance"
+            f"metric is not Hermitian: defect {defect / scale / grow:.3e} exceeds tolerance"
         )
-    th = 0.5 * (ths + ths.conj().T) / s
+    th = 0.5 * (ths + ths.conj().T) / scale / grow
     smallest = float(_lapack("eigvalsh", th).min())
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
@@ -150,13 +167,32 @@ class MetricFamily:
 
 
 def _projector_sum(l: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Symmetrized sum_n k_n l_n l_n^dag, unvalidated: any real weights,
-    and entries past the float range come back inf or NaN."""
-    t = (l * k) @ l.conj().T
-    return 0.5 * (t + t.conj().T)
+    """Symmetrized sum_n k_n l_n l_n^dag of one matrix ``l`` or of each
+    matrix of a stack, unvalidated: any real weights, and entries past the
+    float range come back inf or NaN."""
+    t = (l * k) @ l.conj().mT
+    return 0.5 * (t + t.conj().mT)
 
 
-def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
+def _weights(kappa, dim: int) -> np.ndarray:
+    """``kappa`` as a new read-only array of ``dim`` positive weights."""
+    try:
+        k = np.array(kappa, dtype=float)
+    except OverflowError:
+        raise NonFiniteError("weights contain values outside the float range") from None
+    if k.shape != (dim,):
+        raise ShapeMismatchError(f"expected {dim} weights, got shape {k.shape}")
+    lo, hi = float(k.min()), float(k.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteError("weights contain NaN/Inf")
+    if lo <= 0.0:
+        raise NonPositiveWeightError(f"weights must be positive, got {k.tolist()}")
+    k.setflags(write=False)
+    return k
+
+
+def assemble_metric(family: MetricFamily | Sequence[MetricFamily],
+                    kappa) -> MetricOperator | tuple:
     """Build Theta(kappa) = sum_n kappa_n L_n L_n^dag for positive weights.
 
     Scale covariance: assemble_metric(family, s * kappa) equals
@@ -165,6 +201,13 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     up to rounding.  The result carries the family's system in its
     ``system`` field and a read-only copy of the weights in ``weights``.
 
+    ``family`` may also be a sequence of families of one size, assembled
+    with one stacked kernel call: the result is then a tuple whose entry g
+    is, byte for byte, what ``assemble_metric(family[g], kappa)`` returns,
+    or the NonFiniteError it would raise.  The entries share one read-only
+    copy of the weights.  A sequence is never raised for one member; bad
+    weights, or families of different sizes, raise for the whole call.
+
     Raises
     ------
     NonPositiveWeightError
@@ -172,35 +215,49 @@ def assemble_metric(family: MetricFamily, kappa) -> MetricOperator:
     NonFiniteError
         A weight is NaN/Inf, or an entry of Theta leaves the float range.
     """
-    try:
-        k = np.array(kappa, dtype=float)
-    except OverflowError:
-        raise NonFiniteError("weights contain values outside the float range") from None
-    if k.shape != (family.dim,):
-        raise ShapeMismatchError(
-            f"expected {family.dim} weights, got shape {k.shape}"
-        )
-    lo, hi = float(k.min()), float(k.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteError("weights contain NaN/Inf")
-    if lo <= 0.0:
-        raise NonPositiveWeightError(f"weights must be positive, got {k.tolist()}")
+    if not isinstance(family, MetricFamily):
+        return _assemble_stack(family, kappa)
+    k = _weights(kappa, family.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         theta = _finite(_projector_sum(family.system.left_vectors, k), "metric Theta(kappa)")
-    for a in (theta, k):
-        a.setflags(write=False)
+    theta.setflags(write=False)
     return MetricOperator(theta, family.system, k)
+
+
+def _assemble_stack(families, kappa) -> tuple:
+    """:func:`assemble_metric` of each of ``families``, in one kernel call."""
+    if not len(families):
+        return ()
+    n = families[0].dim
+    k = _weights(kappa, n)
+    try:
+        # column-major matrices, as diagonalize lays out every system's left vectors
+        l = np.stack([f.system.left_vectors.T for f in families]).swapaxes(1, 2)
+    except ValueError:
+        g = next(g for g, f in enumerate(families) if f.dim != n)
+        raise ShapeMismatchError(f"family[{g}] has dimension {families[g].dim}, expected {n}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _projector_sum(l, k)
+    t.setflags(write=False)
+    finite = np.isfinite(t).all(axis=(1, 2)).tolist()
+    return tuple(
+        MetricOperator(theta, f.system, k) if ok
+        else NonFiniteError("metric Theta(kappa) leaves the double-precision range")
+        for theta, f, ok in zip(t, families, finite)
+    )
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
     """Relative Frobenius residual of the quasi-Hermiticity relation,
     ||H^dag Theta - Theta H|| / (||H|| ||Theta||), formed on copies of H
-    and Theta each scaled by a power of two (exact, and free of overflow).
+    and Theta each scaled by a power of two (:func:`_pow2_factors`: exact,
+    and free of overflow and underflow).
     """
     h = as_matrix(h, "H")
     th = theta.theta if isinstance(theta, MetricOperator) else as_matrix(theta, "theta")
     _shaped(th, h.shape, "theta")
-    h, th = (x * _pow2_scale(x) for x in (h, th))
+    (gh, sh), (gt, st) = _pow2_factors(h), _pow2_factors(th)
+    h, th = h * gh * sh, th * gt * st
     num = _fro(h.conj().T @ th - th @ h)
     denom = _fro(h) * _fro(th)
     if denom == 0.0:
@@ -212,11 +269,7 @@ def _scaled_adjoints(obs, l: np.ndarray) -> tuple[list, np.ndarray, float]:
     """The adjoints of the validated observables ``obs`` after one common
     power-of-two scale, the left vectors ``l`` after another, and the
     constraint scale max ||O|| * max_n ||l_n||^2 in those units."""
-    # 2**e brings the largest entry into [1, 2).  Unlike _pow2_scale it
-    # also grows, so subnormal observables regain full precision; 2**e may
-    # reach 2**1074, past the float range, so it is applied as two factors.
-    e = 1 - max(math.frexp(float(np.abs(o).max()))[1] for o in obs)
-    grow, scale = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    grow, scale = _pow2_factors(*obs)
     ohs = [scale * (grow * o.conj().T) for o in obs]
     o_norm = max(math.sqrt(np.vdot(oh, oh).real) for oh in ohs)
     # The constraints are quadratic in L, so no scale changes a decision; it

@@ -41,7 +41,8 @@ def _validate_grid(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} grid must be a nonempty 1-d sequence")
     if not np.isfinite(g).all():
         raise ValueError(f"{name} grid contains non-finite values")
-    if g.size > 1 and not np.all(np.diff(g) > 0.0):
+    # compared, not subtracted: the difference of two finite ends can overflow
+    if not np.all(g[1:] > g[:-1]):
         raise ValueError(f"{name} grid must be strictly increasing")
     g.setflags(write=False)
     return g
@@ -92,6 +93,7 @@ class FamilySpec:
         )
 
     def hamiltonian_at(self, lam: float, tau: float | None = None) -> np.ndarray:
+        """H at one point; each ``lambda_max`` probe forms its H here."""
         if self.kind == "kg":
             h = kg_hamiltonian(float(tau))
             if self.w0 is not None:
@@ -99,11 +101,32 @@ class FamilySpec:
             return h
         return self.h0 + lam * self.w0
 
+    def _hamiltonians(self, lams: np.ndarray, taus: np.ndarray | None) -> np.ndarray:
+        """The stack of ``hamiltonian_at(lams[g], taus[g])``, byte for byte,
+        formed by broadcasting.  Where e^{2 tau} or lam * W0 leaves the
+        float range the matrix holds inf or NaN entries instead, with no
+        warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "linear":
+                return self.h0 + lams[:, None, None] * self.w0
+            hs = np.zeros((lams.size, 2, 2), dtype=complex)
+            hs[:, 0, 1] = np.exp(2.0 * taus)
+            hs[:, 1, 0] = 1.0
+            if self.w0 is not None:
+                hs += lams[:, None, None] * self.w0
+        return hs
+
+    def _grid_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The lambda and the tau (``None`` for a linear family) of every
+        grid point, as arrays in :meth:`grid` order."""
+        if self.kind == "kg":
+            return np.repeat(self.lambdas, self.taus.size), np.tile(self.taus, self.lambdas.size)
+        return self.lambdas, None
+
     def grid(self) -> list[tuple[float, float | None]]:
         """Grid points in deterministic order: lambda outer, tau inner."""
-        if self.kind == "kg":
-            return [(float(l), float(t)) for l in self.lambdas for t in self.taus]
-        return [(float(l), None) for l in self.lambdas]
+        lams, taus = self._grid_arrays()
+        return list(zip(lams.tolist(), [None] * lams.size if taus is None else taus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -143,21 +166,14 @@ class ScanReport:
 _CHUNK_ENTRIES = 4096
 
 
-def _scan_chunk(spec: FamilySpec, tol: float, points: list, n: int) -> list:
-    """The rows of ``points``, from one stacked diagonalize call."""
-    hs = np.empty((len(points), n, n), dtype=complex)
-    # an H past the float range is NonFinite, raised here or found by diagonalize
-    with np.errstate(over="ignore"):
-        for h, (lam, tau) in zip(hs, points):
-            try:
-                h[...] = spec.hamiltonian_at(lam, tau)
-            except NonFiniteError:
-                h[...] = np.nan
-    ones = np.ones(n)
-    columns, witnesses = [], {}
-    outcomes = list(diagonalize(hs, tol))
+def _scan_chunk(spec: FamilySpec, tol: float, lams: np.ndarray, taus: np.ndarray | None) -> list:
+    """The rows of the grid points ``(lams[g], taus[g])``, from one
+    broadcast H stack, one stacked diagonalize and one stacked
+    assemble_metric call."""
+    columns, families, at = [], [], []
+    outcomes = list(diagonalize(spec._hamiltonians(lams, taus), tol))
     for k, out in enumerate(outcomes):
-        outcomes[k] = None  # a system is dropped once its row is formed
+        outcomes[k] = None  # a system is dropped once its row and witness are formed
         note = ""
         if isinstance(out, NonFiniteError):
             real, note = False, "NonFinite"
@@ -169,22 +185,31 @@ def _scan_chunk(spec: FamilySpec, tol: float, points: list, n: int) -> list:
             min_gap, eigvec_cond = _min_gap(out.eigenvalues), out.condition_number
         else:
             try:
-                witnesses[k] = assemble_metric(MetricFamily(out), ones).theta
+                families.append(MetricFamily(out))
+                at.append(k)
             except CryptohermError as exc:
                 note = type(exc).__name__.removesuffix("Error")
             real, max_imag = spectrum_is_real(out)
             min_gap, eigvec_cond = ep_proximity(out)
-        columns.append((real, max_imag, min_gap, eigvec_cond, note))
-    # the smallest eigenvalue of each witness, NaN where none was assembled
-    theta_min = [float("nan")] * len(points)
-    if witnesses:
-        smallest = _lapack("eigvalsh", np.stack(list(witnesses.values()))).min(axis=1)
-        for k, value in zip(witnesses, smallest.tolist()):
-            theta_min[k] = value
+        columns.append([real, max_imag, min_gap, eigvec_cond, note])
+    # the all-ones witness of each family, and its smallest eigenvalue;
+    # NaN where none was assembled
+    theta_min = [float("nan")] * lams.size
+    if families:
+        witnesses = {}
+        for k, metric in zip(at, assemble_metric(families, np.ones(families[0].dim))):
+            if isinstance(metric, NonFiniteError):
+                columns[k][-1] = "NonFinite"  # the note: Theta leaves the float range
+            else:
+                witnesses[k] = metric.theta
+        if witnesses:
+            smallest = _lapack("eigvalsh", np.stack(list(witnesses.values()))).min(axis=1)
+            for k, value in zip(witnesses, smallest.tolist()):
+                theta_min[k] = value
     return [
         ScanPoint(
-            lam=float(lam),
-            tau=None if tau is None else float(tau),
+            lam=lam,
+            tau=tau,
             spectrum_real=real,
             max_imag=max_imag,
             min_gap=min_gap,
@@ -193,8 +218,9 @@ def _scan_chunk(spec: FamilySpec, tol: float, points: list, n: int) -> list:
             theta_min_eig=theta,
             note=note,
         )
-        for (lam, tau), (real, max_imag, min_gap, eigvec_cond, note), theta
-        in zip(points, columns, theta_min)
+        for lam, tau, (real, max_imag, min_gap, eigvec_cond, note), theta
+        in zip(lams.tolist(), [None] * lams.size if taus is None else taus.tolist(),
+               columns, theta_min)
     ]
 
 
@@ -208,18 +234,22 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
     failures are recorded in the row and never abort the scan.
 
     The grid is decomposed in chunks of at most ``_CHUNK_ENTRIES`` matrix
-    entries (G points of N x N), one stacked :func:`diagonalize` call
-    each, so memory stays bounded whatever the grid size; every row is
-    byte for byte what a point decomposed alone gives.  Rows are returned
+    entries (G points of N x N), each with one broadcast H stack, one
+    stacked :func:`diagonalize` call and one stacked
+    :func:`assemble_metric` call for the witnesses, so memory stays
+    bounded whatever the grid size; every row is byte for byte what a
+    point decomposed alone gives.  Rows are returned
     in grid order, so reports are deterministic.  ``workers`` is
     deprecated and ignored; points are evaluated serially.
     """
     tol = _check_tol(tol)
-    grid = spec.grid()
+    lams, taus = spec._grid_arrays()
     n = 2 if spec.kind == "kg" else spec.h0.shape[0]
     step = max(1, _CHUNK_ENTRIES // (n * n))
-    return ScanReport(tuple(row for start in range(0, len(grid), step)
-                            for row in _scan_chunk(spec, tol, grid[start:start + step], n)))
+    return ScanReport(tuple(
+        row for start in range(0, lams.size, step)
+        for row in _scan_chunk(spec, tol, lams[start:start + step],
+                               None if taus is None else taus[start:start + step])))
 
 
 def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:

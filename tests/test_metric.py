@@ -15,12 +15,14 @@ from cryptoherm import (
     DegenerateSpectrumError,
     InconsistentError,
     MetricFamily,
+    MetricOperator,
     NonFiniteError,
     NonPositiveWeightError,
     NoPositiveSolutionError,
     NotPositiveDefiniteError,
     NotQuasiHermitianError,
     PerturbationProblem,
+    ShapeMismatchError,
     SpectrumNotRealError,
     UnderdeterminedError,
     assemble_metric,
@@ -238,6 +240,33 @@ def test_residual_scale_invariance(seed, n, i, j):
     assert scaled == quasi_hermiticity_residual(h, theta)
 
 
+def test_tiny_operands_keep_their_residual():
+    # unscaled, every square of an entry near 1e-170 underflows, so the
+    # residual read 0 and a metric that is not quasi-Hermitian passed
+    h = kg_hamiltonian(1.0)
+    unit = quasi_hermiticity_residual(h, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quasi_hermiticity_residual(2.0**-565 * h, np.eye(2)) == unit
+        assert quasi_hermiticity_residual(h, 2.0**-565 * np.eye(2)) == unit
+        assert quasi_hermiticity_residual(2.0**-1074 * np.eye(2), np.eye(2)) == 0.0
+        for tiny_h, tiny_theta in ((1e-170 * h, np.eye(2)), (h, 1e-170 * np.eye(2))):
+            assert quasi_hermiticity_residual(tiny_h, tiny_theta) == pytest.approx(unit, rel=1e-14)
+        with pytest.raises(NotQuasiHermitianError):
+            hermitize(1e-170 * h, dyson_map(metric_from_matrix(np.eye(2), TOL)), TOL)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 2.0**-1060], ids=["1", "1e-170", "2**-1060"])
+def test_metric_from_matrix_gates_a_tiny_matrix_as_at_scale_one(scale):
+    skew = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefiniteError, match="not Hermitian"):
+            metric_from_matrix(scale * skew, TOL)
+        theta = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(metric_from_matrix(theta, TOL).theta, theta)
+
+
 # ---------------------------------------------------------------------------
 # fix_ambiguity
 # ---------------------------------------------------------------------------
@@ -320,6 +349,20 @@ def test_fix_ambiguity_observable_near_the_float_limit():
     assert np.allclose(kappa, ref, rtol=1e-12, atol=0.0)
 
 
+def test_fix_ambiguity_observable_whose_entry_modulus_overflows():
+    # finite parts, but |O_10| is past the float range: the common scale
+    # read that modulus's exponent as 0, so the scaled rows overflowed and
+    # the SVD raised LinAlgError
+    family = kg_family(0.3)
+    obs = np.array([[0.0, 0.0], [1.5e308 + 1.5e308j, 1e308]])
+    with pytest.raises(InconsistentError):
+        fix_ambiguity(family, [2.0**-1000 * obs], TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentError):
+            fix_ambiguity(family, [obs], TOL)
+
+
 def test_fix_ambiguity_subnormal_observable():
     # the common scale only shrank, so subnormal rows lost most of their
     # bits: kappa was off by 0.82 at j = -1070
@@ -345,6 +388,67 @@ def test_assemble_metric_past_the_float_range_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
             assemble_metric(family, [1.0, 1.0])
+
+
+def assembled_alike(got, family, kappa):
+    """``got`` is what ``assemble_metric(family, kappa)`` returns or raises:
+    Theta's bytes and strides, read-only arrays, the weights and the system."""
+    try:
+        want = assemble_metric(family, kappa)
+    except NonFiniteError as exc:
+        assert isinstance(got, NonFiniteError) and str(got) == str(exc)
+        return
+    assert isinstance(got, MetricOperator)
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.theta.strides == want.theta.strides
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert not (got.theta.flags.writeable or got.weights.flags.writeable)
+    assert got.system is want.system is family.system
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), g=st.integers(1, 8))
+def test_stacked_assemble_metric_is_each_familys_own_call(seed, n, g):
+    rng = np.random.default_rng(seed)
+    families = []
+    for i in range(g):
+        if i % 2:
+            # a real triangular H with distinct real eigenvalues: the real
+            # arithmetic of diagonalize, and real left vectors
+            h = np.diag(np.arange(n) + rng.uniform(0.0, 0.5, n))
+            h += np.triu(rng.standard_normal((n, n)), 1)
+        else:
+            h, _, _ = random_real_spectrum_matrix(rng, n)
+        families.append(MetricFamily(diagonalize(h, TOL)))
+    kappa = rng.uniform(0.5, 2.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = assemble_metric(families, kappa)
+    assert isinstance(out, tuple) and len(out) == g
+    for got, family in zip(out, families):
+        assembled_alike(got, family, kappa)
+
+
+def test_stacked_assemble_metric_returns_the_error_of_a_member_past_the_float_range():
+    far, near = MetricFamily(diagonalize(FAR, 1e-200)), kg_family(0.3)
+    families = [near, far, near]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = assemble_metric(families, [1.0, 2.0])
+    assert [type(x) for x in out] == [MetricOperator, NonFiniteError, MetricOperator]
+    for got, family in zip(out, families):
+        assembled_alike(got, family, [1.0, 2.0])
+    # bad weights raise for the whole call
+    for kappa, error in (([1.0, 0.0], NonPositiveWeightError),
+                         ([1.0, math.nan], NonFiniteError),
+                         ([1.0, 10**400], NonFiniteError),
+                         ([1.0], ShapeMismatchError)):
+        with pytest.raises(error):
+            assemble_metric(families, kappa)
+    three = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
+    with pytest.raises(ShapeMismatchError, match=r"^family\[1\] has dimension 3, expected 2$"):
+        assemble_metric([near, three], [1.0, 2.0])
+    assert assemble_metric([], [1.0]) == ()
 
 
 def test_fix_ambiguity_with_left_vectors_near_the_float_limit():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -408,6 +408,71 @@ def test_scan_decomposes_each_point_once(monkeypatch):
     report = reality_scan(spec, TOL)
     assert [p.lam for p in report.points if p.note == "Defective"] == [1.0]
     assert sum(decomposed) == len(report)
+
+
+def test_scan_assembles_each_chunk_once(monkeypatch):
+    # 1600 kg points: two chunks of at most 1024 2x2 matrices each
+    spec = FamilySpec.kg(np.linspace(-1.0, 1.0, 40), np.linspace(0.0, 4.0, 40),
+                         w0=NILPOTENT_COUPLING)
+    assembled, gated = [], []
+    assemble, post_init = stability.assemble_metric, MetricFamily.__post_init__
+
+    def counted_assemble(families, kappa):
+        assembled.append(len(families))
+        return assemble(families, kappa)
+
+    def counted_post_init(self):
+        gated.append(self.system)
+        post_init(self)
+
+    monkeypatch.setattr(stability, "assemble_metric", counted_assemble)
+    monkeypatch.setattr(MetricFamily, "__post_init__", counted_post_init)
+    points = reality_scan(spec, TOL).points
+    notes = [p.note for p in points]
+    assert len(assembled) == 2 and sum(assembled) == notes.count("") > 0
+    decomposed = [n for n in notes if n not in ("Defective", "NonFinite")]
+    assert len(gated) == len(decomposed) > notes.count("")
+
+
+finite_entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["kg", "kg-coupled", "linear"]),
+    lams=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=5, unique=True),
+    taus=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=5, unique=True),
+    h0=st.lists(finite_entries, min_size=4, max_size=4),
+    w0=st.lists(finite_entries, min_size=4, max_size=4),
+)
+@example(kind="kg", lams=[0.0], taus=[354.8, 354.9, 355.0], h0=[0j] * 4, w0=[0j] * 4)
+@example(kind="kg-coupled", lams=[-1e308, 1e308], taus=[-1.0, 354.9], h0=[0j] * 4,
+         w0=[0j, -1.5 + 0.5j, 2j, 1 + 0j])
+@example(kind="linear", lams=[-1e308, 0.5, 1e308], taus=[0.0], h0=[1 + 0j, 2j, -3 + 0j, 0j],
+         w0=[1e3 + 1e3j, -0.0, 0j, -1e3 + 0j])
+def test_scan_hamiltonians_are_the_stack_of_hamiltonian_at(kind, lams, taus, h0, w0):
+    h0, w0 = np.reshape(h0, (2, 2)), np.reshape(w0, (2, 2))
+    if kind == "linear":
+        spec = FamilySpec.linear(h0, w0, sorted(lams))
+    else:
+        spec = FamilySpec.kg(sorted(taus), sorted(lams), w0=w0 if kind == "kg-coupled" else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = spec._hamiltonians(*spec._grid_arrays())
+        points = reality_scan(spec, TOL).points
+    assert stack.shape == (len(points), 2, 2)
+    for h, (lam, tau), p in zip(stack, spec.grid(), points):
+        try:
+            with np.errstate(over="ignore"):
+                alone = spec.hamiltonian_at(lam, tau)
+        except NonFiniteError:  # e^(2 tau) past the float range
+            alone = np.full((2, 2), np.nan)
+        if np.isfinite(alone).all():
+            assert h.tobytes() == alone.tobytes()
+        else:
+            # a point past the float range is a NonFinite row
+            assert not np.isfinite(h).all()
+            assert p.note == "NonFinite" and math.isnan(p.theta_min_eig)
 
 
 def reality_predicate(spec, x, tol):

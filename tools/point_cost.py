@@ -6,9 +6,11 @@ each split into LAPACK calls and the rest.
 For each size N, ``perfbench/gen.py`` draws one linear scan family
 H0 + lambda W0 (30 lambdas over [0, 2], first exceptional point at
 lambda = 1, so about half the points have a non-real spectrum) from
-``numpy.random.default_rng(seed)``.  The script times ``reality_scan``
-over the family and, separately, the LAPACK calls the package makes on
-it: each call that reaches the LAPACK entry ``cryptoherm.spectra._lapack``
+``numpy.random.default_rng(seed)``; the point table adds a last row,
+``kg``, for the scan workload's 2x2 Klein-Gordon family
+(``gen.kg_family``: 16 taus by 40 lambdas, 640 points, most of the
+workload's points).  The script times ``reality_scan`` over each family
+and, separately, the LAPACK calls the package makes on it: each call that reaches the LAPACK entry ``cryptoherm.spectra._lapack``
 during one untimed scan is recorded with its operands and replayed
 through the entry, its ``np.errstate`` included.  The scan decomposes its
 grid in chunks, so each recorded call of a scan is one stacked call over
@@ -132,6 +134,9 @@ def main(argv=None) -> int:
     fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
     specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in (*trees, ech)]
              for n, f in fams.items()}
+    kg = gen.kg_family(np.random.default_rng(args.seed))
+    scans = {**specs, "kg": [ch.FamilySpec.kg(kg.taus, kg.lambdas, w0=kg.w0)
+                             for ch in (*trees, ech)]}
 
     def replay(calls):
         def run():
@@ -145,13 +150,13 @@ def main(argv=None) -> int:
 
     print("| N | src | µs per point | LAPACK calls | package overhead |")
     print("|---|---|---|---|---|")
-    for n in args.sizes:
-        calls = recorded(ech, lambda: ech.reality_scan(specs[n][-1], gen.TOL))
-        scans, lapack = alternate(trees, args.repeats,
-                                  lambda i: trees[i].reality_scan(specs[n][i], gen.TOL),
+    for n, family in scans.items():
+        calls = recorded(ech, lambda: ech.reality_scan(family[-1], gen.TOL))
+        walls, lapack = alternate(trees, args.repeats,
+                                  lambda i: trees[i].reality_scan(family[i], gen.TOL),
                                   replay(calls))
-        for src, walls in zip(args.src, scans):
-            total, calls_t, overhead = per_unit(walls, lapack, fams[n].lambdas.size)
+        for src, tree_walls in zip(args.src, walls):
+            total, calls_t, overhead = per_unit(tree_walls, lapack, len(family[-1].grid()))
             print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
 
     print()
