@@ -76,14 +76,34 @@ def _lapack(routine: str, *operands: np.ndarray):
     Callers hand over square ``float64`` or ``complex128`` arrays, and every
     matrix they decompose is finite: :func:`as_matrix` checks it, or
     ``lambda_max`` its bracket ends (H is affine in lambda).
+
+    It is :func:`_lapack_dispatch` inside :func:`_lapack_errstate`; a
+    caller that makes many calls of one routine in a row, as a boundary
+    search does, enters the error state once and dispatches each call.
     """
+    with _lapack_errstate(routine):
+        return _lapack_dispatch(routine, *operands)
+
+
+def _lapack_errstate(routine: str) -> np.errstate:
+    """numpy.linalg's error state for ``routine``: an invalid result of
+    LAPACK raises LinAlgError with the routine's message, and overflow,
+    division and underflow pass silently."""
+    return np.errstate(call=_ROUTINES[routine][3], invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _lapack_dispatch(routine: str, *operands: np.ndarray):
+    """:func:`_lapack` without its error state: the gufunc call with its
+    signature, and the real view of a real ``eig`` or ``eigvals``.  Call it
+    only inside ``_lapack_errstate(routine)``, or a LAPACK failure goes
+    unreported."""
     if routine == "solve" and operands[1].ndim == 1:
         routine = "solve1"
-    gufunc, real_sig, complex_sig, fail = _ROUTINES[routine]
+    gufunc, real_sig, complex_sig, _ = _ROUTINES[routine]
     # one operand, or solve's two
     real = operands[0].dtype.kind == "f" and operands[-1].dtype.kind == "f"
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        out = gufunc(*operands, signature=real_sig if real else complex_sig)
+    out = gufunc(*operands, signature=real_sig if real else complex_sig)
     # np.count_nonzero tests w.imag.any() in a third of its time
     if real and routine == "eigvals" and not np.count_nonzero(out.imag):
         return out.real

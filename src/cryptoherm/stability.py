@@ -18,8 +18,8 @@ from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonia
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_finite, _lapack, _min_gap, _real, _real_if_exact, _reality, _scaled_fro,
-                      ep_proximity, spectrum_is_real)
+from .spectra import (_finite, _lapack, _lapack_dispatch, _lapack_errstate, _min_gap, _real,
+                      _real_if_exact, _reality, _scaled_fro, ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -278,6 +278,11 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     the float spacing needs at most ``2 ceil(log2((hi - lo) / tol)) + 5``
     probes, one more than twice bisection's count.
 
+    The search enters the ``eigvals`` error state once, around both
+    endpoint probes and the whole loop, and each probe makes only the
+    gufunc call.  A LAPACK failure in any probe still raises LinAlgError,
+    and the caller's error state is back in force on every exit.
+
     Raises
     ------
     InvalidBracketError
@@ -303,7 +308,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     real_pencil = not any(m is not None and m.imag.any() for m in (spec.h0, spec.w0))
 
     def probe(h: np.ndarray) -> tuple[bool, float]:
-        evals = _lapack("eigvals", h.real if real_pencil else _real_if_exact(h))
+        evals = _lapack_dispatch("eigvals", h.real if real_pencil else _real_if_exact(h))
         # a real dtype comes back only when every Im E is exactly 0
         real, max_imag = (True, 0.0) if evals.dtype.kind == "f" else _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError
@@ -317,65 +322,69 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     for x, h in ((lo, h_lo), (hi, h_hi)):
         if not np.isfinite(h).all():
             raise NonFiniteError(f"H leaves the float range at lambda = {x!r}")
-    real_lo, f_lo = probe(h_lo)
-    real_hi, f_hi = probe(h_hi)
-    if not real_lo or real_hi:
-        raise InvalidBracketError(
-            "bracket endpoints do not straddle a reality transition",
-            lo=lo, hi=hi, real_at_lo=real_lo, real_at_hi=real_hi,
-        )
+    # Inside the error state the probes' own arithmetic (H, _reality,
+    # _min_gap) runs on finite numbers: H is affine in lambda and its ends
+    # are finite, so nothing there is invalid.
+    with _lapack_errstate("eigvals"):
+        real_lo, f_lo = probe(h_lo)
+        real_hi, f_hi = probe(h_hi)
+        if not real_lo or real_hi:
+            raise InvalidBracketError(
+                "bracket endpoints do not straddle a reality transition",
+                lo=lo, hi=hi, real_at_lo=real_lo, real_at_hi=real_hi,
+            )
 
-    # b is the best point so far, c the kept point of the other reality
-    # class (so b and c always straddle the transition), a the previous b.
-    b, fb = hi, f_hi
-    a = c = lo
-    fa = fc = f_lo
-    real_c = True
-    d = e = b - a
-    pace = 2.0 * (hi - lo)  # widest allowed |c - b|; shrinks by sqrt(2) per probe
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-            real_c = not real_c
-        width = abs(c - b)
-        mid = 0.5 * b + 0.5 * c  # halves first, so ends near the float limit cannot overflow
-        if width <= tol or mid in (b, c):
-            return mid  # within tol, or the pair is down to adjacent floats
-        xm = mid - b
-        step = max(0.5 * tol, math.ulp(b))
-        if (width <= pace and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
-                and math.isfinite(fa) and math.isfinite(fc)):
-            # secant when a == c, inverse quadratic interpolation otherwise
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if p == 0.0:
-                e, d = d, 0.0  # b is an exact zero: the minimum step toward c
-            elif 2.0 * p < min(3.0 * xm * q - abs(step * q), abs(e * q)):
-                e, d = d, p / q
+        # b is the best point so far, c the kept point of the other reality
+        # class (so b and c always straddle the transition), a the previous b.
+        b, fb = hi, f_hi
+        a = c = lo
+        fa = fc = f_lo
+        real_c = True
+        d = e = b - a
+        pace = 2.0 * (hi - lo)  # widest allowed |c - b|; shrinks by sqrt(2) per probe
+        while True:
+            if abs(fc) < abs(fb):
+                a, b, c = b, c, b
+                fa, fb, fc = fb, fc, fb
+                real_c = not real_c
+            width = abs(c - b)
+            mid = 0.5 * b + 0.5 * c  # halves first, so ends near the float limit cannot overflow
+            if width <= tol or mid in (b, c):
+                return mid  # within tol, or the pair is down to adjacent floats
+            xm = mid - b
+            step = max(0.5 * tol, math.ulp(b))
+            if (width <= pace and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
+                    and math.isfinite(fa) and math.isfinite(fc)):
+                # secant when a == c, inverse quadratic interpolation otherwise
+                s = fb / fa
+                if a == c:
+                    p, q = 2.0 * xm * s, 1.0 - s
+                else:
+                    q, r = fa / fc, fb / fc
+                    p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                    q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+                if p > 0.0:
+                    q = -q
+                p = abs(p)
+                if p == 0.0:
+                    e, d = d, 0.0  # b is an exact zero: the minimum step toward c
+                elif 2.0 * p < min(3.0 * xm * q - abs(step * q), abs(e * q)):
+                    e, d = d, p / q
+                else:
+                    d = e = xm
             else:
                 d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        x = b + d if abs(d) > step else b + math.copysign(step, xm)
-        if not min(b, c) < x < max(b, c):
-            x = mid  # the float spacing, or a non-finite step, reached c
-        real_x, fx = probe(spec.hamiltonian_at(x, tau))
-        if real_x == real_c:
-            # x replaces c's side; the old b becomes the kept point
-            c, fc, real_c = b, fb, not real_c
-            d = e = x - b
-        b, fb = x, fx
-        pace *= math.sqrt(0.5)
+            a, fa = b, fb
+            x = b + d if abs(d) > step else b + math.copysign(step, xm)
+            if not min(b, c) < x < max(b, c):
+                x = mid  # the float spacing, or a non-finite step, reached c
+            real_x, fx = probe(spec.hamiltonian_at(x, tau))
+            if real_x == real_c:
+                # x replaces c's side; the old b becomes the kept point
+                c, fc, real_c = b, fb, not real_c
+                d = e = x - b
+            b, fb = x, fx
+            pace *= math.sqrt(0.5)
 
 
 def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray:

@@ -199,15 +199,15 @@ def test_lambda_max_with_bracket_ends_summing_past_the_float_range():
 
 
 def test_lambda_max_probes_in_the_arithmetic_of_the_family(monkeypatch):
+    # recorded at the gufunc, which every probe reaches whichever wrapper calls it
     dtypes = []
-    lapack = stability._lapack
+    gufunc, *rest = spectra._ROUTINES["eigvals"]
 
-    def recorded(routine, *operands):
-        if routine == "eigvals":
-            dtypes.append(operands[0].dtype)
-        return lapack(routine, *operands)
+    def recorded(a, **kwargs):
+        dtypes.append(a.dtype)
+        return gufunc(a, **kwargs)
 
-    monkeypatch.setattr(stability, "_lapack", recorded)
+    monkeypatch.setitem(spectra._ROUTINES, "eigvals", (recorded, *rest))
     h = np.diag([-1.0, 1.0]).astype(complex)
     # eigenvalues +-sqrt(1 - lam^2) for both couplings: EP at lam = 1
     for w, dtype in [(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.float64),
@@ -530,15 +530,19 @@ def test_lambda_max_probe_counts(monkeypatch):
     assert probes <= 56
 
 
-def test_lambda_max_probe_bound_with_real_side_crossing(monkeypatch):
-    # A 2x2 block with an EP at lambda = 1 beside a diagonal block whose
-    # eigenvalues 3.5 - lambda and 2.5 + lambda cross at lambda = 0.5, on
-    # the real side: min_gap has a kink there and touches zero, so the
-    # discriminant is far from linear across the bracket.
+def _real_side_crossing():
+    """A 2x2 block with an EP at lambda = 1 beside a diagonal block whose
+    eigenvalues 3.5 - lambda and 2.5 + lambda cross at lambda = 0.5, on
+    the real side: min_gap has a kink there and touches zero, so the
+    discriminant is far from linear across the bracket."""
     h = np.diag([1.0, -1.0, 3.5, 2.5]).astype(complex)
     w = np.zeros((4, 4), dtype=complex)
     w[0, 1], w[1, 0], w[2, 2], w[3, 3] = 1.0, -1.0, -1.0, 1.0
-    spec = FamilySpec.linear(h, w, [0.0])
+    return FamilySpec.linear(h, w, [0.0])
+
+
+def test_lambda_max_probe_bound_with_real_side_crossing(monkeypatch):
+    spec = _real_side_crossing()
     for bracket in [(0.0, 2.0), (0.3, 1.5), (0.0, 10.0), (0.0, 1e3)]:
         for tol in (1e-6, 1e-10):
             boundary, probes = count_probes(monkeypatch, spec, bracket, tol)
@@ -596,11 +600,15 @@ BOUNDARY_SEARCHES = {
     "real-pencil-complex-spectra": (
         lambda: FamilySpec.linear(np.diag([-1.0, 1.0, 1e6]), np.pad(_ROTATION, (0, 1)), [0.0]),
         (0.0, 3.0), 1e-6, ("1.4142136863493442", 27)),
+    # the pace guard decides this count: with the widest allowed pair
+    # shrinking by 0.75 per probe instead of sqrt(0.5), the search takes 21
+    "real-side-crossing": (_real_side_crossing, (0.0, 10.0), 1e-10,
+                           ("1.0000000000249916", 18)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDARY_SEARCHES))
-def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
+def boundary_search(monkeypatch, name):
+    """``BOUNDARY_SEARCHES[name]``'s (result, probe count) and its pinned pair."""
     make, bracket, tol, expected = BOUNDARY_SEARCHES[name]
     spec = make()
     calls = []
@@ -611,7 +619,64 @@ def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
         result = repr(lambda_max(spec, bracket, tol))
     except InvalidBracketError as exc:
         result = type(exc).__name__
-    assert (result, len(calls)) == expected
+    monkeypatch.undo()
+    return (result, len(calls)), expected
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SEARCHES))
+def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
+    got, expected = boundary_search(monkeypatch, name)
+    assert got == expected
+
+
+def test_lambda_max_under_a_raising_error_state(monkeypatch):
+    # the search's own error state covers its probes' arithmetic, so a
+    # caller that raises on every floating-point event gets the same answers
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in BOUNDARY_SEARCHES:
+            got, expected = boundary_search(monkeypatch, name)
+            assert got == expected, name
+        test_lambda_max_with_bracket_ends_summing_past_the_float_range()
+
+
+def _caller_state():
+    return np.geterr(), np.geterrcall()
+
+
+def test_lambda_max_restores_the_callers_error_state(monkeypatch):
+    def caller_callback(err, flag):
+        raise AssertionError("the caller's callback is never reached")
+
+    gufunc, *rest = spectra._ROUTINES["eigvals"]
+    probes = 0
+
+    def failing_third_probe(a, **kwargs):
+        nonlocal probes
+        probes += 1
+        if probes == 3:
+            np.subtract(np.inf, np.inf)  # sets the invalid flag, as a LAPACK failure does
+        return gufunc(a, **kwargs)
+
+    overflowing = FamilySpec.linear(np.diag([1.0, 2.0]), [[0.0, 1e308], [1e308, 0.0]], [0.0])
+    hermitian = FamilySpec.linear(np.diag([1.0, 2.0]), SIGMA_X, [0.0])
+    with np.errstate(divide="raise", over="warn", under="print", invalid="ignore",
+                     call=caller_callback):
+        before = _caller_state()
+        assert abs(lambda_max(sqrt_family([0.0]), (0.0, 2.0), 1e-8) - 1.0) <= 1e-8
+        assert _caller_state() == before
+        with pytest.raises(InvalidBracketError):
+            lambda_max(hermitian, (0.0, 1.0), 1e-8)
+        assert _caller_state() == before
+        with pytest.raises(NonFiniteError):
+            lambda_max(overflowing, (0.0, 10.0), 1e-8)
+        assert _caller_state() == before
+        # a LAPACK failure inside a probe past the endpoints still raises
+        monkeypatch.setitem(spectra._ROUTINES, "eigvals", (failing_third_probe, *rest))
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            lambda_max(sqrt_family([0.0]), (0.0, 2.0), 1e-8)
+        assert probes == 3
+        assert _caller_state() == before
 
 
 def test_scan_memory_is_bounded_by_its_chunk():

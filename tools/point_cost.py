@@ -19,8 +19,11 @@ a chunk of points.  The package overhead is everything else.
 A second table times ``lambda_max`` on the same family over its
 bracket, as the scan workload does: per call, its probe count (the
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
-the ``eigvals`` calls of one untimed search, recorded and replayed the
-same way, and the rest.
+the ``eigvals`` calls of one untimed search, recorded the same way, and
+the rest.  The search enters the ``eigvals`` error state once and makes
+each call through the dispatch inside it, and the replay does the same:
+one ``_lapack_errstate("eigvals")`` around every call, each through
+``_lapack_dispatch``.
 
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
@@ -130,7 +133,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
     ech = load_package(ROOT / "src", "cryptoherm_entry")
-    entry = ech.spectra._lapack
+    entry, dispatch = ech.spectra._lapack, ech.spectra._lapack_dispatch
     fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
     specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in (*trees, ech)]
              for n, f in fams.items()}
@@ -142,6 +145,13 @@ def main(argv=None) -> int:
         def run():
             for routine, operands in calls:
                 entry(routine, *operands)
+        return run
+
+    def replay_search(calls):
+        def run():
+            with ech.spectra._lapack_errstate("eigvals"):
+                for routine, operands in calls:
+                    dispatch(routine, *operands)
         return run
 
     def per_unit(walls, lapack, count):
@@ -168,7 +178,7 @@ def main(argv=None) -> int:
         calls = recorded(ech, lambda: ech.lambda_max(specs[n][-1], bracket, gen.TOL))
         searches, eigvals = alternate(trees, args.repeats,
                                       lambda i: trees[i].lambda_max(specs[n][i], bracket, gen.TOL),
-                                      replay(calls))
+                                      replay_search(calls))
         for src, count, walls in zip(args.src, probes, searches):
             call = statistics.median(walls) * 1e6
             per_probe, calls_t, rest = per_unit(walls, eigvals, count)
