@@ -56,6 +56,13 @@ _ROUTINES = {
     "solve1": (_umath_linalg.solve1, "dd->d", "DD->D", _SINGULAR),
 }
 
+# routine -> numpy.linalg's np.errstate keywords for it: an invalid result
+# of LAPACK calls the routine's callback, and overflow, division and
+# underflow pass silently
+_ERRSTATES = {routine: {"call": fail, "invalid": "call", "over": "ignore",
+                        "divide": "ignore", "under": "ignore"}
+              for routine, (*_, fail) in _ROUTINES.items()}
+
 
 def _lapack(routine: str, *operands: np.ndarray):
     """numpy.linalg's ``routine`` without its per-call Python wrapper.
@@ -88,9 +95,9 @@ def _lapack(routine: str, *operands: np.ndarray):
 def _lapack_errstate(routine: str) -> np.errstate:
     """numpy.linalg's error state for ``routine``: an invalid result of
     LAPACK raises LinAlgError with the routine's message, and overflow,
-    division and underflow pass silently."""
-    return np.errstate(call=_ROUTINES[routine][3], invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
+    division and underflow pass silently.  Each entry needs a new
+    ``np.errstate``, which holds the token of the state it replaced."""
+    return np.errstate(**_ERRSTATES[routine])
 
 
 def _lapack_dispatch(routine: str, *operands: np.ndarray):
@@ -207,11 +214,14 @@ def _pow2_of(top: float) -> float:
     return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
 
 
-def _pow2_scales(a: np.ndarray) -> list:
-    """:func:`_pow2_scale` of a matrix or of each matrix of a stack."""
+def _pow2_scales(a: np.ndarray):
+    """:func:`_pow2_scale` of a matrix (a list of one) or of each matrix of
+    a stack (an array)."""
     if a.ndim == 2:
         return [_pow2_scale(a)]
-    return [_pow2_of(top) for top in np.abs(a).reshape(len(a), -1).max(axis=1).tolist()]
+    top = np.abs(a).reshape(len(a), -1).max(axis=1)
+    e = np.maximum(np.frexp(top)[1] - 1, 0)
+    return np.ldexp(1.0, np.where(top < math.inf, -e, -1023))
 
 
 def _finite(a, what: str):
@@ -256,9 +266,10 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
     return num / max(unit * s, _fro(whole * s)) if num else 0.0
 
 
-def _fros(x: np.ndarray) -> list:
-    """:func:`_fro` of a matrix or of each matrix of a stack, summed exactly
-    as it sums (``vecdot`` makes ``dot``'s BLAS call)."""
+def _fros(x: np.ndarray):
+    """:func:`_fro` of a matrix (a list of one) or of each matrix of a
+    stack (an array), summed exactly as it sums (``vecdot`` makes ``dot``'s
+    BLAS call)."""
     if x.ndim == 2:
         return [_fro(x)]
     if x.strides[1] < x.strides[2]:
@@ -267,19 +278,24 @@ def _fros(x: np.ndarray) -> list:
         # the real and the imaginary parts of each matrix as two rows,
         # added as x.real.dot(x.real) + x.imag.dot(x.imag) adds them
         parts = x.view(float).reshape(len(x), -1, 2).swapaxes(1, 2)
-        return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts).tolist()]
+        sq = np.vecdot(parts, parts)
+        return np.sqrt(sq[:, 0] + sq[:, 1])
     x = x.reshape(len(x), -1)
-    return [math.sqrt(q) for q in np.vecdot(x, x).tolist()]
+    return np.sqrt(np.vecdot(x, x))
 
 
-def _conds(x: np.ndarray) -> list:
-    """Spectral condition number of a matrix or of each matrix of a stack;
-    ``inf`` for a singular one.  Eigenvector bases are gated on that of
-    ``vr / _col_norms(vr)``."""
-    # Python floats: a ratio past the float range is inf, with no warning
+def _conds(x: np.ndarray):
+    """Spectral condition number of a matrix (a list of one) or of each
+    matrix of a stack (an array); ``inf`` for a singular one.  Eigenvector
+    bases are gated on that of ``vr / _col_norms(vr)``."""
     sv = _lapack("svdvals", x)
-    return [row[0] / row[-1] if row[-1] > 0.0 else math.inf
-            for row in sv.reshape(-1, sv.shape[-1]).tolist()]
+    if x.ndim == 2:
+        # Python floats: a ratio past the float range is inf, with no warning
+        sv = sv.tolist()
+        return [sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf]
+    top, low = sv[:, 0], sv[:, -1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(low > 0.0, top / low, math.inf)
 
 
 def _cond(x: np.ndarray) -> float:
@@ -436,9 +452,6 @@ def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
                      (np.flatnonzero(finite & ~has_imag), True)):
         if at.size:
             _eig_stage(m, at, m[at].real if real else m[at], tol, out)
-    systems = [x for x in out if isinstance(x, BiorthogonalSystem)]
-    if systems:
-        _fill_summaries(systems)
     return tuple(out)
 
 
@@ -476,22 +489,25 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
     or stack ``a`` of matrices ``ms[at[g]]`` that share one arithmetic, with
     its eigenpairs from LAPACK.
 
-    One matrix keeps its 2-D arrays, as a 2-D call of :func:`diagonalize`
-    hands it over: passed as a stack of one, with the stacked sort, scales
-    and norms, it cost 20-35% more per call at N <= 8, and 14% more on the
+    A stack decides every member's verdict with array expressions, and
+    each system it returns carries its three summaries, reduced on the
+    sorted complex stack of eigenvalues.  One matrix keeps its 2-D arrays
+    and Python floats, as a 2-D call of :func:`diagonalize` hands it over:
+    passed as a stack of one, with the stacked sort, scales and norms, it
+    cost 20-35% more per call at N <= 8, and 14% more on the
     ``diagonalize`` row of ``tools/stage_cost.py``.
     """
     lone = a.ndim == 2
     n = a.shape[-1]
-    cond = _conds(vr / _col_norms(vr))
+    cond = _conds(vr / _col_norms(vr))  # a list of one, or an array
     spectrum = evals  # in the eigensolver's order, for a DefectiveError
-    if max(cond) > 1.0 / tol:
+    if (cond[0] if lone else cond.max()) > 1.0 / tol:
         over = np.array(cond) > 1.0 / tol
         for g in np.flatnonzero(over).tolist():
             out[at[g]] = DefectiveError(
                 "eigenvector-basis condition number exceeds "
                 f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
-                condition_number=cond[g],
+                condition_number=float(cond[g]),
                 eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
                 bound=1.0 / tol,
             )
@@ -499,7 +515,7 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
         if not keep.size:
             return
         at, a, evals, vr, spectrum = at[keep], a[keep], evals[keep], vr[keep], spectrum[keep]
-        cond = [cond[g] for g in keep]
+        cond = cond[keep]
     # a stable sort of complex values is by (real, imaginary) part
     order = evals.argsort(axis=-1, kind="stable")
     if lone:
@@ -517,44 +533,58 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
     # formed on the power-of-two-scaled H, so they equal the unscaled
     # ratios and nothing overflows for entries near the float limit.
     s = _pow2_scales(a)
-    sa = s[0] if lone else np.array(s)[:, None, None]
+    sa = s[0] if lone else s[:, None, None]
     hs, es = a * sa, evals[..., None, :] * sa  # es: one row per matrix
-    right = _col_norms(hs @ vr - vr * es).max(axis=-1).ravel().tolist()
+    right = _col_norms(hs @ vr - vr * es).max(axis=-1).ravel()
     left = _fros(vlh @ hs - es.swapaxes(-1, -2) * vlh)
     bi = vlh @ vr
     bi.reshape(-1, n * n)[:, :: n + 1] -= 1.0  # L^dag R - I (a C-contiguous product)
+    fro_hs, bi_res = _fros(hs), _fros(bi)
 
     # a real decomposition is returned in the complex dtype of every system
     evals, vr = evals.astype(complex, copy=False), vr.astype(complex, copy=False)
     vl = vlh.conj() if vlh.dtype.kind == "c" else vlh.astype(complex)  # L^dag, transposed below
     for x in (evals, vr, vl):
         x.setflags(write=False)
-    fro_hs, bi_res = _fros(hs), _fros(bi)
-    members = [(evals, vr, vl.T)] if lone else zip(evals, vr, vl.swapaxes(1, 2))
-    for g, (i, (e, r, l)) in enumerate(zip(at, members)):
-        scale = max(s[g], fro_hs[g])
-        bound = max(tol, 100.0 * n * _EPS * cond[g])
-        worst = max(right[g] / scale, left[g] / scale, bi_res[g])
-        if worst > bound:
-            out[i] = DefectiveError(
-                f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; "
-                "eigenbasis is unreliable",
-                condition_number=cond[g],
-                eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
-                residual=worst,
-                bound=bound,
-            )
-        else:
-            out[i] = BiorthogonalSystem(e, r, l, tol, cond[g], ms[i])
-
-
-def _fill_summaries(systems: list) -> None:
-    """Form the cached summaries of ``systems`` (one size) on one stack
-    of their eigenvalues, with the functions their properties call."""
-    evals = np.stack([s.eigenvalues for s in systems])
+    if lone:
+        scale = max(s[0], fro_hs[0])
+        bound = max(tol, 100.0 * n * _EPS * cond[0])
+        worst = max(right.item() / scale, left[0] / scale, bi_res[0])
+        out[at[0]] = (_residual_error(worst, bound, cond[0], spectrum) if worst > bound
+                      else BiorthogonalSystem(evals, vr, vl.T, tol, cond[0], ms[at[0]]))
+        return
+    # Each verdict as the 2-D branch's Python max takes it: the first of
+    # equal values, and a NaN after the first value never replaces it.
+    scale = _first_max(s, fro_hs)
+    bound = _first_max(tol, 100.0 * n * _EPS * cond)
+    worst = _first_max(right / scale, left / scale, bi_res)
     cached = zip(_min_gap(evals), _max_abs_imag(evals), _spectral_scale(evals))
-    for system, values in zip(systems, cached):
-        system.__dict__.update(zip(("_gap", "_max_imag", "_scale"), values))
+    rows = zip(at.tolist(), evals, vr, vl.swapaxes(1, 2), cond.tolist(), (worst > bound).tolist(),
+               worst.tolist(), bound.tolist(), spectrum, cached)
+    for i, e, r, l, c, bad, w, b, spec, (gap, max_imag, spectral_scale) in rows:
+        if bad:
+            out[i] = _residual_error(w, b, c, spec)
+        else:
+            system = out[i] = BiorthogonalSystem(e, r, l, tol, c, ms[i])
+            system.__dict__.update(_gap=gap, _max_imag=max_imag, _scale=spectral_scale)
+
+
+def _first_max(first, *others: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(first, *others)``, taken as Python's ``max`` takes it."""
+    for x in others:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _residual_error(worst: float, bound: float, cond: float, spectrum: np.ndarray):
+    """The residual gate's DefectiveError for one matrix."""
+    return DefectiveError(
+        f"biorthogonal residual {worst:.3e} exceeds {bound:.3e}; eigenbasis is unreliable",
+        condition_number=cond,
+        eigenvalues=spectrum.astype(complex),
+        residual=worst,
+        bound=bound,
+    )
 
 
 def spectrum_is_real(system: BiorthogonalSystem) -> tuple[bool, float]:

@@ -162,8 +162,8 @@ class ScanReport:
 
 
 # Matrix entries (G * N**2) per stacked diagonalize call of a scan: a
-# chunk of G grid points holds a few complex arrays of 64 KiB.
-_CHUNK_ENTRIES = 4096
+# chunk of G grid points holds a few complex arrays of 256 KiB.
+_CHUNK_ENTRIES = 16384
 
 
 def _scan_chunk(spec: FamilySpec, tol: float, lams: np.ndarray, taus: np.ndarray | None) -> list:
@@ -184,12 +184,16 @@ def _scan_chunk(spec: FamilySpec, tol: float, lams: np.ndarray, taus: np.ndarray
             real, max_imag = _reality(out.eigenvalues, tol)
             min_gap, eigvec_cond = _min_gap(out.eigenvalues), out.condition_number
         else:
-            try:
-                families.append(MetricFamily(out))
-                at.append(k)
-            except CryptohermError as exc:
-                note = type(exc).__name__.removesuffix("Error")
             real, max_imag = spectrum_is_real(out)
+            if not real:
+                # MetricFamily's first gate: no family is built to be refused
+                note = "SpectrumNotReal"
+            else:
+                try:
+                    families.append(MetricFamily(out))
+                    at.append(k)
+                except CryptohermError as exc:
+                    note = type(exc).__name__.removesuffix("Error")
             min_gap, eigvec_cond = ep_proximity(out)
         columns.append([real, max_imag, min_gap, eigvec_cond, note])
     # the all-ones witness of each family, and its smallest eigenvalue;
@@ -238,9 +242,11 @@ def reality_scan(spec: FamilySpec, tol: float, workers: int = 1) -> ScanReport:
     stacked :func:`diagonalize` call and one stacked
     :func:`assemble_metric` call for the witnesses, so memory stays
     bounded whatever the grid size; every row is byte for byte what a
-    point decomposed alone gives.  Rows are returned
-    in grid order, so reports are deterministic.  ``workers`` is
-    deprecated and ignored; points are evaluated serially.
+    point decomposed alone gives.  A decomposed point whose spectrum is
+    not real is noted ``SpectrumNotReal`` straight away; only the others
+    build a :class:`MetricFamily`, whose gates keep their order.  Rows
+    are returned in grid order, so reports are deterministic.
+    ``workers`` is deprecated and ignored; points are evaluated serially.
     """
     tol = _check_tol(tol)
     lams, taus = spec._grid_arrays()

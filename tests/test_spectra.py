@@ -213,6 +213,29 @@ def test_condition_gate_rejects_a_basis_within_ten_times_its_bound():
     assert info.value.residual is None
 
 
+def test_residual_gate_rejects_a_basis_within_ten_times_its_bound(monkeypatch):
+    # Eigenvectors moved by 2e-13 give residuals 1.8 to 5.7 times the
+    # achievable bound 100 n eps cond at tol 1e-15: a bound loosened
+    # tenfold accepts every one of them.
+    gufunc, *rest = spectra._ROUTINES["eig"]
+
+    def perturbed(a, **kwargs):
+        evals, vr = gufunc(a, **kwargs)
+        return evals, vr + 2e-13 * np.random.default_rng(3).standard_normal(vr.shape)
+
+    monkeypatch.setitem(spectra._ROUTINES, "eig", (perturbed, *rest))
+    hs = np.stack([np.random.default_rng(seed).standard_normal((4, 4)) for seed in range(4, 8)])
+    outcomes = list(diagonalize(hs, 1e-15))
+    for h in hs:
+        with pytest.raises(DefectiveError) as info:
+            diagonalize(h, 1e-15)
+        outcomes.append(info.value)
+    for exc in outcomes:
+        assert isinstance(exc, DefectiveError)
+        assert exc.bound < exc.residual < 10.0 * exc.bound
+        assert exc.bound == 100.0 * 4 * np.finfo(float).eps * exc.condition_number
+
+
 def test_defective_error_fields_name_the_failed_gate():
     # similarity-transformed Jordan blocks plus noise trip both gates
     gates = set()

@@ -411,8 +411,8 @@ def test_scan_decomposes_each_point_once(monkeypatch):
 
 
 def test_scan_assembles_each_chunk_once(monkeypatch):
-    # 1600 kg points: two chunks of at most 1024 2x2 matrices each
-    spec = FamilySpec.kg(np.linspace(-1.0, 1.0, 40), np.linspace(0.0, 4.0, 40),
+    # 6400 kg points: two chunks of at most 4096 2x2 matrices each
+    spec = FamilySpec.kg(np.linspace(-1.0, 1.0, 80), np.linspace(0.0, 4.0, 80),
                          w0=NILPOTENT_COUPLING)
     assembled, gated = [], []
     assemble, post_init = stability.assemble_metric, MetricFamily.__post_init__
@@ -430,8 +430,14 @@ def test_scan_assembles_each_chunk_once(monkeypatch):
     points = reality_scan(spec, TOL).points
     notes = [p.note for p in points]
     assert len(assembled) == 2 and sum(assembled) == notes.count("") > 0
-    decomposed = [n for n in notes if n not in ("Defective", "NonFinite")]
-    assert len(gated) == len(decomposed) > notes.count("")
+    # one MetricFamily per decomposed point with a real spectrum, and none
+    # for a point whose spectrum is not real
+    decomposed = [p for p in points if p.note not in ("Defective", "NonFinite")]
+    real = [p for p in decomposed if p.spectrum_real]
+    assert len(gated) == len(real) >= notes.count("")
+    assert all(spectra.spectrum_is_real(system)[0] for system in gated)
+    not_real = [p.note for p in decomposed if not p.spectrum_real]
+    assert not_real and set(not_real) == {"SpectrumNotReal"}
 
 
 finite_entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -692,3 +698,25 @@ def test_scan_memory_is_bounded_by_its_chunk():
         tracemalloc.stop()
     assert len(report) == 300
     assert peak < 4e6
+
+
+def _scan_peak(spec) -> int:
+    """The tracemalloc peak of ``reality_scan(spec, TOL)``, in bytes."""
+    tracemalloc.start()
+    try:
+        reality_scan(spec, TOL)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_peak_memory_is_set_by_the_chunk_not_the_grid():
+    # The same N = 32 family on grids of 75 and 300 points: the larger
+    # holds 225 more rows (about 260 bytes each), and nothing else grows.
+    # Unchunked, the 300-point scan peaked 43 MB above the 75-point one.
+    rng = np.random.default_rng(7)
+    h0, w0 = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+    small, large = (_scan_peak(FamilySpec.linear(h0, w0, np.linspace(0.0, 1.0, points)))
+                    for points in (75, 300))
+    per_row = 1024  # bytes allowed for each extra ScanPoint
+    assert large - small <= per_row * (300 - 75)
