@@ -217,11 +217,10 @@ def assemble_metric(family: MetricFamily | Sequence[MetricFamily],
     """
     if not isinstance(family, MetricFamily):
         return _assemble_stack(family, kappa)
-    k = _weights(kappa, family.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = _finite(_projector_sum(family.system.left_vectors, k), "metric Theta(kappa)")
-    theta.setflags(write=False)
-    return MetricOperator(theta, family.system, k)
+    (metric,) = _assemble_stack((family,), kappa)
+    if isinstance(metric, NonFiniteError):
+        raise metric
+    return metric
 
 
 def _assemble_stack(families, kappa) -> tuple:
@@ -232,7 +231,7 @@ def _assemble_stack(families, kappa) -> tuple:
     k = _weights(kappa, n)
     try:
         # column-major matrices, as diagonalize lays out every system's left vectors
-        l = np.stack([f.system.left_vectors.T for f in families]).swapaxes(1, 2)
+        l = np.array([f.system.left_vectors.T for f in families]).swapaxes(1, 2)
     except ValueError:
         g = next(g for g, f in enumerate(families) if f.dim != n)
         raise ShapeMismatchError(f"family[{g}] has dimension {families[g].dim}, expected {n}") from None

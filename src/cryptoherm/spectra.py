@@ -207,10 +207,7 @@ def _pow2_scale(a: np.ndarray) -> float:
     A complex entry with finite parts but a modulus past the float range
     gets the smallest scale, ``2**-1023``.
     """
-    return _pow2_of(float(np.abs(a).max(initial=0.0)))
-
-
-def _pow2_of(top: float) -> float:
+    top = float(np.abs(a).max(initial=0.0))
     return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
 
 

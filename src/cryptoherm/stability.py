@@ -93,7 +93,8 @@ class FamilySpec:
         )
 
     def hamiltonian_at(self, lam: float, tau: float | None = None) -> np.ndarray:
-        """H at one point; each ``lambda_max`` probe forms its H here."""
+        """H at one point.  Each ``lambda_max`` probe forms its H here, on
+        a linear pencil: a kg search fixes H(tau) once as H0."""
         if self.kind == "kg":
             h = kg_hamiltonian(float(tau))
             if self.w0 is not None:
@@ -118,15 +119,10 @@ class FamilySpec:
 
     def _grid_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The lambda and the tau (``None`` for a linear family) of every
-        grid point, as arrays in :meth:`grid` order."""
+        grid point, as arrays in grid order: lambda outer, tau inner."""
         if self.kind == "kg":
             return np.repeat(self.lambdas, self.taus.size), np.tile(self.taus, self.lambdas.size)
         return self.lambdas, None
-
-    def grid(self) -> list[tuple[float, float | None]]:
-        """Grid points in deterministic order: lambda outer, tau inner."""
-        lams, taus = self._grid_arrays()
-        return list(zip(lams.tolist(), [None] * lams.size if taus is None else taus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -272,8 +268,10 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     and doubles as the relative reality threshold at probe points; the
     result is the midpoint of the final real/non-real pair.
 
-    Each probe is one ``eigvals`` call on H, in real arithmetic when H0 and
-    W0 have no nonzero imaginary entry (tested once per search), and
+    Each probe is one ``hamiltonian_at`` call on one linear pencil H0 +
+    lambda W0 (a kg search fixes H(tau) as H0, with its W0 or a zero one)
+    and one ``eigvals`` call on H, in real arithmetic when H0 and W0 have
+    no nonzero imaginary entry (tested once per search), and
     evaluates the signed discriminant ``-min_gap**2`` where the spectrum is
     real and ``(2 max|Im E|)**2`` where it is not, close to linear through
     a square-root exceptional point.  A spectrum returned in a real dtype
@@ -302,16 +300,16 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
         raise ValueError(f"bracket must be finite with lo < hi, got {(lo, hi)}")
     tol = _check_tol(tol)
 
-    tau = None
     if spec.kind == "kg":
         if spec.taus.size != 1:
             raise ValueError("boundary search on a kg family needs a single tau")
-        tau = float(spec.taus[0])
+        w0 = np.zeros((2, 2), complex) if spec.w0 is None else spec.w0
+        spec = FamilySpec("linear", spec.lambdas, h0=kg_hamiltonian(float(spec.taus[0])), w0=w0)
 
     # H0 + x W0 is exactly real at every finite x when neither has a
-    # nonzero imaginary part (a kg family has no H0: H(tau) is real), so
-    # that is tested once; a complex pencil can be exactly real at 0.
-    real_pencil = not any(m is not None and m.imag.any() for m in (spec.h0, spec.w0))
+    # nonzero imaginary part, so that is tested once; a complex pencil can
+    # be exactly real at 0.
+    real_pencil = not (spec.h0.imag.any() or spec.w0.imag.any())
 
     def probe(h: np.ndarray) -> tuple[bool, float]:
         evals = _lapack_dispatch("eigvals", h.real if real_pencil else _real_if_exact(h))
@@ -324,7 +322,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
         return real, (2.0 * max_imag) * (2.0 * max_imag)
 
     with np.errstate(over="ignore"):
-        h_lo, h_hi = spec.hamiltonian_at(lo, tau), spec.hamiltonian_at(hi, tau)
+        h_lo, h_hi = spec.hamiltonian_at(lo), spec.hamiltonian_at(hi)
     for x, h in ((lo, h_lo), (hi, h_hi)):
         if not np.isfinite(h).all():
             raise NonFiniteError(f"H leaves the float range at lambda = {x!r}")
@@ -384,7 +382,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
             x = b + d if abs(d) > step else b + math.copysign(step, xm)
             if not min(b, c) < x < max(b, c):
                 x = mid  # the float spacing, or a non-finite step, reached c
-            real_x, fx = probe(spec.hamiltonian_at(x, tau))
+            real_x, fx = probe(spec.hamiltonian_at(x))
             if real_x == real_c:
                 # x replaces c's side; the old b becomes the kept point
                 c, fc, real_c = b, fb, not real_c

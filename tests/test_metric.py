@@ -762,6 +762,50 @@ def test_fix_ambiguity_falls_back_inside_the_certificate_margins(monkeypatch):
     assert calls[0] == 2
 
 
+def _chain_observable(b: float) -> np.ndarray:
+    # with L = I (H = diag(1, 2, 3)) the constraints are kappa_1 = kappa_2
+    # and b kappa_2 = b kappa_3: sigma = (2, sqrt(3) b, 0) for small b,
+    # the null line is (1, 1, 1) exactly, and size = ||O||_F^2
+    return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, b], [0.0, b, 0.0]], dtype=complex)
+
+
+def test_gram_certificate_leaves_an_eigenvalue_inside_its_rounding_bound(monkeypatch):
+    # The certificate widens each eigenvalue sigma^2 of G by
+    # delta = 16 (N + M + 1) eps * size, 80 eps * size here.  A sigma_2^2 at
+    # delta / 4 is left to the QR kernel (a 16x smaller delta would decide
+    # it), and one at 64 delta is decided from G.
+    calls = _count_kernel_calls(monkeypatch)
+    family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
+    for ratio, kernel_calls in ((0.25, 1), (64.0, 0)):
+        b = math.sqrt(ratio * 80.0 * EPS * 2.0 / 3.0)  # size = 2 + 2 b^2
+        obs = [_chain_observable(b)]
+        s, _, _ = _constraint_svd(family, obs)
+        assert s[1] ** 2 / (80.0 * EPS * (2.0 + 2.0 * b * b)) == pytest.approx(ratio, rel=1e-6)
+        calls[0] = 0
+        kappa = fix_ambiguity(family, obs, 1e-8)
+        assert calls[0] == kernel_calls and kappa.min() > 0.0
+        if kernel_calls:
+            # the QR kernel's null line is off by about eps sigma_1 / sigma_2
+            assert np.max(np.abs(kappa - 1.0)) <= 1e-7
+
+
+def test_gram_residual_bound_keeps_its_rounding_term(monkeypatch):
+    # ||rows v|| is formed in floats, so its bound adds 4 (N + 2) eps
+    # sqrt(size), 40 eps here (size = 4).  A threshold at that term, twice
+    # the computed residual or more, cannot certify the null line: the QR
+    # kernel decides.  Four times the term can.
+    calls = _count_kernel_calls(monkeypatch)
+    family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
+    obs = [_chain_observable(1.0)]
+    s, _, floor = _constraint_svd(family, obs)
+    term = 4.0 * (3 + 2) * EPS * 2.0
+    for factor, kernel_calls in ((1.0, 1), (4.0, 0)):
+        calls[0] = 0
+        kappa = fix_ambiguity(family, obs, factor * term / max(s[0], floor))
+        assert calls[0] == kernel_calls
+        assert np.max(np.abs(kappa - 1.0)) <= 4.0 * EPS
+
+
 def test_planted_n64_problem_is_decided_without_the_qr_kernel(monkeypatch):
     # the benchmark's pipeline construction: H0 = S diag(E) S^-1 with
     # S = I + 0.3 / sqrt(N) G, and one Hermitian observable pulled back

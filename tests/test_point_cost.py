@@ -25,7 +25,8 @@ def test_one_round_prints_the_point_and_probe_tables():
     assert points[0].startswith("| N | src | µs per point |")
     assert probes[0] == "| N | src | µs per lambda_max | probes | µs per probe | eigvals | rest |"
     rows = [[c.strip() for c in line.split("|")[1:-1]] for line in probes[2:]]
-    assert [r[0] for r in rows] == ["2", "4"]
+    # one row per size, then the scan workload's kg search
+    assert [r[0] for r in rows] == ["2", "4", "kg"]
     # the point table has one row per size, then the kg family's
     assert len(points) == 5
     assert [line.split("|")[1].strip() for line in points[2:]] == ["2", "4", "kg"]

@@ -79,7 +79,7 @@ def test_one_more_probe_changes_the_probes_digest(monkeypatch):
     def one_more(spec, bracket, tol):
         if extra:  # one more hamiltonian_at call in the first search; no result changes
             extra.pop()
-            spec.hamiltonian_at(*spec.grid()[0])
+            spec.hamiltonian_at(spec.lambdas[0], None if spec.taus is None else spec.taus[0])
         return search(spec, bracket, tol)
 
     monkeypatch.setattr(row_digest, "lambda_max", one_more)

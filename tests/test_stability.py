@@ -31,6 +31,12 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 NILPOTENT_COUPLING = np.array([[0.0, -1.0], [0.0, 0.0]], dtype=complex)
 
 
+def grid_order(spec):
+    """(lambda, tau) of every grid point in scan order: lambda outer, tau inner."""
+    taus = [None] if spec.taus is None else spec.taus.tolist()
+    return [(lam, tau) for lam in spec.lambdas.tolist() for tau in taus]
+
+
 def sqrt_family(lambdas):
     """H(lam) = [[0, 1 - lam], [1, 0]]: eigenvalues +-sqrt(1 - lam), EP at 1."""
     return FamilySpec.linear(SIGMA_X, NILPOTENT_COUPLING, lambdas)
@@ -355,7 +361,7 @@ def linear_ep_family(lambdas):
 )
 def test_scan_rows_match_per_point_formula(spec, defective):
     report = reality_scan(spec, TOL)
-    assert len(report) == len(spec.grid())
+    assert [(p.lam, p.tau) for p in report.points] == grid_order(spec)
     for p in report.points:
         h = spec.hamiltonian_at(p.lam, p.tau)
         expected = per_point_spectrum(h, TOL)
@@ -467,7 +473,8 @@ def test_scan_hamiltonians_are_the_stack_of_hamiltonian_at(kind, lams, taus, h0,
         stack = spec._hamiltonians(*spec._grid_arrays())
         points = reality_scan(spec, TOL).points
     assert stack.shape == (len(points), 2, 2)
-    for h, (lam, tau), p in zip(stack, spec.grid(), points):
+    assert [(p.lam, p.tau) for p in points] == grid_order(spec)
+    for h, (lam, tau), p in zip(stack, grid_order(spec), points):
         try:
             with np.errstate(over="ignore"):
                 alone = spec.hamiltonian_at(lam, tau)
@@ -633,6 +640,18 @@ def boundary_search(monkeypatch, name):
 def test_lambda_max_keeps_its_results_and_probe_counts(monkeypatch, name):
     got, expected = boundary_search(monkeypatch, name)
     assert got == expected
+
+
+@pytest.mark.parametrize("name", ["kg-with-w0", "kg-without-w0"])
+def test_a_kg_search_forms_h_of_tau_once(monkeypatch, name):
+    # H(tau) is fixed for the search, so it is the H0 of one linear pencil
+    calls = []
+    original = stability.kg_hamiltonian
+    monkeypatch.setattr(stability, "kg_hamiltonian",
+                        lambda tau: calls.append(tau) or original(tau))
+    got, expected = boundary_search(monkeypatch, name)
+    assert got == expected and got[1] > 1
+    assert calls == [0.4 if name == "kg-with-w0" else 0.3]
 
 
 def test_lambda_max_under_a_raising_error_state(monkeypatch):

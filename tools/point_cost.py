@@ -17,7 +17,9 @@ grid in chunks, so each recorded call of a scan is one stacked call over
 a chunk of points.  The package overhead is everything else.
 
 A second table times ``lambda_max`` on the same family over its
-bracket, as the scan workload does: per call, its probe count (the
+bracket, as the scan workload does, and adds a last row, ``kg``, for the
+workload's kg search (``FamilySpec.kg([boundary_tau], [0.0], w0=...)`` on
+``gen.kg_family``'s bracket): per call, its probe count (the
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
 the ``eigvals`` calls of one untimed search, recorded the same way, and
 the rest.  The search enters the ``eigvals`` error state once and makes
@@ -140,6 +142,9 @@ def main(argv=None) -> int:
     kg = gen.kg_family(np.random.default_rng(args.seed))
     scans = {**specs, "kg": [ch.FamilySpec.kg(kg.taus, kg.lambdas, w0=kg.w0)
                              for ch in (*trees, ech)]}
+    searches = {**{n: (specs[n], fams[n].bracket) for n in args.sizes},
+                "kg": ([ch.FamilySpec.kg([kg.boundary_tau], [0.0], w0=kg.w0)
+                        for ch in (*trees, ech)], kg.bracket)}
 
     def replay(calls):
         def run():
@@ -162,24 +167,24 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|")
     for n, family in scans.items():
         calls = recorded(ech, lambda: ech.reality_scan(family[-1], gen.TOL))
+        points = len(ech.reality_scan(family[-1], gen.TOL))
         walls, lapack = alternate(trees, args.repeats,
                                   lambda i: trees[i].reality_scan(family[i], gen.TOL),
                                   replay(calls))
         for src, tree_walls in zip(args.src, walls):
-            total, calls_t, overhead = per_unit(tree_walls, lapack, len(family[-1].grid()))
+            total, calls_t, overhead = per_unit(tree_walls, lapack, points)
             print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
 
     print()
     print("| N | src | µs per lambda_max | probes | µs per probe | eigvals | rest |")
     print("|---|---|---|---|---|---|---|")
-    for n in args.sizes:
-        bracket = fams[n].bracket
-        probes = [probe_count(ch, specs[n][i], bracket) for i, ch in enumerate(trees)]
-        calls = recorded(ech, lambda: ech.lambda_max(specs[n][-1], bracket, gen.TOL))
-        searches, eigvals = alternate(trees, args.repeats,
-                                      lambda i: trees[i].lambda_max(specs[n][i], bracket, gen.TOL),
-                                      replay_search(calls))
-        for src, count, walls in zip(args.src, probes, searches):
+    for n, (family, bracket) in searches.items():
+        probes = [probe_count(ch, family[i], bracket) for i, ch in enumerate(trees)]
+        calls = recorded(ech, lambda: ech.lambda_max(family[-1], bracket, gen.TOL))
+        runs, eigvals = alternate(trees, args.repeats,
+                                  lambda i: trees[i].lambda_max(family[i], bracket, gen.TOL),
+                                  replay_search(calls))
+        for src, count, walls in zip(args.src, probes, runs):
             call = statistics.median(walls) * 1e6
             per_probe, calls_t, rest = per_unit(walls, eigvals, count)
             print(f"| {n} | {src} | {call:.0f} | {count} | {per_probe:.1f} | {calls_t:.1f} "
