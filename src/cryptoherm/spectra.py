@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,9 +309,16 @@ def _min_gap(eigenvalues: np.ndarray):
     Rounding is monotone, so for a <= b <= c the rounded c - a is never
     below the rounded b - a: that equals the pairwise minimum bit for bit,
     and the absolute value turns a tie of -0.0 and 0.0 into +0.0, as the
-    complex modulus does.
+    complex modulus does.  One real spectrum with finite ends (each
+    ``lambda_max`` probe's exactly real one) is halved, sorted and
+    subtracted in Python floats: the same IEEE operations, bit for bit.
     """
     n = eigenvalues.shape[-1]
+    if eigenvalues.ndim == 1 and eigenvalues.dtype.kind == "f":
+        half = sorted([0.5 * e for e in eigenvalues.tolist()])
+        # an infinite end keeps the array path, whose inf - inf sets numpy's invalid flag
+        if n > 1 and -math.inf < half[0] and half[-1] < math.inf:
+            return 2.0 * abs(min(map(operator.sub, half[1:], half)))
     if n < 2:
         gaps = np.full(eigenvalues.shape[:-1], np.inf)
     else:

@@ -4,6 +4,8 @@ Everything here is raw numpy so that expected values never flow
 through the code paths under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -187,3 +189,114 @@ def reference_metric_series(h, theta, ws, order, tol):
         x = l @ np.where(off, ct / gaps, 0.0) @ l.conj().T
         ts.append(0.5 * (x + x.conj().T))
     return "", ts
+
+
+def array_min_gap(evals):
+    """Smallest pairwise separation of one spectrum in numpy arrays:
+    halved, then sorted neighbours subtracted for a real dtype and every
+    pair for a complex one, as ``spectra._min_gap`` formed it before its
+    Python-float path; ``inf`` below two values.  An ``inf - inf`` sets
+    numpy's invalid flag."""
+    if evals.size < 2:
+        return float("inf")
+    half = 0.5 * evals
+    if half.dtype.kind == "f":
+        half.sort()
+        gap = np.minimum.reduce(half[1:] - half[:-1])
+    else:
+        diff = np.abs(half[:, None] - half[None, :])
+        np.fill_diagonal(diff, np.inf)
+        gap = np.minimum.reduce(diff, axis=None)
+    return 2.0 * abs(float(gap))
+
+
+def reference_lambda_max(spec, bracket, tol):
+    """``stability.lambda_max`` with the probe it had before its gufunc
+    binding: ``_real_if_exact`` on every H, ``_lapack_dispatch("eigvals")``,
+    ``_reality`` on every spectrum and :func:`array_min_gap`, around the
+    same Brent loop in one ``eigvals`` error state.  Each probe forms H
+    with one ``FamilySpec.hamiltonian_at`` call, as the search does."""
+    from cryptoherm.errors import InvalidBracketError, NonFiniteError
+    from cryptoherm.metric import kg_hamiltonian
+    from cryptoherm.spectra import (_check_tol, _lapack_dispatch, _lapack_errstate, _real,
+                                    _real_if_exact, _reality)
+    from cryptoherm.stability import FamilySpec
+
+    lo, hi = _real(bracket[0]), _real(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"bracket must be finite with lo < hi, got {(lo, hi)}")
+    tol = _check_tol(tol)
+    if spec.kind == "kg":
+        if spec.taus.size != 1:
+            raise ValueError("boundary search on a kg family needs a single tau")
+        w0 = np.zeros((2, 2), complex) if spec.w0 is None else spec.w0
+        spec = FamilySpec("linear", spec.lambdas, h0=kg_hamiltonian(float(spec.taus[0])), w0=w0)
+
+    def probe(h):
+        evals = _lapack_dispatch("eigvals", _real_if_exact(h))
+        real, max_imag = _reality(evals, tol)
+        if real:
+            gap = array_min_gap(evals)
+            return real, -(gap * gap)
+        return real, (2.0 * max_imag) * (2.0 * max_imag)
+
+    with np.errstate(over="ignore"):
+        h_lo, h_hi = spec.hamiltonian_at(lo), spec.hamiltonian_at(hi)
+    for x, h in ((lo, h_lo), (hi, h_hi)):
+        if not np.isfinite(h).all():
+            raise NonFiniteError(f"H leaves the float range at lambda = {x!r}")
+    with _lapack_errstate("eigvals"):
+        real_lo, f_lo = probe(h_lo)
+        real_hi, f_hi = probe(h_hi)
+        if not real_lo or real_hi:
+            raise InvalidBracketError(
+                "bracket endpoints do not straddle a reality transition",
+                lo=lo, hi=hi, real_at_lo=real_lo, real_at_hi=real_hi,
+            )
+        b, fb = hi, f_hi
+        a = c = lo
+        fa = fc = f_lo
+        real_c = True
+        d = e = b - a
+        pace = 2.0 * (hi - lo)
+        while True:
+            if abs(fc) < abs(fb):
+                a, b, c = b, c, b
+                fa, fb, fc = fb, fc, fb
+                real_c = not real_c
+            width = abs(c - b)
+            mid = 0.5 * b + 0.5 * c
+            if width <= tol or mid in (b, c):
+                return mid
+            xm = mid - b
+            step = max(0.5 * tol, math.ulp(b))
+            if (width <= pace and abs(e) >= step and abs(fb) < abs(fa) and fc != 0.0
+                    and math.isfinite(fa) and math.isfinite(fc)):
+                s = fb / fa
+                if a == c:
+                    p, q = 2.0 * xm * s, 1.0 - s
+                else:
+                    q, r = fa / fc, fb / fc
+                    p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                    q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+                if p > 0.0:
+                    q = -q
+                p = abs(p)
+                if p == 0.0:
+                    e, d = d, 0.0
+                elif 2.0 * p < min(3.0 * xm * q - abs(step * q), abs(e * q)):
+                    e, d = d, p / q
+                else:
+                    d = e = xm
+            else:
+                d = e = xm
+            a, fa = b, fb
+            x = b + d if abs(d) > step else b + math.copysign(step, xm)
+            if not min(b, c) < x < max(b, c):
+                x = mid
+            real_x, fx = probe(spec.hamiltonian_at(x))
+            if real_x == real_c:
+                c, fc, real_c = b, fb, not real_c
+                d = e = x - b
+            b, fb = x, fx
+            pace *= math.sqrt(0.5)

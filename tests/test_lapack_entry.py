@@ -30,7 +30,7 @@ from cryptoherm import (
     w_from_v,
 )
 from cryptoherm.cli import main
-from cryptoherm.spectra import _cond, _lapack
+from cryptoherm.spectra import _ROUTINES, _cond, _lapack
 
 SIZES = [1, 2, 3, 8, 64]
 
@@ -70,6 +70,13 @@ def check(routine, *operands):
 def random(rng, shape, complex_):
     a = rng.standard_normal(shape)
     return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+
+@pytest.mark.parametrize("routine", sorted(_ROUTINES))
+def test_each_routine_names_signatures_its_gufunc_has(routine):
+    # lambda_max binds the eigvals gufunc and calls it with "d->D" itself
+    gufunc, real_sig, complex_sig, _ = _ROUTINES[routine]
+    assert real_sig in gufunc.types and complex_sig in gufunc.types
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])

@@ -21,7 +21,7 @@ def test_one_round_prints_the_point_and_probe_tables():
                            "--sizes", "2", "4", "--repeats", "1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
-    points, probes = (block.splitlines() for block in proc.stdout.split("\n\n"))
+    points, probes, order = (block.splitlines() for block in proc.stdout.split("\n\n"))
     assert points[0].startswith("| N | src | µs per point |")
     assert probes[0] == "| N | src | µs per lambda_max | probes | µs per probe | eigvals | rest |"
     rows = [[c.strip() for c in line.split("|")[1:-1]] for line in probes[2:]]
@@ -34,6 +34,21 @@ def test_one_round_prints_the_point_and_probe_tables():
         # at least both bracket ends; the split adds up to the probe's cost
         assert int(count) >= 2 and float(call) > 0.0
         assert abs(float(eigvals) + float(rest) - float(per_probe)) <= 0.2
+    assert order[0] == "| seed | src | searches | µs per lambda_max, median | quartiles |"
+    # one row per tree, each over one search per scan family of seed 0
+    families = len(point_cost.gen.scan_inputs(np.random.default_rng(0)))
+    assert [line.split("|")[1:4] for line in order[2:]] == [
+        [" 0 ", f" {ROOT / 'src'} ", f" {families} "]]
+
+
+def test_benchmark_order_times_every_search_of_every_round_per_tree():
+    trees = [ch, ch]
+    walls = point_cost.benchmark_order(trees, seed=3, rounds=2)
+    # one search per scan family and round, for each tree
+    families = len(point_cost.gen.scan_inputs(np.random.default_rng(3)))
+    assert families == 1 + sum(count for _, count in point_cost.gen.SCAN_LINEAR)
+    assert [len(w) for w in walls] == [2 * families] * 2
+    assert all(t > 0.0 for w in walls for t in w)
 
 
 def test_recorded_calls_are_the_calls_the_scan_makes():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -482,6 +483,25 @@ def test_min_gap_of_a_real_array_is_the_complex_casts_bit_for_bit(values):
     got = spectra._min_gap(real)
     assert got.hex() == spectra._min_gap(real.astype(complex)).hex()  # the sign of zero too
     assert real.tobytes() == np.array(values).tobytes()  # sorted on a copy
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(_GAP_VALUES, st.floats(-2.3e-308, 2.3e-308)), min_size=1,
+                       max_size=16))
+def test_min_gap_of_a_real_spectrum_is_the_pairwise_minimum_in_python_floats(values):
+    # the brute-force pairwise minimum, halved and subtracted in Python floats
+    pairs = [abs(0.5 * a - 0.5 * b) for i, a in enumerate(values) for b in values[i + 1:]]
+    want = 2.0 * min(pairs, default=math.inf)
+    assert spectra._min_gap(np.array(values)).hex() == want.hex()
+
+
+def test_min_gap_of_a_real_spectrum_with_an_infinite_end_keeps_the_array_path():
+    # numpy's inf - inf sets the invalid flag, which lambda_max's error state raises on
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            spectra._min_gap(np.array([1.0, np.inf, np.inf]))
+        assert spectra._min_gap(np.array([-np.inf, 1.0, 3.0])) == 2.0
+        assert spectra._min_gap(np.array([np.inf, 1.0])) == math.inf
 
 
 def test_spectral_summaries_are_never_shared_between_systems():

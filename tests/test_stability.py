@@ -24,6 +24,8 @@ from cryptoherm import (
     series_vs_exact,
 )
 from cryptoherm import spectra, stability
+from cryptoherm.errors import CryptohermError
+from oracles import reference_lambda_max
 
 TOL = 1e-10
 
@@ -613,6 +615,19 @@ BOUNDARY_SEARCHES = {
     "real-pencil-complex-spectra": (
         lambda: FamilySpec.linear(np.diag([-1.0, 1.0, 1e6]), np.pad(_ROTATION, (0, 1)), [0.0]),
         (0.0, 3.0), 1e-6, ("1.4142136863493442", 27)),
+    # the same spectra from a complex pencil, whose probes go through
+    # _lapack_dispatch: between 1 and sqrt(2) tol < max|Im E| <= tol * 1e6
+    "complex-pencil-scaled-reality": (
+        lambda: FamilySpec.linear(np.diag([-1.0, 1.0, 1e6]),
+                                  np.pad([[0.0, 1j], [1j, 0.0]], (0, 1)), [0.0]),
+        (0.0, 3.0), 1e-6, ("1.4142136863493437", 27)),
+    # [[0, 1], [1e-12 (1 - lam), 0]], |E| < 1: past the EP at 1 the real
+    # pencil's spectrum is a conjugate pair, not exactly real, yet real at
+    # tol 1e-6 until 1e-12 (lam - 1) = tol**2, at lam = 2
+    "real-pencil-rounded-reality": (
+        lambda: FamilySpec.linear([[0.0, 1.0], [1e-12, 0.0]], [[0.0, 0.0], [-1e-12, 0.0]],
+                                  [0.0]),
+        (0.0, 10.0), 1e-6, ("1.999999899795906", 31)),
     # the pace guard decides this count: with the widest allowed pair
     # shrinking by 0.75 per probe instead of sqrt(0.5), the search takes 21
     "real-side-crossing": (_real_side_crossing, (0.0, 10.0), 1e-10,
@@ -702,6 +717,81 @@ def test_lambda_max_restores_the_callers_error_state(monkeypatch):
             lambda_max(sqrt_family([0.0]), (0.0, 2.0), 1e-8)
         assert probes == 3
         assert _caller_state() == before
+
+
+def counted_search(search, spec, bracket, tol):
+    """(repr of ``search(spec, bracket, tol)`` or its error's class name,
+    number of FamilySpec.hamiltonian_at calls)."""
+    calls = 0
+    original = FamilySpec.hamiltonian_at
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    FamilySpec.hamiltonian_at = counted
+    try:
+        result = repr(search(spec, bracket, tol))
+    except (CryptohermError, ValueError) as exc:  # LinAlgError is a ValueError
+        result = type(exc).__name__
+    finally:
+        FamilySpec.hamiltonian_at = original
+    return result, calls
+
+
+# A small pool makes exact zeros, +-0.0 pairs and ties frequent.
+_PENCIL_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-3])
+
+
+def _square(n):
+    return st.lists(_PENCIL_ENTRIES, min_size=n * n, max_size=n * n).map(
+        lambda v: np.reshape(v, (n, n)))
+
+
+@st.composite
+def _boundary_searches(draw):
+    """(spec, bracket, tol): real, diagonal-with-ties, kg and complex pencils."""
+    kind = draw(st.sampled_from(["real", "diagonal", "kg", "complex", "real-h0-complex-w0"]))
+    bracket = (draw(st.sampled_from([0.0, 0.0, -0.25, 0.5])),
+               draw(st.sampled_from([0.75, 1.0, 2.0, 10.0, 1e3])))
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.25]))
+    if kind == "kg":
+        w0 = draw(st.none() | _square(2))
+        return FamilySpec.kg([draw(st.floats(-1.0, 1.0))], w0=w0), bracket, tol
+    n = draw(st.integers(1, 8))
+    h0, w0 = draw(_square(n)), draw(_square(n))
+    if kind in ("complex", "real-h0-complex-w0"):
+        w0 = w0 + 1j * draw(_square(n))
+    if kind == "complex":
+        h0 = h0 + 1j * draw(_square(n))
+    # mostly a Hermitian H0, real at lambda = 0, and an anti-Hermitian W0,
+    # which takes the spectrum off the real axis as lambda grows
+    if draw(st.integers(0, 3)):
+        h0 = h0 + h0.conj().T
+    if draw(st.booleans()):
+        w0 = w0 - w0.conj().T
+    if kind == "diagonal":
+        # ties among the drawn eigenvalues are frequent
+        h0 = np.diag(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                                   min_size=n, max_size=n)))
+    return FamilySpec.linear(h0, w0, [0.0]), bracket, tol
+
+
+# two equal eigenvalues overflow to inf: the gap's inf - inf raises
+_OVERFLOWING = np.kron(np.eye(2), np.full((2, 2), 1.7e308))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_boundary_searches())
+@example(case=(FamilySpec.linear(_OVERFLOWING, np.pad(_ROTATION, (0, 2)), [0.0]),
+               (0.0, 1.0), 1e-8))
+@example(case=(BOUNDARY_SEARCHES["real-pencil-rounded-reality"][0](), (0.0, 10.0), 1e-6))
+def test_lambda_max_matches_the_reference_search_bit_for_bit(case):
+    # the reference probes through _lapack_dispatch, _reality and numpy's gap
+    got = counted_search(lambda_max, *case)
+    assert got == counted_search(reference_lambda_max, *case)
+    assert got[1] >= 2 or got[0] == "ValueError"
 
 
 def test_scan_memory_is_bounded_by_its_chunk():

@@ -23,18 +23,27 @@ workload's kg search (``FamilySpec.kg([boundary_tau], [0.0], w0=...)`` on
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
 the ``eigvals`` calls of one untimed search, recorded the same way, and
 the rest.  The search enters the ``eigvals`` error state once and makes
-each call through the dispatch inside it, and the replay does the same:
-one ``_lapack_errstate("eigvals")`` around every call, each through
-``_lapack_dispatch``.
+each call inside it (a real pencil's straight to the gufunc, a complex
+one's through ``_lapack_dispatch``); the replay makes every call through
+``_lapack_dispatch``, inside one ``_lapack_errstate("eigvals")``.
+
+A third table reads what the scan workload's ``latency_ms_p50`` reads:
+the median ``lambda_max`` wall time over the scan families of seed
+``--seed`` (``gen.scan_inputs``), each search timed right after its
+family's ``reality_scan`` (``workers=1``), as the workload times it, so
+the search starts from the cache state the scan leaves.  Each round runs
+every family once per tree, the trees in alternating order; the median
+and its quartiles are over all searches of all rounds.
 
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
 process.  The LAPACK calls are recorded and replayed with this
 checkout's ``src``, whatever the trees compared.  Each of ``--repeats``
 rounds times one scan pass (one search) per tree, in alternating order,
-and one replay, so all of them see the same machine state.  The figures
-are medians over rounds, per point (per probe); the package overhead
-(the rest) is the median of the per-round differences.  OpenBLAS runs
+and one replay, so all of them see the same machine state (in the third
+table, one pass over the families per tree).  The figures of the first
+two tables are medians over rounds, per point (per probe); the package
+overhead (the rest) is the median of the per-round differences.  OpenBLAS runs
 on one thread.  numpy and the standard library only, besides the package.
 """
 
@@ -126,6 +135,31 @@ def alternate(trees, repeats: int, run_tree, run_lapack) -> tuple:
     return times, lapack
 
 
+def scan_op(ch, fam) -> tuple:
+    """(scan spec, search spec, bracket) of one scan family, as the scan
+    workload builds them."""
+    if fam.kind == "kg":
+        return (ch.FamilySpec.kg(fam.taus, fam.lambdas, w0=fam.w0),
+                ch.FamilySpec.kg([fam.boundary_tau], [0.0], w0=fam.w0), fam.bracket)
+    spec = ch.FamilySpec.linear(fam.h0, fam.w0, fam.lambdas)
+    return spec, spec, fam.bracket
+
+
+def benchmark_order(trees, seed: int, rounds: int) -> list:
+    """Per tree, the wall time of every ``lambda_max`` over ``rounds``
+    passes of seed ``seed``'s scan families, each timed right after its
+    family's ``reality_scan``, the trees in alternating order per round."""
+    fams = gen.scan_inputs(np.random.default_rng(seed))
+    ops = [[scan_op(ch, fam) for fam in fams] for ch in trees]
+    times = [[] for _ in trees]
+    for r in range(rounds):
+        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+            for spec, bspec, bracket in ops[i]:
+                trees[i].reality_scan(spec, gen.TOL, workers=1)
+                times[i].append(wall(lambda: trees[i].lambda_max(bspec, bracket, gen.TOL)))
+    return times
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, nargs="+", default=[ROOT / "src"])
@@ -189,6 +223,13 @@ def main(argv=None) -> int:
             per_probe, calls_t, rest = per_unit(walls, eigvals, count)
             print(f"| {n} | {src} | {call:.0f} | {count} | {per_probe:.1f} | {calls_t:.1f} "
                   f"| {rest:.1f} |")
+
+    print()
+    print("| seed | src | searches | µs per lambda_max, median | quartiles |")
+    print("|---|---|---|---|---|")
+    for src, walls in zip(args.src, benchmark_order(trees, args.seed, args.repeats)):
+        q1, med, q3 = (q * 1e6 for q in statistics.quantiles(walls, method="inclusive"))
+        print(f"| {args.seed} | {src} | {len(walls)} | {med:.0f} | {q1:.0f}–{q3:.0f} |")
     return 0
 
 
