@@ -93,16 +93,16 @@ def _taylor(coeffs, lam: float, n: int) -> np.ndarray:
     """sum_k lam**k C_k over n x n coefficients, summed in increasing k
     from zero; NonFiniteError, with no floating-point warning, where a term
     or the sum leaves the double-precision range."""
-    acc = np.zeros((n, n), dtype=complex)
+    acc, lam = np.zeros((n, n), dtype=complex), np.float64(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, c in enumerate(coeffs):
-            acc = acc + np.float64(lam) ** k * c
+            acc += lam**k * c
     return _finite(acc, f"a Taylor sum at lambda={lam!r}")
 
 
 class _Eigenbasis(NamedTuple):
     inv_gaps: np.ndarray  # 1 / (E_m - E_n), zero diagonal
-    w_tilde: tuple  # L^dag (w_scale W^(i)) R
+    w_tilde: tuple  # L^dag (w_scale W^(i)) R, each with its adjoint
     w_scale: float
     x0: np.ndarray  # R^dag (x0_scale Theta) R
     x0_scale: float
@@ -137,7 +137,8 @@ class PerturbationProblem:
         bit-for-bit equal H it is reused, and otherwise H is diagonalized.
         Either way the spectrum and the quasi-Hermiticity gates run, and
         the eigenbasis constants of :func:`solve_order` are formed behind
-        their real-part gap gate.
+        their real-part gap gate; the quasi-Hermiticity gate reads the
+        residual Theta holds for these bytes of H, if one was measured.
 
         A metric with a read-only array weakly holds the last problem built
         on it.  While that problem is alive, a build on the same Theta at
@@ -194,8 +195,8 @@ class PerturbationProblem:
         w_scale = min((_pow2_scale(w) for w in self.w_coeffs), default=1.0)
         s = _pow2_scale(self.theta.theta)
         x0 = r.conj().T @ (self.theta.theta * s) @ r
-        w_tilde = tuple(lh @ (w * w_scale) @ r for w in self.w_coeffs)
-        return _Eigenbasis(1.0 / gaps, w_tilde, w_scale, x0, s)
+        w_tilde = [lh @ (w * w_scale) @ r for w in self.w_coeffs]
+        return _Eigenbasis(1.0 / gaps, tuple((w, w.conj().T) for w in w_tilde), w_scale, x0, s)
 
     @property
     def dim(self) -> int:
@@ -287,20 +288,23 @@ def solve_order(problem: PerturbationProblem, k: int):
     rhs = np.zeros((problem.dim, problem.dim), dtype=complex)
     for j, (x, s) in zip(js, xs):
         x = x * (scale / s)
-        w = basis.w_tilde[k - 1 - j]
-        rhs += x @ w - w.conj().T @ x
+        w, wh = basis.w_tilde[k - 1 - j]
+        rhs += x @ w - wh @ x
     unit = scale * basis.w_scale
-    kernel_res = _relative_norm(np.diag(rhs), rhs, unit)
+    kernel_res = _relative_norm(rhs.diagonal(), rhs, unit)
     if kernel_res > problem.tol:
         raise SolvabilityViolatedError(k, kernel_res)
     y = rhs * basis.inv_gaps
     t = l @ y @ l.conj().T
-    res = kernel_res + 0.5 * _relative_norm(t - t.conj().T, t, unit)
-    t, y = (0.5 * (a + a.conj().T) for a in (t, y))
-    if not all(math.isfinite(float(np.abs(a).max()) / scale / basis.w_scale) for a in (t, y)):
-        raise SeriesOverflowError(k)
-    t, y = (a / scale / basis.w_scale for a in (t, y))
-    for a in (t, y):
+    th = t.conj().T
+    res = kernel_res + 0.5 * _relative_norm(t - th, t, unit)
+    t, y = t + th, y + y.conj().T
+    for a in (t, y):  # symmetrized, range-checked and unscaled in place
+        a *= 0.5
+        if not math.isfinite(float(np.abs(a).max()) / scale / basis.w_scale):
+            raise SeriesOverflowError(k)
+        a /= scale
+        a /= basis.w_scale
         a.setflags(write=False)
     # Held orders are only ever extended, never replaced, so a concurrent
     # caller can at worst repeat work.

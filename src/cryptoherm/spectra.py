@@ -212,11 +212,8 @@ def _pow2_scale(a: np.ndarray) -> float:
     return 2.0 ** -(max(math.frexp(top)[1] - 1, 0) if top < math.inf else 1023)
 
 
-def _pow2_scales(a: np.ndarray):
-    """:func:`_pow2_scale` of a matrix (a list of one) or of each matrix of
-    a stack (an array)."""
-    if a.ndim == 2:
-        return [_pow2_scale(a)]
+def _pow2_scales(a: np.ndarray) -> np.ndarray:
+    """:func:`_pow2_scale` of each matrix of a stack."""
     top = np.abs(a).reshape(len(a), -1).max(axis=1)
     e = np.maximum(np.frexp(top)[1] - 1, 0)
     return np.ldexp(1.0, np.where(top < math.inf, -e, -1023))
@@ -264,12 +261,9 @@ def _relative_norm(part: np.ndarray, whole: np.ndarray, unit: float) -> float:
     return num / max(unit * s, _fro(whole * s)) if num else 0.0
 
 
-def _fros(x: np.ndarray):
-    """:func:`_fro` of a matrix (a list of one) or of each matrix of a
-    stack (an array), summed exactly as it sums (``vecdot`` makes ``dot``'s
-    BLAS call)."""
-    if x.ndim == 2:
-        return [_fro(x)]
+def _fros(x: np.ndarray) -> np.ndarray:
+    """:func:`_fro` of each matrix of a stack, summed exactly as it sums
+    (``vecdot`` makes ``dot``'s BLAS call)."""
     if x.strides[1] < x.strides[2]:
         x = x.swapaxes(1, 2)  # column-major matrices, summed in memory order
     if x.dtype.kind == "c":
@@ -282,15 +276,11 @@ def _fros(x: np.ndarray):
     return np.sqrt(np.vecdot(x, x))
 
 
-def _conds(x: np.ndarray):
-    """Spectral condition number of a matrix (a list of one) or of each
-    matrix of a stack (an array); ``inf`` for a singular one.  Eigenvector
-    bases are gated on that of ``vr / _col_norms(vr)``."""
+def _conds(x: np.ndarray) -> np.ndarray:
+    """Spectral condition number of each matrix of a stack; ``inf`` for a
+    singular one.  Eigenvector bases are gated on that of
+    ``vr / _col_norms(vr)``."""
     sv = _lapack("svdvals", x)
-    if x.ndim == 2:
-        # Python floats: a ratio past the float range is inf, with no warning
-        sv = sv.tolist()
-        return [sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf]
     top, low = sv[:, 0], sv[:, -1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.where(low > 0.0, top / low, math.inf)
@@ -298,7 +288,9 @@ def _conds(x: np.ndarray):
 
 def _cond(x: np.ndarray) -> float:
     """Spectral condition number of ``x``; ``inf`` when it is singular."""
-    return _conds(x)[0]
+    sv = _lapack("svdvals", x).tolist()
+    # Python floats: a ratio past the float range is inf, with no warning
+    return sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
 
 
 def _min_gap(eigenvalues: np.ndarray):
@@ -374,7 +366,8 @@ class BiorthogonalSystem:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    _gap = functools.cached_property(lambda self: _min_gap(self.eigenvalues))
+    # an exactly real spectrum takes _min_gap's real path: the same value, bit for bit
+    _gap = functools.cached_property(lambda self: _min_gap(_real_if_exact(self.eigenvalues)))
     _max_imag = functools.cached_property(lambda self: _max_abs_imag(self.eigenvalues))
     _scale = functools.cached_property(lambda self: _spectral_scale(self.eigenvalues))
 
@@ -432,11 +425,47 @@ def diagonalize(h, tol: float):
     m = _square(m, "H")
     tol = _check_tol(tol)
     m.setflags(write=False)
-    out = [None]
-    _eig_stage([m], [0], _real_if_exact(m), tol, out)
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return _decompose(m, tol)
+
+
+def _decompose(m: np.ndarray, tol: float) -> BiorthogonalSystem:
+    """:func:`diagonalize` of the validated, read-only complex matrix ``m``,
+    in :func:`_gate`'s steps on 2-D arrays and Python floats.  Its three
+    LAPACK calls share one error state, whose callback raises the running
+    routine's LinAlgError; between them only finite eigenvalues and
+    LAPACK's unit-norm eigenvectors are sorted and normalized."""
+    a, n, routine = _real_if_exact(m), len(m), "eig"
+    with np.errstate(call=lambda err, flag: _ROUTINES[routine][3](err, flag),
+                     invalid="call", over="ignore", divide="ignore", under="ignore"):
+        evals, vr = _lapack_dispatch("eig", a)  # real exactly when the spectrum is
+        if not np.isfinite(evals).all():
+            # LAPACK returns NaN for an eigenvalue whose modulus overflows
+            raise NonFiniteError("the eigenvalues of H leave the float range")
+        routine = "svdvals"
+        sv = _lapack_dispatch("svdvals", vr / _col_norms(vr)).tolist()
+        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf  # as _cond takes it
+        if cond > 1.0 / tol:
+            raise _defective_error(cond, evals, 1.0 / tol)
+        order = evals.argsort(kind="stable")  # by (real, imaginary) part
+        spectrum, evals, vr = evals, evals[order], vr[:, order]
+        vr = vr / _col_norms(vr)
+        routine = "inv"
+        vlh = _lapack_dispatch("inv", vr)
+    s = _pow2_scale(a)  # _gate's residuals, on the scaled H
+    hs, es = a * s, evals * s
+    right = float(_col_norms(hs @ vr - vr * es).max())
+    bi = vlh @ vr
+    bi.reshape(-1)[:: n + 1] -= 1.0
+    scale = max(s, _fro(hs))
+    bound = max(tol, 100.0 * n * _EPS * cond)
+    worst = max(right / scale, _fro(vlh @ hs - es[:, None] * vlh) / scale, _fro(bi))
+    if worst > bound:
+        raise _residual_error(worst, bound, cond, spectrum)
+    evals, vr = evals.astype(complex, copy=False), vr.astype(complex, copy=False)
+    vl = vlh.conj() if vlh.dtype.kind == "c" else vlh.astype(complex)  # L^dag, transposed below
+    for x in (evals, vr, vl):
+        x.setflags(write=False)
+    return BiorthogonalSystem(evals, vr, vl.T, tol, cond, m)
 
 
 def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
@@ -463,8 +492,7 @@ def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
 def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
     """Fill ``out[at[g]]`` with :func:`diagonalize`'s outcome for matrix
     ``ms[at[g]]``, given as ``a[g]`` in the arithmetic its eigensolver
-    runs in; ``a`` is one matrix (``at`` is ``[0]``) or a stack (``at`` an
-    index array)."""
+    runs in (``at`` an index array)."""
     evals, vr = _lapack("eig", a)  # real exactly when every spectrum is
     finite = np.isfinite(evals)
     if not finite.all():
@@ -476,7 +504,7 @@ def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
         if not keep.size:
             return
         a, evals, vr, at = a[keep], evals[keep], vr[keep], at[keep]
-    if a.ndim == 2 or a.dtype.kind == "c" or evals.dtype.kind == "f":
+    if a.dtype.kind == "c" or evals.dtype.kind == "f":
         _gate(ms, at, a, evals, vr, tol, out)  # every member in one arithmetic
         return
     # a real stack whose spectra are not all real: an exactly real spectrum
@@ -490,46 +518,29 @@ def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
 
 
 def _gate(ms, at, a, evals, vr, tol, out) -> None:
-    """The condition gate, sort, inverse and residual gate for the matrix
-    or stack ``a`` of matrices ``ms[at[g]]`` that share one arithmetic, with
-    its eigenpairs from LAPACK.
-
-    A stack decides every member's verdict with array expressions, and
-    each system it returns carries its three summaries, reduced on the
-    sorted complex stack of eigenvalues.  One matrix keeps its 2-D arrays
-    and Python floats, as a 2-D call of :func:`diagonalize` hands it over:
-    passed as a stack of one, with the stacked sort, scales and norms, it
-    cost 20-35% more per call at N <= 8, and 14% more on the
-    ``diagonalize`` row of ``tools/stage_cost.py``.
-    """
-    lone = a.ndim == 2
+    """The condition gate, sort, inverse and residual gate for the stack
+    ``a`` of matrices ``ms[at[g]]`` that share one arithmetic, with its
+    eigenpairs from LAPACK, each step one array expression for every
+    member.  Each system carries its three summaries, reduced on the
+    sorted stack of eigenvalues."""
     n = a.shape[-1]
-    cond = _conds(vr / _col_norms(vr))  # a list of one, or an array
+    cond = _conds(vr / _col_norms(vr))
     spectrum = evals  # in the eigensolver's order, for a DefectiveError
-    if (cond[0] if lone else cond.max()) > 1.0 / tol:
-        over = np.array(cond) > 1.0 / tol
+    if cond.max() > 1.0 / tol:
+        over = cond > 1.0 / tol
         for g in np.flatnonzero(over).tolist():
-            out[at[g]] = DefectiveError(
-                "eigenvector-basis condition number exceeds "
-                f"1/tol = {1.0 / tol:.3e}; matrix is (near-)defective",
-                condition_number=float(cond[g]),
-                eigenvalues=spectrum.reshape(-1, n)[g].astype(complex),
-                bound=1.0 / tol,
-            )
+            out[at[g]] = _defective_error(float(cond[g]), spectrum[g], 1.0 / tol)
         keep = np.flatnonzero(~over)
         if not keep.size:
             return
         at, a, evals, vr, spectrum = at[keep], a[keep], evals[keep], vr[keep], spectrum[keep]
         cond = cond[keep]
-    # a stable sort of complex values is by (real, imaginary) part
+    # a stable sort of complex values is by (real, imaginary) part; columns
+    # taken as rows of the transposed stack, so that each matrix is laid out
+    # column-major, as vr[:, order] lays out one matrix
     order = evals.argsort(axis=-1, kind="stable")
-    if lone:
-        evals, vr = evals[order], vr[:, order]
-    else:
-        # columns taken as rows of the transposed stack, so that each matrix
-        # is laid out column-major, as vr[:, order] lays out one matrix
-        rows = np.arange(len(a))[:, None]
-        evals, vr = evals[rows, order], vr.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    rows = np.arange(len(a))[:, None]
+    evals, vr = evals[rows, order], vr.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
     vr = vr / _col_norms(vr)
     vlh = _lapack("inv", vr)
 
@@ -538,8 +549,7 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
     # formed on the power-of-two-scaled H, so they equal the unscaled
     # ratios and nothing overflows for entries near the float limit.
     s = _pow2_scales(a)
-    sa = s[0] if lone else s[:, None, None]
-    hs, es = a * sa, evals[..., None, :] * sa  # es: one row per matrix
+    hs, es = a * s[:, None, None], evals[:, None, :] * s[:, None, None]  # es: one row per matrix
     right = _col_norms(hs @ vr - vr * es).max(axis=-1).ravel()
     left = _fros(vlh @ hs - es.swapaxes(-1, -2) * vlh)
     bi = vlh @ vr
@@ -551,19 +561,12 @@ def _gate(ms, at, a, evals, vr, tol, out) -> None:
     vl = vlh.conj() if vlh.dtype.kind == "c" else vlh.astype(complex)  # L^dag, transposed below
     for x in (evals, vr, vl):
         x.setflags(write=False)
-    if lone:
-        scale = max(s[0], fro_hs[0])
-        bound = max(tol, 100.0 * n * _EPS * cond[0])
-        worst = max(right.item() / scale, left[0] / scale, bi_res[0])
-        out[at[0]] = (_residual_error(worst, bound, cond[0], spectrum) if worst > bound
-                      else BiorthogonalSystem(evals, vr, vl.T, tol, cond[0], ms[at[0]]))
-        return
-    # Each verdict as the 2-D branch's Python max takes it: the first of
-    # equal values, and a NaN after the first value never replaces it.
+    # Each verdict as _decompose's Python max takes it: the first of equal
+    # values, and a NaN after the first value never replaces it.
     scale = _first_max(s, fro_hs)
     bound = _first_max(tol, 100.0 * n * _EPS * cond)
     worst = _first_max(right / scale, left / scale, bi_res)
-    cached = zip(_min_gap(evals), _max_abs_imag(evals), _spectral_scale(evals))
+    cached = zip(_min_gap(_real_if_exact(evals)), _max_abs_imag(evals), _spectral_scale(evals))
     rows = zip(at.tolist(), evals, vr, vl.swapaxes(1, 2), cond.tolist(), (worst > bound).tolist(),
                worst.tolist(), bound.tolist(), spectrum, cached)
     for i, e, r, l, c, bad, w, b, spec, (gap, max_imag, spectral_scale) in rows:
@@ -579,6 +582,17 @@ def _first_max(first, *others: np.ndarray) -> np.ndarray:
     for x in others:
         first = np.where(x > first, x, first)
     return first
+
+
+def _defective_error(cond: float, spectrum: np.ndarray, bound: float) -> DefectiveError:
+    """The condition gate's DefectiveError for one matrix."""
+    return DefectiveError(
+        "eigenvector-basis condition number exceeds "
+        f"1/tol = {bound:.3e}; matrix is (near-)defective",
+        condition_number=cond,
+        eigenvalues=spectrum.astype(complex),
+        bound=bound,
+    )
 
 
 def _residual_error(worst: float, bound: float, cond: float, spectrum: np.ndarray):

@@ -418,9 +418,10 @@ def exact_matched_metric(problem: PerturbationProblem, lam: float) -> np.ndarray
     g = system.left_vectors.conj().T @ problem.system.right_vectors  # L_n(lam)^dag R0_m
     # Solved and assembled at X^(0)'s power-of-two scale, which is exact,
     # so only a matrix that is itself past the float range overflows.
-    weights = _lapack("solve", (np.abs(g) ** 2).T, np.diag(basis.x0).real)
+    weights = _lapack("solve", (np.abs(g) ** 2).T, basis.x0.diagonal().real)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _projector_sum(system.left_vectors, weights) / basis.x0_scale
+        t = _projector_sum(system.left_vectors, weights)
+        t /= basis.x0_scale
         return _finite(t, "exact matched metric")
 
 

@@ -772,38 +772,51 @@ def _chain_observable(b: float) -> np.ndarray:
 def test_gram_certificate_leaves_an_eigenvalue_inside_its_rounding_bound(monkeypatch):
     # The certificate widens each eigenvalue sigma^2 of G by
     # delta = 16 (N + M + 1) eps * size, 80 eps * size here.  A sigma_2^2 at
-    # delta / 4 is left to the QR kernel (a 16x smaller delta would decide
-    # it), and one at 64 delta is decided from G.
+    # delta / 4 is left to the QR kernel.  So is one whose square root
+    # tells the rank from the threshold's margin only for a widening below
+    # delta / 2: a 16x smaller delta would decide it from G.  One far
+    # above delta, with a null vector bounded within tol * max |v|, is
+    # decided from G.
     calls = _count_kernel_calls(monkeypatch)
     family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
-    for ratio, kernel_calls in ((0.25, 1), (64.0, 0)):
-        b = math.sqrt(ratio * 80.0 * EPS * 2.0 / 3.0)  # size = 2 + 2 b^2
-        obs = [_chain_observable(b)]
-        s, _, _ = _constraint_svd(family, obs)
-        assert s[1] ** 2 / (80.0 * EPS * (2.0 + 2.0 * b * b)) == pytest.approx(ratio, rel=1e-6)
+    b = math.sqrt(0.25 * 80.0 * EPS * 2.0 / 3.0)  # size = 2 + 2 b^2
+    s, _, _ = _constraint_svd(family, [_chain_observable(b)])
+    assert s[1] ** 2 / (80.0 * EPS * (2.0 + 2.0 * b * b)) == pytest.approx(0.25, rel=1e-6)
+    s, _, floor = _constraint_svd(family, [_chain_observable(1e-5)])
+    # the rank threshold's margin is 2 tol max(sigma_1, floor)
+    margin_tol = math.sqrt(s[1] ** 2 - 0.5 * 80.0 * EPS * (2.0 + 2e-10)) / (2.0 * max(s[0], floor))
+    for b, tol, kernel_calls in ((b, 1e-8, 1), (1e-5, margin_tol, 1), (1e-4, 1e-8, 0)):
         calls[0] = 0
-        kappa = fix_ambiguity(family, obs, 1e-8)
+        kappa = fix_ambiguity(family, [_chain_observable(b)], tol)
         assert calls[0] == kernel_calls and kappa.min() > 0.0
-        if kernel_calls:
-            # the QR kernel's null line is off by about eps sigma_1 / sigma_2
-            assert np.max(np.abs(kappa - 1.0)) <= 1e-7
+        # the QR kernel's null line is exact here; G's is off by at most about tol
+        assert np.max(np.abs(kappa - 1.0)) <= (4.0 * EPS if kernel_calls else tol)
 
 
 def test_gram_residual_bound_keeps_its_rounding_term(monkeypatch):
     # ||rows v|| is formed in floats, so its bound adds 4 (N + 2) eps
-    # sqrt(size), 40 eps here (size = 4).  A threshold at that term, twice
-    # the computed residual or more, cannot certify the null line: the QR
-    # kernel decides.  Four times the term can.
+    # sqrt(size), 20 sqrt(10) eps here (size = 10).  A threshold at that
+    # term, twice the computed residual or more, cannot certify the null
+    # line: the QR kernel decides.  Four times the term can.
     calls = _count_kernel_calls(monkeypatch)
     family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
-    obs = [_chain_observable(1.0)]
+    obs = [_chain_observable(2.0)]
     s, _, floor = _constraint_svd(family, obs)
-    term = 4.0 * (3 + 2) * EPS * 2.0
+    term = 4.0 * (3 + 2) * EPS * math.sqrt(10.0)
     for factor, kernel_calls in ((1.0, 1), (4.0, 0)):
         calls[0] = 0
         kappa = fix_ambiguity(family, obs, factor * term / max(s[0], floor))
         assert calls[0] == kernel_calls
         assert np.max(np.abs(kappa - 1.0)) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("b", [1.5e-7, 1e-6, 1e-5])
+def test_the_readme_chain_example_gives_its_exact_weights(b):
+    # G's null vector is off by about eps (sigma_1 / sigma_2)^2 here; its
+    # bound eta exceeds tol * max |v|, so the QR kernel gives the weights
+    family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), TOL))
+    kappa = fix_ambiguity(family, [_chain_observable(b)], 1e-8)
+    assert np.max(np.abs(kappa - 1.0)) <= 1e-15
 
 
 def test_planted_n64_problem_is_decided_without_the_qr_kernel(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cryptoherm.metric as metric_module
 import cryptoherm.perturbation as perturbation
 from cryptoherm.spectra import _min_gap as spectra_min_gap
 from cryptoherm import (
@@ -28,12 +29,15 @@ from cryptoherm import (
     commutator_gap,
     diagonalize,
     dyson_from_metric,
+    dyson_map,
+    hermitize,
     hidden_hermiticity_test,
     kg_hamiltonian,
     kg_metric,
     leading_delta,
     metric_from_matrix,
     metric_series,
+    quasi_hermiticity_residual,
     solve_order,
     v_from_w,
     w_from_v,
@@ -66,6 +70,53 @@ def kg_problem(tau=0.2, beta=0.25, w0=SIGMA_X, tol=TOL):
 def test_build_validates_quasi_hermiticity():
     with pytest.raises(NotQuasiHermitianError):
         PerturbationProblem.build(kg_hamiltonian(1.0), np.eye(2), [SIGMA_X], TOL)
+
+
+def _counting_residuals(monkeypatch):
+    """Count the quasi-Hermiticity residuals measured (not read from a hold)."""
+    calls = []
+    inner = metric_module._pow2_factors
+
+    def counted(*operands):
+        calls.append(len(operands))
+        return inner(*operands)
+
+    monkeypatch.setattr(metric_module, "_pow2_factors", counted)
+    return lambda: len(calls) // 2  # H's and Theta's factors per residual
+
+
+def test_build_reads_the_residual_hermitize_measured(monkeypatch):
+    h = kg_hamiltonian(0.3)
+    theta = assemble_metric(MetricFamily(diagonalize(h, TOL)), [1.0, 2.0])
+    measured = _counting_residuals(monkeypatch)
+    hermitize(h, dyson_map(theta), TOL)
+    assert measured() == 1
+    PerturbationProblem.build(h, theta, [SIGMA_X], TOL)
+    assert measured() == 1
+    # equal values, other bits: an H with -0.0 for +0.0 is measured again
+    minus_zero = h.copy()
+    minus_zero[0, 0] = -0.0
+    res = quasi_hermiticity_residual(minus_zero, theta)
+    assert measured() == 2 and theta._residual == (minus_zero.tobytes(), res)
+    assert quasi_hermiticity_residual(minus_zero, theta) == res and measured() == 2
+
+
+def test_a_writable_metric_holds_no_residual(monkeypatch):
+    h = kg_hamiltonian(0.3)
+    theta = MetricOperator(np.array(kg_metric(0.3, 0.25).theta))
+    measured = _counting_residuals(monkeypatch)
+    for _ in range(2):
+        assert quasi_hermiticity_residual(h, theta) <= TOL
+    assert measured() == 2 and theta._residual is None
+
+
+def test_a_held_residual_above_tol_still_fails_build():
+    h = kg_hamiltonian(0.3)
+    theta = kg_metric(0.6, 0.25)  # the metric of another tau
+    res = quasi_hermiticity_residual(h, theta)
+    assert res > TOL and theta._residual == (h.tobytes(), res)
+    with pytest.raises(NotQuasiHermitianError):
+        PerturbationProblem.build(h, theta, [SIGMA_X], TOL)
 
 
 def test_w_coefficients_beyond_supplied_are_zero():
@@ -243,6 +294,24 @@ def _run_threads(worker, n=8):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     return errors
+
+
+def test_threads_sharing_a_metric_each_read_their_own_hs_residual():
+    # a hold replaced between its test and its read would hand one thread
+    # the residual of another thread's H
+    theta = kg_metric(0.3, 0.25)
+    hs = [kg_hamiltonian(0.3 + 0.01 * i) for i in range(4)]
+    fresh = [quasi_hermiticity_residual(h, np.array(theta.theta)) for h in hs]
+    assert len(set(fresh)) == len(hs)
+    wrong = []
+
+    def worker(i):
+        for r in range(300):
+            j = (i + r) % len(hs)
+            if quasi_hermiticity_residual(hs[j], theta) != fresh[j]:
+                wrong.append(j)
+
+    assert _run_threads(worker) == [] and wrong == []
 
 
 def test_leading_delta_reuses_the_problem_the_caller_holds(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -115,3 +116,24 @@ def test_the_cli_digest_leaves_the_working_directory_as_it_was():
     cwd = os.getcwd()
     row_digest.workload_digest("cli", [0])
     assert os.getcwd() == cwd
+
+
+def test_src_trees_print_their_digests_and_name_the_moved_ones(monkeypatch, tmp_path, capsys):
+    # a second tree whose scan CSV header differs moves the cli digest alone
+    moved = tmp_path / "moved"
+    shutil.copytree(ROOT / "src", moved, ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = moved / "cryptoherm" / "cli.py"
+    cli_py.write_text(cli_py.read_text().replace('"lambda,tau,', '"lam,tau,', 1))
+    # main rebinds the package names; monkeypatch puts them back afterwards
+    for name in (*row_digest.PACKAGE_NAMES, "cli"):
+        monkeypatch.setattr(row_digest, name, getattr(row_digest, name))
+    workloads = {name: row_digest.WORKLOADS[name] for name in ("scan", "cli")}
+    monkeypatch.setattr(row_digest, "WORKLOADS", workloads)
+    expected = {name: row_digest.workload_digest(name, [0]) for name in workloads}
+    assert row_digest.main(["--seeds", "0", "--src", str(ROOT / "src"), str(moved)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# {ROOT / 'src'}"
+    assert lines[1:3] == [f"{name} {value}" for name, value in expected.items()]
+    assert lines[3] == f"# {moved}" and lines[4] == f"scan {expected['scan']}"
+    assert lines[5].startswith("cli ") and lines[5] != f"cli {expected['cli']}"
+    assert lines[6:] == [f"moved in {moved}: cli"]

@@ -237,6 +237,85 @@ def test_residual_gate_rejects_a_basis_within_ten_times_its_bound(monkeypatch):
         assert exc.bound == 100.0 * 4 * np.finfo(float).eps * exc.condition_number
 
 
+_MESSAGES = {"eig": "Eigenvalues did not converge", "svdvals": "SVD did not converge",
+             "inv": "Singular matrix"}
+
+
+def _failing(routine):
+    """``routine``'s entry of ``spectra._ROUTINES`` with a gufunc that sets
+    the invalid flag, as a LAPACK failure does, before it computes."""
+    gufunc, *rest = spectra._ROUTINES[routine]
+
+    def failing(*operands, **kwargs):
+        np.subtract(np.inf, np.inf)
+        return gufunc(*operands, **kwargs)
+
+    return (failing, *rest)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["matrix", "stack"])
+@pytest.mark.parametrize("routine", sorted(_MESSAGES))
+def test_a_lapack_failure_raises_the_routines_error(monkeypatch, routine, stack):
+    monkeypatch.setitem(spectra._ROUTINES, routine, _failing(routine))
+    h = np.diag([1.0, 2.0, 3.0]) + np.triu(np.full((3, 3), 0.5), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{_MESSAGES[routine]}$"):
+            diagonalize(np.stack([h, h]) if stack else h, TOL)
+
+
+def test_diagonalize_restores_the_callers_error_state(monkeypatch):
+    def caller_callback(err, flag):
+        raise AssertionError("the caller's callback is never reached")
+
+    jordan = [[1.0, 1.0], [0.0, 1.0]]
+    with np.errstate(divide="raise", over="warn", under="print", invalid="ignore",
+                     call=caller_callback):
+        before = np.geterr(), np.geterrcall()
+        diagonalize(SIGMA_X, TOL)
+        assert (np.geterr(), np.geterrcall()) == before
+        assert isinstance(diagonalize([SIGMA_X, jordan], TOL)[1], DefectiveError)
+        assert (np.geterr(), np.geterrcall()) == before
+        with pytest.raises(DefectiveError):
+            diagonalize(jordan, TOL)
+        assert (np.geterr(), np.geterrcall()) == before
+        for routine in _MESSAGES:
+            with monkeypatch.context() as m:
+                m.setitem(spectra._ROUTINES, routine, _failing(routine))
+                for h in (SIGMA_X, [SIGMA_X, SIGMA_X]):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        diagonalize(h, TOL)
+                    assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_no_arithmetic_between_the_lapack_calls_of_one_matrix_sets_the_invalid_flag(monkeypatch):
+    # One matrix's three LAPACK calls share one error state.  Between them
+    # only finite eigenvalues and LAPACK's unit-norm eigenvectors are sorted
+    # and normalized: on inputs at the float range's ends, and on inputs
+    # that fail a gate, that arithmetic never reaches a routine's callback.
+    calls = []
+    for routine in _MESSAGES:
+        *entry, _ = spectra._ROUTINES[routine]
+        monkeypatch.setitem(spectra._ROUTINES, routine,
+                            (*entry, lambda err, flag: calls.append(err)))
+    rng = np.random.default_rng(11)
+    inputs = [[[5.0]], np.zeros((3, 3)), np.eye(3), [[1.0, 1.0], [1e-21, 1.0]],
+              [[1.0, 1.0], [0.0, 1.0]], np.diag(np.full(2, 1.7e308 + 1.7e308j)),
+              [[0.0, -1.0], [1.0, 0.0]], SIGMA_X]
+    for n in (2, 5, 8):
+        s = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        real = (s * np.linspace(-1.0, 1.0, n)) @ np.linalg.inv(s)
+        cplx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for scale in (1.0, 2.0**1020, 2.0**-1060):
+            inputs += [real * scale, cplx * scale, rng.standard_normal((n, n)) * scale]
+    for h in inputs:
+        try:
+            diagonalize(h, TOL)
+        except (DefectiveError, NonFiniteError):
+            pass
+    assert calls == []
+
+
 def test_defective_error_fields_name_the_failed_gate():
     # similarity-transformed Jordan blocks plus noise trip both gates
     gates = set()
@@ -616,6 +695,9 @@ def test_a_stack_decomposes_each_matrix_as_the_matrix_alone(seed, n, kinds, tol,
         for field in ("_gap", "_max_imag", "_scale"):
             assert field in out.__dict__
             assert repr(getattr(out, field)) == repr(getattr(want, field))
+        # both take an exactly real spectrum's gap on the real path: the
+        # complex pairwise value, bit for bit
+        assert repr(out._gap) == repr(spectra._min_gap(out.eigenvalues))
 
 
 def test_a_stack_raises_only_for_the_whole_call():

@@ -12,7 +12,8 @@ the pair [planted, planted + R] and R alone.  Every case runs through
 class counts, the number of cases whose class differs from the
 reference, the largest weight deviation relative to the reference's
 largest weight, and the number of cases that fell back to the QR kernel
-(``metric._constraint_svd``).  It exits 1 when a class differs.  numpy
+(``metric._constraint_svd``), in all and per observable set.  It exits
+1 when a class differs.  numpy
 and the standard library only, besides the package itself.
 """
 
@@ -35,9 +36,10 @@ from cryptoherm import metric  # noqa: E402
 TOL = 1e-10
 
 
-def observable_sets(p, r) -> list:
+def observable_sets(p, r) -> dict:
     planted = p.observable
-    return [[planted], [p.h0], [p.h0 @ p.h0], [np.eye(p.n)], [planted, planted + r], [r]]
+    return {"planted": [planted], "H0": [p.h0], "H0^2": [p.h0 @ p.h0], "identity": [np.eye(p.n)],
+            "planted pair": [planted, planted + r], "R": [r]}
 
 
 def main(argv=None) -> int:
@@ -46,11 +48,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     kernel = metric._constraint_svd
-    fallbacks = 0
+    fallbacks, current = Counter(), None
 
     def counted(*a):
-        nonlocal fallbacks
-        fallbacks += 1
+        fallbacks[current] += 1
         return kernel(*a)
 
     metric._constraint_svd = counted
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
             for p in gen.pipeline_inputs(rng):
                 r = rng.standard_normal((p.n, p.n))
                 family = MetricFamily(diagonalize(p.h0, TOL))
-                for obs in observable_sets(p, r):
+                for current, obs in observable_sets(p, r).items():
                     try:
                         outcome, kappa = "ok", fix_ambiguity(family, obs, TOL)
                     except CryptohermError as exc:
@@ -83,7 +84,9 @@ def main(argv=None) -> int:
         print(f"{name:<24} {count}")
     print(f"class changes            {changed}")
     print(f"max kappa deviation      {worst:.2e}")
-    print(f"QR fallbacks             {fallbacks}")
+    print(f"QR fallbacks             {fallbacks.total()}")
+    for name in observable_sets(p, r):
+        print(f"  {name:<22} {fallbacks[name]}")
     return 1 if changed else 0
 
 

@@ -1,6 +1,6 @@
 """Bit-exact digests of the results the benchmark workloads compute.
 
-    PYTHONPATH=src python3 tools/row_digest.py [--seeds 0 1 2 3 4]
+    PYTHONPATH=src python3 tools/row_digest.py [--seeds 0 1 2 3 4] [--src DIR ...]
 
 For every seed, ``perfbench/gen.py`` draws the workload inputs from
 ``numpy.random.default_rng(seed)``, as the benchmark does, without
@@ -32,13 +32,19 @@ changing them.  The script prints one SHA-256 per workload:
   path enters the digest.
 
 ``repr`` of a float round-trips, so two trees print the same digests
-exactly when they compute the same bits.  numpy and the standard library
-only, besides the package itself.
+exactly when they compute the same bits.  With ``--src``, each ``DIR``
+(a ``src`` directory) is loaded as its own copy of the package, as
+``tools/point_cost.py`` loads them, and digested in turn: the script
+prints each tree's digests under a ``# DIR`` line, then, for every tree
+after the first, a line ``moved in DIR:`` naming the workloads whose
+digest differs from the first tree's (``none`` when none does).  numpy
+and the standard library only, besides the package itself.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -226,12 +232,40 @@ def workload_digest(name: str, seeds) -> str:
     return digest(chunk for seed in seeds for chunk in WORKLOADS[name](seed))
 
 
+# the package names the digests call, rebound by use()
+PACKAGE_NAMES = ("CryptohermError", "FamilySpec", "MetricFamily", "PerturbationProblem",
+                 "assemble_metric", "diagonalize", "dyson_from_metric", "fix_ambiguity",
+                 "lambda_max", "leading_delta", "metric_series", "reality_scan", "series_vs_exact")
+
+
+def use(ch) -> None:
+    """Point every digest at package ``ch`` (as loaded by ``load_package``)."""
+    globals().update({name: getattr(ch, name) for name in PACKAGE_NAMES},
+                     cli=importlib.import_module(f"{ch.__name__}.cli"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(5)))
+    ap.add_argument("--src", type=Path, nargs="+")
     args = ap.parse_args(argv)
-    for name in WORKLOADS:
-        print(f"{name} {workload_digest(name, args.seeds)}")
+    if not args.src:
+        for name in WORKLOADS:
+            print(f"{name} {workload_digest(name, args.seeds)}")
+        return 0
+    sys.path.insert(0, str(ROOT / "tools"))
+    from point_cost import load_package
+
+    trees = []
+    for i, src in enumerate(args.src):
+        use(load_package(src.resolve(), f"cryptoherm_digest_{i}"))
+        trees.append({name: workload_digest(name, args.seeds) for name in WORKLOADS})
+        print(f"# {src}")
+        for name, value in trees[-1].items():
+            print(f"{name} {value}")
+    for src, tree in zip(args.src[1:], trees[1:]):
+        moved = [name for name in WORKLOADS if tree[name] != trees[0][name]]
+        print(f"moved in {src}: {' '.join(moved) or 'none'}")
     return 0
 
 
