@@ -147,7 +147,7 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 
 
 def _load_hamiltonian(args) -> np.ndarray:
-    if getattr(args, "kg", None) is not None:
+    if args.kg is not None:
         return kg_hamiltonian(args.kg)
     return read_matrix(args.h)
 

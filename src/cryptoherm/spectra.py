@@ -35,34 +35,33 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-def _raiser(message: str):
-    def fail(err, flag):
-        raise LinAlgError(message)
-    return fail
+class _Invalid(LinAlgError):
+    """An invalid result inside :data:`_ERRSTATE`, as a LAPACK failure sets it."""
 
 
-_NOT_CONVERGED = _raiser("Eigenvalues did not converge")
-_SINGULAR = _raiser("Singular matrix")
+def _invalid(err, flag):
+    raise _Invalid
 
-# routine -> (gufunc, real signature, complex signature, error callback),
-# each as numpy.linalg's wrapper of that routine chooses it
+
+# numpy.linalg's np.errstate keywords for every LAPACK routine (a new
+# np.errstate per entry: each holds the token of the state it replaced).
+# An invalid result raises _Invalid, which the gufunc's caller raises again
+# as the routine's LinAlgError; overflow, division and underflow pass silently.
+_ERRSTATE = {"call": _invalid, "invalid": "call", "over": "ignore", "divide": "ignore",
+             "under": "ignore"}
+
+# routine -> (gufunc, real signature, complex signature, LinAlgError
+# message), each as numpy.linalg's wrapper of that routine chooses it
 _ROUTINES = {
-    "eig": (_umath_linalg.eig, "d->DD", "D->DD", _NOT_CONVERGED),
-    "eigvals": (_umath_linalg.eigvals, "d->D", "D->D", _NOT_CONVERGED),
-    "eigh": (_umath_linalg.eigh_lo, "d->dd", "D->dD", _NOT_CONVERGED),
-    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", "D->d", _NOT_CONVERGED),
-    "svdvals": (_umath_linalg.svd, "d->d", "D->d", _raiser("SVD did not converge")),
-    "inv": (_umath_linalg.inv, "d->d", "D->D", _SINGULAR),
-    "solve": (_umath_linalg.solve, "dd->d", "DD->D", _SINGULAR),
-    "solve1": (_umath_linalg.solve1, "dd->d", "DD->D", _SINGULAR),
+    "eig": (_umath_linalg.eig, "d->DD", "D->DD", "Eigenvalues did not converge"),
+    "eigvals": (_umath_linalg.eigvals, "d->D", "D->D", "Eigenvalues did not converge"),
+    "eigh": (_umath_linalg.eigh_lo, "d->dd", "D->dD", "Eigenvalues did not converge"),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", "D->d", "Eigenvalues did not converge"),
+    "svdvals": (_umath_linalg.svd, "d->d", "D->d", "SVD did not converge"),
+    "inv": (_umath_linalg.inv, "d->d", "D->D", "Singular matrix"),
+    "solve": (_umath_linalg.solve, "dd->d", "DD->D", "Singular matrix"),
+    "solve1": (_umath_linalg.solve1, "dd->d", "DD->D", "Singular matrix"),
 }
-
-# routine -> numpy.linalg's np.errstate keywords for it: an invalid result
-# of LAPACK calls the routine's callback, and overflow, division and
-# underflow pass silently
-_ERRSTATES = {routine: {"call": fail, "invalid": "call", "over": "ignore",
-                        "divide": "ignore", "under": "ignore"}
-              for routine, (*_, fail) in _ROUTINES.items()}
 
 
 def _lapack(routine: str, *operands: np.ndarray):
@@ -85,33 +84,28 @@ def _lapack(routine: str, *operands: np.ndarray):
     matrix they decompose is finite: :func:`as_matrix` checks it, or
     ``lambda_max`` its bracket ends (H is affine in lambda).
 
-    It is :func:`_lapack_dispatch` inside :func:`_lapack_errstate`; a
-    caller that makes many calls of one routine in a row, as a boundary
-    search does, enters the error state once and dispatches each call.
+    It is :func:`_lapack_dispatch` inside ``np.errstate(**_ERRSTATE)``; a
+    caller that makes several calls in a row, as one matrix's
+    decomposition or a boundary search does, enters the state once.
     """
-    with _lapack_errstate(routine):
+    with np.errstate(**_ERRSTATE):
         return _lapack_dispatch(routine, *operands)
-
-
-def _lapack_errstate(routine: str) -> np.errstate:
-    """numpy.linalg's error state for ``routine``: an invalid result of
-    LAPACK raises LinAlgError with the routine's message, and overflow,
-    division and underflow pass silently.  Each entry needs a new
-    ``np.errstate``, which holds the token of the state it replaced."""
-    return np.errstate(**_ERRSTATES[routine])
 
 
 def _lapack_dispatch(routine: str, *operands: np.ndarray):
     """:func:`_lapack` without its error state: the gufunc call with its
-    signature, and the real view of a real ``eig`` or ``eigvals``.  Call it
-    only inside ``_lapack_errstate(routine)``, or a LAPACK failure goes
-    unreported."""
+    signature, its ``_Invalid`` raised as the routine's LinAlgError, and
+    the real view of a real ``eig`` or ``eigvals``.  Call it only inside
+    ``np.errstate(**_ERRSTATE)``, or a LAPACK failure goes unreported."""
     if routine == "solve" and operands[1].ndim == 1:
         routine = "solve1"
-    gufunc, real_sig, complex_sig, _ = _ROUTINES[routine]
+    gufunc, real_sig, complex_sig, message = _ROUTINES[routine]
     # one operand, or solve's two
     real = operands[0].dtype.kind == "f" and operands[-1].dtype.kind == "f"
-    out = gufunc(*operands, signature=real_sig if real else complex_sig)
+    try:
+        out = gufunc(*operands, signature=real_sig if real else complex_sig)
+    except _Invalid:
+        raise LinAlgError(message) from None
     # np.count_nonzero tests w.imag.any() in a third of its time
     if real and routine == "eigvals" and not np.count_nonzero(out.imag):
         return out.real
@@ -431,17 +425,15 @@ def diagonalize(h, tol: float):
 def _decompose(m: np.ndarray, tol: float) -> BiorthogonalSystem:
     """:func:`diagonalize` of the validated, read-only complex matrix ``m``,
     in :func:`_gate`'s steps on 2-D arrays and Python floats.  Its three
-    LAPACK calls share one error state, whose callback raises the running
-    routine's LinAlgError; between them only finite eigenvalues and
-    LAPACK's unit-norm eigenvectors are sorted and normalized."""
-    a, n, routine = _real_if_exact(m), len(m), "eig"
-    with np.errstate(call=lambda err, flag: _ROUTINES[routine][3](err, flag),
-                     invalid="call", over="ignore", divide="ignore", under="ignore"):
+    LAPACK calls share one error state; between them only finite
+    eigenvalues and LAPACK's unit-norm eigenvectors are sorted and
+    normalized, and the residual gates follow in the caller's state."""
+    a, n = _real_if_exact(m), len(m)
+    with np.errstate(**_ERRSTATE):
         evals, vr = _lapack_dispatch("eig", a)  # real exactly when the spectrum is
         if not np.isfinite(evals).all():
             # LAPACK returns NaN for an eigenvalue whose modulus overflows
             raise NonFiniteError("the eigenvalues of H leave the float range")
-        routine = "svdvals"
         sv = _lapack_dispatch("svdvals", vr / _col_norms(vr)).tolist()
         cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf  # as _cond takes it
         if cond > 1.0 / tol:
@@ -449,7 +441,6 @@ def _decompose(m: np.ndarray, tol: float) -> BiorthogonalSystem:
         order = evals.argsort(kind="stable")  # by (real, imaginary) part
         spectrum, evals, vr = evals, evals[order], vr[:, order]
         vr = vr / _col_norms(vr)
-        routine = "inv"
         vlh = _lapack_dispatch("inv", vr)
     s = _pow2_scale(a)  # _gate's residuals, on the scaled H
     hs, es = a * s, evals * s
@@ -480,41 +471,32 @@ def _diagonalize_stack(m: np.ndarray, tol: float) -> tuple:
     finite = np.isfinite(m).all(axis=(1, 2))
     has_imag = m.imag.any(axis=(1, 2))
     out = [None if ok else NonFiniteError("H contains NaN/Inf entries") for ok in finite.tolist()]
-    # complex and real matrices apart: each part is taken as _real_if_exact
-    # takes one matrix
+    # complex and real matrices apart, each part taken as _real_if_exact
+    # takes one matrix; each LAPACK call is one _lapack entry, so the
+    # residuals stay in the caller's error state
     for at, real in ((np.flatnonzero(finite & has_imag), False),
                      (np.flatnonzero(finite & ~has_imag), True)):
-        if at.size:
-            _eig_stage(m, at, m[at].real if real else m[at], tol, out)
-    return tuple(out)
-
-
-def _eig_stage(ms, at, a: np.ndarray, tol: float, out: list) -> None:
-    """Fill ``out[at[g]]`` with :func:`diagonalize`'s outcome for matrix
-    ``ms[at[g]]``, given as ``a[g]`` in the arithmetic its eigensolver
-    runs in (``at`` an index array)."""
-    evals, vr = _lapack("eig", a)  # real exactly when every spectrum is
-    finite = np.isfinite(evals)
-    if not finite.all():
+        if not at.size:
+            continue
+        a = m[at].real if real else m[at]
+        evals, vr = _lapack("eig", a)  # real exactly when every spectrum is
         # LAPACK returns NaN for an eigenvalue whose modulus overflows
-        finite = finite.reshape(len(at), -1).all(axis=1)
-        for g in np.flatnonzero(~finite).tolist():
+        ok = np.isfinite(evals).reshape(len(at), -1).all(axis=1)
+        for g in np.flatnonzero(~ok).tolist():
             out[at[g]] = NonFiniteError("the eigenvalues of H leave the float range")
-        keep = np.flatnonzero(finite)
-        if not keep.size:
-            return
-        a, evals, vr, at = a[keep], evals[keep], vr[keep], at[keep]
-    if a.dtype.kind == "c" or evals.dtype.kind == "f":
-        _gate(ms, at, a, evals, vr, tol, out)  # every member in one arithmetic
-        return
-    # a real stack whose spectra are not all real: an exactly real spectrum
-    # of a real matrix stays in real arithmetic
-    complex_spectrum = evals.imag.any(axis=1)
-    for sub, real in ((np.flatnonzero(complex_spectrum), False),
-                      (np.flatnonzero(~complex_spectrum), True)):
-        if sub.size:
-            e, v = (evals[sub].real, vr[sub].real) if real else (evals[sub], vr[sub])
-            _gate(ms, at[sub], a[sub], e, v, tol, out)
+        routes = [(ok, False)]
+        if real and evals.dtype.kind == "c":
+            # a real matrix's exactly real spectrum stays in real arithmetic
+            pairs = evals.imag.any(axis=1)
+            routes = [(ok & pairs, False), (ok & ~pairs, True)]
+        for members, as_real in routes:
+            if members.all():  # the whole part, uncopied
+                _gate(m, at, a, evals, vr, tol, out)
+            elif members.any():
+                g = np.flatnonzero(members)
+                e, v = (evals[g].real, vr[g].real) if as_real else (evals[g], vr[g])
+                _gate(m, at[g], a[g], e, v, tol, out)
+    return tuple(out)
 
 
 def _gate(ms, at, a, evals, vr, tol, out) -> None:

@@ -18,7 +18,7 @@ from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonia
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_ROUTINES, _finite, _lapack, _lapack_dispatch, _lapack_errstate, _min_gap,
+from .spectra import (_ERRSTATE, _ROUTINES, _Invalid, _finite, _lapack, _lapack_dispatch, _min_gap,
                       _real, _real_if_exact, _reality, _scaled_fro, ep_proximity, spectrum_is_real)
 
 __all__ = [
@@ -284,9 +284,9 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     the float spacing needs at most ``2 ceil(log2((hi - lo) / tol)) + 5``
     probes, one more than twice bisection's count.
 
-    The search enters the ``eigvals`` error state once, around both
-    endpoint probes and the whole loop, and each probe makes only the
-    gufunc call.  A LAPACK failure in any probe still raises LinAlgError,
+    The search enters the LAPACK error state once, around both endpoint
+    probes and the whole loop, and each probe makes only the gufunc call.
+    A LAPACK failure in any probe still raises ``eigvals``' LinAlgError,
     and the caller's error state is back in force on every exit.
 
     Raises
@@ -312,11 +312,14 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     # nonzero imaginary part, so that is tested once; a complex pencil can
     # be exactly real at 0.
     real_pencil = not (spec.h0.imag.any() or spec.w0.imag.any())
-    eigvals = _ROUTINES["eigvals"][0]
+    eigvals, *_, failed = _ROUTINES["eigvals"]
 
     def probe(h: np.ndarray) -> tuple[bool, float]:
         if real_pencil:
-            evals = eigvals(h.real, signature="d->D")
+            try:
+                evals = eigvals(h.real, signature="d->D")
+            except _Invalid:
+                raise np.linalg.LinAlgError(failed) from None
             evals = evals if np.count_nonzero(evals.imag) else evals.real
         else:
             evals = _lapack_dispatch("eigvals", _real_if_exact(h))
@@ -336,7 +339,7 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     # Inside the error state the probes' own arithmetic (H, _reality,
     # _min_gap) runs on finite numbers: H is affine in lambda and its ends
     # are finite, so nothing there is invalid.
-    with _lapack_errstate("eigvals"):
+    with np.errstate(**_ERRSTATE):
         real_lo, f_lo = probe(h_lo)
         real_hi, f_hi = probe(h_hi)
         if not real_lo or real_hi:

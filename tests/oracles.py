@@ -214,11 +214,11 @@ def reference_lambda_max(spec, bracket, tol):
     """``stability.lambda_max`` with the probe it had before its gufunc
     binding: ``_real_if_exact`` on every H, ``_lapack_dispatch("eigvals")``,
     ``_reality`` on every spectrum and :func:`array_min_gap`, around the
-    same Brent loop in one ``eigvals`` error state.  Each probe forms H
+    same Brent loop in one LAPACK error state.  Each probe forms H
     with one ``FamilySpec.hamiltonian_at`` call, as the search does."""
     from cryptoherm.errors import InvalidBracketError, NonFiniteError
     from cryptoherm.metric import kg_hamiltonian
-    from cryptoherm.spectra import (_check_tol, _lapack_dispatch, _lapack_errstate, _real,
+    from cryptoherm.spectra import (_ERRSTATE, _check_tol, _lapack_dispatch, _real,
                                     _real_if_exact, _reality)
     from cryptoherm.stability import FamilySpec
 
@@ -245,7 +245,7 @@ def reference_lambda_max(spec, bracket, tol):
     for x, h in ((lo, h_lo), (hi, h_hi)):
         if not np.isfinite(h).all():
             raise NonFiniteError(f"H leaves the float range at lambda = {x!r}")
-    with _lapack_errstate("eigvals"):
+    with np.errstate(**_ERRSTATE):
         real_lo, f_lo = probe(h_lo)
         real_hi, f_hi = probe(h_hi)
         if not real_lo or real_hi:

@@ -6,9 +6,8 @@ run, so an undeclared import would pass every other test."""
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cryptoherm"
@@ -37,7 +36,6 @@ def test_the_package_imports_only_the_standard_library_numpy_and_itself():
 
 
 def test_pyproject_declares_numpy_alone():
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]]
     assert names == ["numpy"]

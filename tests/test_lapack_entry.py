@@ -181,3 +181,61 @@ def test_the_package_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
     assert np.abs(w_from_v(v, delta, h, 0.1) - w).max() <= 1e-12
     assert main(["hermitize", "--kg", "0.7", "--beta", "0.2"]) == 0
     capsys.readouterr()
+
+
+def test_the_package_calls_numpy_linalg_only_at_its_three_exceptions(monkeypatch, capsys):
+    # every numpy.linalg function the package calls, by name, on the paths
+    # of the test above and on fix_ambiguity's QR kernel: the Cholesky
+    # factor of a metric without weights, and the kernel's QR and SVD
+    called = []
+
+    def recorder(name, wrapper):
+        def record(*args, **kwargs):
+            called.append(name)
+            return wrapper(*args, **kwargs)
+        return record
+
+    for name in np.linalg.__all__:
+        wrapper = getattr(np.linalg, name)
+        if not isinstance(wrapper, type):  # LinAlgError
+            monkeypatch.setattr(np.linalg, name, recorder(name, wrapper))
+
+    def taken() -> list:
+        names = called[:]
+        called.clear()
+        return names
+
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    nilpotent = np.array([[0.0, -1.0], [0.0, 0.0]], dtype=complex)
+    spec = FamilySpec.linear(sigma_x, nilpotent, np.linspace(0.0, 2.0, 21))
+    reality_scan(spec, 1e-10)
+    lambda_max(spec, (0.0, 2.0), 1e-10)
+
+    tol = 1e-10
+    h = kg_hamiltonian(0.3)
+    family = MetricFamily(diagonalize(h, tol))
+    kappa = fix_ambiguity(family, [np.array([[0.0, 0.0], [1.0, 2.0]])], tol)
+    theta_unique = assemble_metric(family, kappa)
+    hermitize(h, dyson_map(theta_unique), tol)
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    problem = PerturbationProblem.build(h, theta_unique, [w], tol)
+    metric_series(problem, 2)
+    series_vs_exact(problem, 2, [0.0, 0.1])
+    raw = PerturbationProblem.build(h, kg_metric(0.3, 0.25).theta, [w], tol)
+    series = metric_series(raw, 1)
+    assert taken() == []
+    dyson_from_metric(series, raw.theta)
+    assert taken() == ["cholesky"]
+
+    delta = leading_delta(w, h, theta_unique, tol)
+    w_from_v(v_from_w(w, delta, h, 0.1), delta, h, 0.1)
+    assert main(["hermitize", "--kg", "0.7", "--beta", "0.2"]) == 0
+    capsys.readouterr()
+    # H = diag(1, 2, 3) with the chain observable at b = 1e-5: the Gram
+    # certificate cannot bound the null line, so the QR kernel decides
+    chain = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1e-5], [0.0, 1e-5, 0.0]], dtype=complex)
+    chain_family = MetricFamily(diagonalize(np.diag([1.0, 2.0, 3.0]), 1e-8))
+    assert taken() == []
+    kappa = fix_ambiguity(chain_family, [chain], 1e-8)
+    assert taken() == ["qr", "svd"]
+    assert np.max(np.abs(kappa - 1.0)) <= 1e-15

@@ -20,8 +20,9 @@ from cryptoherm import (
     require_real_nondegenerate,
     spectrum_is_real,
 )
-from cryptoherm import spectra
+from cryptoherm import InvalidBracketError, lambda_max, spectra
 from oracles import masked_min_gap
+from test_stability import BOUNDARY_SEARCHES
 
 TOL = 1e-10
 
@@ -292,12 +293,11 @@ def test_no_arithmetic_between_the_lapack_calls_of_one_matrix_sets_the_invalid_f
     # One matrix's three LAPACK calls share one error state.  Between them
     # only finite eigenvalues and LAPACK's unit-norm eigenvectors are sorted
     # and normalized: on inputs at the float range's ends, and on inputs
-    # that fail a gate, that arithmetic never reaches a routine's callback.
+    # that fail a gate, that arithmetic never reaches the state's callback.
+    # A boundary search's probes share one state too, and neither does
+    # their arithmetic on H, the spectrum and its gap.
     calls = []
-    for routine in _MESSAGES:
-        *entry, _ = spectra._ROUTINES[routine]
-        monkeypatch.setitem(spectra._ROUTINES, routine,
-                            (*entry, lambda err, flag: calls.append(err)))
+    monkeypatch.setitem(spectra._ERRSTATE, "call", lambda err, flag: calls.append(err))
     rng = np.random.default_rng(11)
     inputs = [[[5.0]], np.zeros((3, 3)), np.eye(3), [[1.0, 1.0], [1e-21, 1.0]],
               [[1.0, 1.0], [0.0, 1.0]], np.diag(np.full(2, 1.7e308 + 1.7e308j)),
@@ -312,6 +312,11 @@ def test_no_arithmetic_between_the_lapack_calls_of_one_matrix_sets_the_invalid_f
         try:
             diagonalize(h, TOL)
         except (DefectiveError, NonFiniteError):
+            pass
+    for make, bracket, tol, _ in BOUNDARY_SEARCHES.values():
+        try:
+            lambda_max(make(), bracket, tol)
+        except InvalidBracketError:
             pass
     assert calls == []
 

@@ -22,10 +22,10 @@ workload's kg search (``FamilySpec.kg([boundary_tau], [0.0], w0=...)`` on
 ``gen.kg_family``'s bracket): per call, its probe count (the
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
 the ``eigvals`` calls of one untimed search, recorded the same way, and
-the rest.  The search enters the ``eigvals`` error state once and makes
-each call inside it (a real pencil's straight to the gufunc, a complex
-one's through ``_lapack_dispatch``); the replay makes every call through
-``_lapack_dispatch``, inside one ``_lapack_errstate("eigvals")``.
+the rest.  The search enters the LAPACK error state once and makes each
+call inside it (a real pencil's straight to the gufunc, a complex one's
+through ``_lapack_dispatch``); the replay makes every call through
+``_lapack_dispatch``, inside one ``np.errstate(**spectra._ERRSTATE)``.
 
 A third table reads what the scan workload's ``latency_ms_p50`` reads:
 the median ``lambda_max`` wall time over the scan families of seed
@@ -123,13 +123,20 @@ def wall(fn) -> float:
     return time.perf_counter() - t0
 
 
+def alternating(count: int, repeats: int):
+    """Per round of ``repeats``, the indices of ``count`` trees in that
+    round's order: forward in even rounds, reversed in odd ones."""
+    for r in range(repeats):
+        yield range(count) if r % 2 == 0 else reversed(range(count))
+
+
 def alternate(trees, repeats: int, run_tree, run_lapack) -> tuple:
     """Per-tree and LAPACK wall times over ``repeats`` rounds, the trees
     in alternating order."""
     times = [[] for _ in trees]
     lapack = []
-    for r in range(repeats):
-        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+    for order in alternating(len(trees), repeats):
+        for i in order:
             times[i].append(wall(lambda: run_tree(i)))
         lapack.append(wall(run_lapack))
     return times, lapack
@@ -152,8 +159,8 @@ def benchmark_order(trees, seed: int, rounds: int) -> list:
     fams = gen.scan_inputs(np.random.default_rng(seed))
     ops = [[scan_op(ch, fam) for fam in fams] for ch in trees]
     times = [[] for _ in trees]
-    for r in range(rounds):
-        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+    for order in alternating(len(trees), rounds):
+        for i in order:
             for spec, bspec, bracket in ops[i]:
                 trees[i].reality_scan(spec, gen.TOL, workers=1)
                 times[i].append(wall(lambda: trees[i].lambda_max(bspec, bracket, gen.TOL)))
@@ -188,7 +195,7 @@ def main(argv=None) -> int:
 
     def replay_search(calls):
         def run():
-            with ech.spectra._lapack_errstate("eigvals"):
+            with np.errstate(**ech.spectra._ERRSTATE):
                 for routine, operands in calls:
                     dispatch(routine, *operands)
         return run

@@ -35,7 +35,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from point_cost import ROOT, load_package  # noqa: E402  (puts perfbench on the path)
+from point_cost import ROOT, alternating, load_package  # noqa: E402  (puts perfbench on the path)
 from workloads import Pipeline  # noqa: E402
 
 
@@ -111,8 +111,8 @@ def one_pass(pipeline: Pipeline, ch, by_size: bool = False) -> dict:
 def by_size_tables(args, pipelines, trees) -> None:
     """One table per N: each call's ms per problem and LAPACK share, per tree."""
     passes = [[] for _ in trees]
-    for r in range(args.repeats):
-        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+    for order in alternating(len(trees), args.repeats):
+        for i in order:
             passes[i].append(one_pass(pipelines[i], trees[i], by_size=True))
     counts = {}
     for p in pipelines[0].ops:
@@ -147,8 +147,8 @@ def main(argv=None) -> int:
         by_size_tables(args, pipelines, trees)
         return 0
     passes = [[] for _ in trees]
-    for r in range(args.repeats):
-        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+    for order in alternating(len(trees), args.repeats):
+        for i in order:
             passes[i].append(one_pass(pipelines[i], trees[i]))
     print(f"ms per pass of {len(pipelines[0].ops)} problems (seed {args.seed}), "
           f"median of {args.repeats} rounds")
