@@ -114,6 +114,27 @@ def _lapack_dispatch(routine: str, *operands: np.ndarray):
     return out
 
 
+def _pencil_eigvals(h0: np.ndarray, w0: np.ndarray):
+    """The ``eigvals`` call each boundary-search probe makes on an H of the
+    pencil H0 + x W0, inside ``np.errstate(**_ERRSTATE)``, with the result
+    of ``_lapack_dispatch("eigvals", _real_if_exact(h))``.  A pencil with no
+    nonzero imaginary entry is exactly real at every finite x, so that is
+    tested once, here; its probes call the gufunc and real signature read
+    from ``_ROUTINES`` when the search starts, not at import, on the real H."""
+    if h0.imag.any() or w0.imag.any():  # can still be exactly real at x = 0
+        return lambda h: _lapack_dispatch("eigvals", _real_if_exact(h))
+    gufunc, real_sig, _, message = _ROUTINES["eigvals"]
+
+    def call(h: np.ndarray) -> np.ndarray:
+        try:
+            evals = gufunc(h.real, signature=real_sig)
+        except _Invalid:
+            raise LinAlgError(message) from None
+        return evals if np.count_nonzero(evals.imag) else evals.real
+
+    return call
+
+
 def _complex(a, name: str) -> np.ndarray:
     """A complex copy of ``a``; an entry (such as a huge int) past the
     float range raises NonFiniteError."""

@@ -18,8 +18,8 @@ from .metric import MetricFamily, _projector_sum, assemble_metric, kg_hamiltonia
 from .perturbation import PerturbationProblem, metric_series
 from .spectra import _check_tol, as_matrix, diagonalize, require_real_nondegenerate
 # kept apart: a benchmark test matches the import line above verbatim
-from .spectra import (_ERRSTATE, _ROUTINES, _Invalid, _finite, _lapack, _lapack_dispatch, _min_gap,
-                      _real, _real_if_exact, _reality, _scaled_fro, ep_proximity, spectrum_is_real)
+from .spectra import (_ERRSTATE, _finite, _lapack, _min_gap, _pencil_eigvals, _real, _reality,
+                      _scaled_fro, ep_proximity, spectrum_is_real)
 
 __all__ = [
     "FamilySpec",
@@ -273,11 +273,9 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
     and one ``eigvals`` call on H, and evaluates the signed discriminant
     ``-min_gap**2`` where the spectrum is real and ``(2 max|Im E|)**2``
     where it is not, close to linear through a square-root exceptional
-    point.  A pencil with no nonzero imaginary entry (tested once per
-    search) calls the ``eigvals`` gufunc, bound once per search, on the
-    real H; a complex one calls ``_lapack_dispatch``.  A spectrum with
-    every Im E exactly 0 is real at any ``tol`` untested; any other
-    passes ``_reality``.
+    point.  ``spectra._pencil_eigvals`` makes the call, in real
+    arithmetic on a real pencil.  A spectrum with every Im E exactly 0 is
+    real at any ``tol`` untested; any other passes ``_reality``.
     Brent's zeroin (Brent 1973, ch. 4) runs on it, keeping one real
     and one non-real point.  After k probes past the endpoints a pair wider
     than ``2 (hi - lo) 2**(-k/2)`` takes a bisection step, so a search above
@@ -308,21 +306,10 @@ def lambda_max(spec: FamilySpec, bracket, tol: float) -> float:
         w0 = np.zeros((2, 2), complex) if spec.w0 is None else spec.w0
         spec = FamilySpec("linear", spec.lambdas, h0=kg_hamiltonian(float(spec.taus[0])), w0=w0)
 
-    # H0 + x W0 is exactly real at every finite x when neither has a
-    # nonzero imaginary part, so that is tested once; a complex pencil can
-    # be exactly real at 0.
-    real_pencil = not (spec.h0.imag.any() or spec.w0.imag.any())
-    eigvals, *_, failed = _ROUTINES["eigvals"]
+    eigvals = _pencil_eigvals(spec.h0, spec.w0)
 
     def probe(h: np.ndarray) -> tuple[bool, float]:
-        if real_pencil:
-            try:
-                evals = eigvals(h.real, signature="d->D")
-            except _Invalid:
-                raise np.linalg.LinAlgError(failed) from None
-            evals = evals if np.count_nonzero(evals.imag) else evals.real
-        else:
-            evals = _lapack_dispatch("eigvals", _real_if_exact(h))
+        evals = eigvals(h)
         # a real dtype comes back only when every Im E is exactly 0
         real, max_imag = (True, 0.0) if evals.dtype.kind == "f" else _reality(evals, tol)
         # products, not ** 2: a float power raises OverflowError

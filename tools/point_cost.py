@@ -10,22 +10,21 @@ lambda = 1, so about half the points have a non-real spectrum) from
 ``kg``, for the scan workload's 2x2 Klein-Gordon family
 (``gen.kg_family``: 16 taus by 40 lambdas, 640 points, most of the
 workload's points).  The script times ``reality_scan`` over each family
-and, separately, the LAPACK calls the package makes on it: each call that reaches the LAPACK entry ``cryptoherm.spectra._lapack``
-during one untimed scan is recorded with its operands and replayed
-through the entry, its ``np.errstate`` included.  The scan decomposes its
-grid in chunks, so each recorded call of a scan is one stacked call over
-a chunk of points.  The package overhead is everything else.
+and, in a second run of the same tree, the LAPACK calls it makes on it:
+:func:`metered` wraps each entry of that tree's own ``spectra._ROUTINES``
+in place and times every gufunc call, whichever module makes it.  The
+scan decomposes its grid in chunks, so each call of a scan is one stacked
+call over a chunk of points.  The package overhead is everything else.
 
 A second table times ``lambda_max`` on the same family over its
 bracket, as the scan workload does, and adds a last row, ``kg``, for the
 workload's kg search (``FamilySpec.kg([boundary_tau], [0.0], w0=...)`` on
 ``gen.kg_family``'s bracket): per call, its probe count (the
 ``FamilySpec.hamiltonian_at`` calls it makes) and per probe, split into
-the ``eigvals`` calls of one untimed search, recorded the same way, and
-the rest.  The search enters the LAPACK error state once and makes each
-call inside it (a real pencil's straight to the gufunc, a complex one's
-through ``_lapack_dispatch``); the replay makes every call through
-``_lapack_dispatch``, inside one ``np.errstate(**spectra._ERRSTATE)``.
+the ``eigvals`` gufunc calls of a metered search of the same tree and the
+rest.  A real pencil's probe calls the gufunc straight and a complex
+one's through ``_lapack_dispatch``; the meter times the gufunc alone
+either way.
 
 A third table reads what the scan workload's ``latency_ms_p50`` reads:
 the median ``lambda_max`` wall time over the scan families of seed
@@ -37,14 +36,16 @@ and its quartiles are over all searches of all rounds.
 
 Every ``--src`` directory (default: this checkout's ``src``) is loaded
 as its own copy of the package, so two trees can be compared in one
-process.  The LAPACK calls are recorded and replayed with this
-checkout's ``src``, whatever the trees compared.  Each of ``--repeats``
-rounds times one scan pass (one search) per tree, in alternating order,
-and one replay, so all of them see the same machine state (in the third
-table, one pass over the families per tree).  The figures of the first
-two tables are medians over rounds, per point (per probe); the package
-overhead (the rest) is the median of the per-round differences.  OpenBLAS runs
-on one thread.  numpy and the standard library only, besides the package.
+process; each tree is metered in place, so each row's LAPACK figure is
+that tree's own.  Each of ``--repeats`` rounds times one scan pass (one
+search) per tree, in alternating order, each followed by a metered pass
+of the same tree, so all of them see the same machine state (in the
+third table, one pass over the families per tree).  The figures of the
+first two tables are medians over rounds, per point (per probe): the
+total from the plain pass, the LAPACK calls from the metered one, and
+the package overhead (the rest) the median of the per-round differences.
+OpenBLAS runs on one thread.  numpy and the standard library only,
+besides the package.
 """
 
 import os
@@ -52,6 +53,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -77,25 +79,30 @@ def load_package(src: Path, name: str):
     return mod
 
 
-def recorded(ch, run) -> list:
-    """``(routine, operands)`` of every call that reaches package ``ch``'s
-    LAPACK entry while ``run()`` runs, whichever module makes it."""
+@contextlib.contextmanager
+def metered(ch):
+    """A list that gets ``(routine, operands, seconds)`` for every LAPACK
+    gufunc call package ``ch`` makes, whichever module makes it, while the
+    ``with`` block runs.  Each entry of the tree's own ``spectra._ROUTINES``
+    is wrapped in place, and the package reads it at call time."""
     calls = []
     routines = ch.spectra._ROUTINES
     saved = dict(routines)
 
-    def recorder(routine, gufunc):
+    def meter(routine, gufunc):
         def call(*operands, **kwargs):
-            calls.append((routine, operands))
-            return gufunc(*operands, **kwargs)
+            t0 = time.perf_counter()
+            try:
+                return gufunc(*operands, **kwargs)
+            finally:
+                calls.append((routine, operands, time.perf_counter() - t0))
         return call
 
-    routines.update({r: (recorder(r, g), *rest) for r, (g, *rest) in saved.items()})
+    routines.update({r: (meter(r, g), *rest) for r, (g, *rest) in saved.items()})
     try:
-        run()
+        yield calls
     finally:
         routines.update(saved)
-    return calls
 
 
 def probe_count(ch, spec, bracket) -> int:
@@ -130,16 +137,18 @@ def alternating(count: int, repeats: int):
         yield range(count) if r % 2 == 0 else reversed(range(count))
 
 
-def alternate(trees, repeats: int, run_tree, run_lapack) -> tuple:
-    """Per-tree and LAPACK wall times over ``repeats`` rounds, the trees
-    in alternating order."""
-    times = [[] for _ in trees]
-    lapack = []
+def alternate(trees, repeats: int, run) -> tuple:
+    """Per tree, the wall times of ``run(i)`` over ``repeats`` rounds and
+    the LAPACK seconds of a metered ``run(i)`` in the same rounds, the
+    trees in alternating order."""
+    walls, lapack = [[] for _ in trees], [[] for _ in trees]
     for order in alternating(len(trees), repeats):
         for i in order:
-            times[i].append(wall(lambda: run_tree(i)))
-        lapack.append(wall(run_lapack))
-    return times, lapack
+            walls[i].append(wall(lambda: run(i)))
+            with metered(trees[i]) as calls:
+                run(i)
+            lapack[i].append(sum(seconds for *_, seconds in calls))
+    return walls, lapack
 
 
 def scan_op(ch, fam) -> tuple:
@@ -175,30 +184,14 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args(argv)
     trees = [load_package(src.resolve(), f"cryptoherm_{i}") for i, src in enumerate(args.src)]
-    ech = load_package(ROOT / "src", "cryptoherm_entry")
-    entry, dispatch = ech.spectra._lapack, ech.spectra._lapack_dispatch
     fams = {n: gen.linear_family(np.random.default_rng(args.seed), n) for n in args.sizes}
-    specs = {n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in (*trees, ech)]
-             for n, f in fams.items()}
     kg = gen.kg_family(np.random.default_rng(args.seed))
-    scans = {**specs, "kg": [ch.FamilySpec.kg(kg.taus, kg.lambdas, w0=kg.w0)
-                             for ch in (*trees, ech)]}
-    searches = {**{n: (specs[n], fams[n].bracket) for n in args.sizes},
-                "kg": ([ch.FamilySpec.kg([kg.boundary_tau], [0.0], w0=kg.w0)
-                        for ch in (*trees, ech)], kg.bracket)}
-
-    def replay(calls):
-        def run():
-            for routine, operands in calls:
-                entry(routine, *operands)
-        return run
-
-    def replay_search(calls):
-        def run():
-            with np.errstate(**ech.spectra._ERRSTATE):
-                for routine, operands in calls:
-                    dispatch(routine, *operands)
-        return run
+    scans = {**{n: [ch.FamilySpec.linear(f.h0, f.w0, f.lambdas) for ch in trees]
+                for n, f in fams.items()},
+             "kg": [ch.FamilySpec.kg(kg.taus, kg.lambdas, w0=kg.w0) for ch in trees]}
+    searches = {**{n: (scans[n], fams[n].bracket) for n in args.sizes},
+                "kg": ([ch.FamilySpec.kg([kg.boundary_tau], [0.0], w0=kg.w0) for ch in trees],
+                       kg.bracket)}
 
     def per_unit(walls, lapack, count):
         return (statistics.median(x) / count * 1e6 for x in (
@@ -207,13 +200,11 @@ def main(argv=None) -> int:
     print("| N | src | µs per point | LAPACK calls | package overhead |")
     print("|---|---|---|---|---|")
     for n, family in scans.items():
-        calls = recorded(ech, lambda: ech.reality_scan(family[-1], gen.TOL))
-        points = len(ech.reality_scan(family[-1], gen.TOL))
+        points = len(trees[0].reality_scan(family[0], gen.TOL))
         walls, lapack = alternate(trees, args.repeats,
-                                  lambda i: trees[i].reality_scan(family[i], gen.TOL),
-                                  replay(calls))
-        for src, tree_walls in zip(args.src, walls):
-            total, calls_t, overhead = per_unit(tree_walls, lapack, points)
+                                  lambda i: trees[i].reality_scan(family[i], gen.TOL))
+        for src, tree_walls, tree_lapack in zip(args.src, walls, lapack):
+            total, calls_t, overhead = per_unit(tree_walls, tree_lapack, points)
             print(f"| {n} | {src} | {total:.0f} | {calls_t:.0f} | {overhead:.0f} |")
 
     print()
@@ -221,15 +212,12 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|---|---|")
     for n, (family, bracket) in searches.items():
         probes = [probe_count(ch, family[i], bracket) for i, ch in enumerate(trees)]
-        calls = recorded(ech, lambda: ech.lambda_max(family[-1], bracket, gen.TOL))
         runs, eigvals = alternate(trees, args.repeats,
-                                  lambda i: trees[i].lambda_max(family[i], bracket, gen.TOL),
-                                  replay_search(calls))
-        for src, count, walls in zip(args.src, probes, runs):
-            call = statistics.median(walls) * 1e6
-            per_probe, calls_t, rest = per_unit(walls, eigvals, count)
-            print(f"| {n} | {src} | {call:.0f} | {count} | {per_probe:.1f} | {calls_t:.1f} "
-                  f"| {rest:.1f} |")
+                                  lambda i: trees[i].lambda_max(family[i], bracket, gen.TOL))
+        for src, count, walls, lapack in zip(args.src, probes, runs, eigvals):
+            per_probe, calls_t, rest = per_unit(walls, lapack, count)
+            print(f"| {n} | {src} | {statistics.median(walls) * 1e6:.0f} | {count} "
+                  f"| {per_probe:.1f} | {calls_t:.1f} | {rest:.1f} |")
 
     print()
     print("| seed | src | searches | µs per lambda_max, median | quartiles |")

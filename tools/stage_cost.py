@@ -20,7 +20,8 @@ With ``--by-size`` the script prints one table per problem size N
 instead: each call's ms per problem of that size, and the share of it
 spent inside the LAPACK gufuncs of the tree's ``spectra._ROUTINES``
 (the median over rounds of each round's share), each gufunc call timed
-by a wrapper that the tree's package reads at call time.
+in place by ``tools/point_cost.py``'s meter, ``metered``, and counted to
+the pipeline call it runs inside.
 """
 
 import os
@@ -28,6 +29,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -35,25 +37,27 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from point_cost import ROOT, alternating, load_package  # noqa: E402  (puts perfbench on the path)
+from point_cost import ROOT, alternating, load_package, metered  # noqa: E402  (puts perfbench on the path)
 from workloads import Pipeline  # noqa: E402
 
 
 class Timed:
-    """``target`` with each call's seconds added to ``spent[name]``; an
-    attribute comes wrapped in turn, named ``name.attr``.  ``spent.call``
-    names the call running, for the LAPACK wrappers of ``lapack_timed``."""
+    """``target`` with each call's seconds added to ``spent[name]``, and the
+    seconds of the gufunc calls metered meanwhile to ``spent.lapack[name]``;
+    an attribute comes wrapped in turn, named ``name.attr``."""
 
     def __init__(self, target, name: str, spent: dict):
         self._target, self._name, self._spent = target, name, spent
 
     def __call__(self, *args, **kwargs):
-        self._spent.call = self._name
+        spent, first = self._spent, len(self._spent.calls)
         t0 = time.perf_counter()
         try:
             return self._target(*args, **kwargs)
         finally:
-            self._spent[self._name] = self._spent.get(self._name, 0.0) + time.perf_counter() - t0
+            spent[self._name] = spent.get(self._name, 0.0) + time.perf_counter() - t0
+            spent.lapack[self._name] = (spent.lapack.get(self._name, 0.0)
+                                        + sum(s for *_, s in spent.calls[first:]))
 
     def __getattr__(self, attr):
         name = f"{self._name}.{attr}" if self._name else attr
@@ -61,30 +65,12 @@ class Timed:
 
 
 class Spent(dict):
-    """Seconds per call name; ``lapack`` holds those spent in gufuncs."""
+    """Seconds per call name; ``lapack`` holds those spent in the gufunc
+    calls that ``calls``, a :func:`point_cost.metered` list, gets."""
 
-    call = None
-
-    def __init__(self):
+    def __init__(self, calls):
         super().__init__()
-        self.lapack = {}
-
-
-def lapack_timed(routines: dict, spent: Spent) -> dict:
-    """``routines`` (a ``spectra._ROUTINES``) with each gufunc's seconds
-    added to ``spent.lapack[spent.call]``."""
-
-    def timed(gufunc):
-        def call(*operands, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return gufunc(*operands, **kwargs)
-            finally:
-                spent.lapack[spent.call] = (spent.lapack.get(spent.call, 0.0)
-                                            + time.perf_counter() - t0)
-        return call
-
-    return {r: (timed(g), *rest) for r, (g, *rest) in routines.items()}
+        self.calls, self.lapack = calls, {}
 
 
 def one_pass(pipeline: Pipeline, ch, by_size: bool = False) -> dict:
@@ -92,19 +78,13 @@ def one_pass(pipeline: Pipeline, ch, by_size: bool = False) -> dict:
     with ``by_size``, a :class:`Spent` per problem size N, with the
     seconds spent in LAPACK gufuncs."""
     passes = {}
-    routines = ch.spectra._ROUTINES
-    saved = dict(routines)
-    try:
+    with metered(ch) if by_size else contextlib.nullcontext(()) as calls:
         for p in pipeline.ops:
-            spent = passes.setdefault(p.n if by_size else None, Spent())
-            if by_size:
-                routines.update(lapack_timed(saved, spent))
+            spent = passes.setdefault(p.n if by_size else None, Spent(calls))
             pipeline.ch = Timed(ch, "", spent)
             problems = pipeline.run(p)
             if problems:
                 sys.exit(f"{pipeline.describe(p)}: {'; '.join(problems)}")
-    finally:
-        routines.update(saved)
     return passes if by_size else passes[None]
 
 
