@@ -56,11 +56,14 @@ from .errors import (
 from .metric import MetricOperator, metric_from_matrix, quasi_hermiticity_residual
 from .spectra import (
     BiorthogonalSystem,
+    _all_finite,
     _check_tol,
     _cond,
     _finite,
     _lapack,
+    _pow2,
     _pow2_scale,
+    _real,
     _relative_norm,
     _scaled_fro,
     _shaped,
@@ -92,16 +95,22 @@ _HOLD_LOCK = threading.Lock()
 def _taylor(coeffs, lam: float, n: int) -> np.ndarray:
     """sum_k lam**k C_k over n x n coefficients, summed in increasing k
     from zero; NonFiniteError, with no floating-point warning, where a term
-    or the sum leaves the double-precision range."""
-    acc, lam = np.zeros((n, n), dtype=complex), np.float64(lam)
+    or the sum leaves the double-precision range.  A lam past the float
+    range (such as a huge int) is read as an infinity of its sign."""
+    acc, lam = np.zeros((n, n), dtype=complex), np.float64(_real(lam))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, c in enumerate(coeffs):
-            acc += lam**k * c
+            # added to zeros, C_0 gives the bits of 1.0 * C_0, or like it a
+            # non-finite sum where C_0 is not finite
+            acc += lam**k * c if k else c
+    if _all_finite(acc):  # the message below is formatted only to raise
+        return acc
     return _finite(acc, f"a Taylor sum at lambda={lam!r}")
 
 
 class _Eigenbasis(NamedTuple):
     inv_gaps: np.ndarray  # 1 / (E_m - E_n), zero diagonal
+    lh: np.ndarray  # L^dag
     w_tilde: tuple  # L^dag (w_scale W^(i)) R, each with its adjoint
     w_scale: float
     x0: np.ndarray  # R^dag (x0_scale Theta) R
@@ -118,8 +127,9 @@ class PerturbationProblem:
     for H).  ``h`` and the ``w_coeffs`` are read-only.  A problem also
     holds its eigenbasis constants, formed by :meth:`build` (or on the
     first solve of a problem constructed directly), and the
-    ``(T^(k), residual, X^(k))`` orders that :func:`solve_order` has
-    solved for it, so a later call extends them instead of starting over.
+    ``(T^(k), residual, X^(k), _pow2_scale(X^(k)))`` orders that
+    :func:`solve_order` has solved for it, so a later call extends them
+    instead of starting over.
     """
 
     h: np.ndarray
@@ -196,7 +206,7 @@ class PerturbationProblem:
         s = _pow2_scale(self.theta.theta)
         x0 = r.conj().T @ (self.theta.theta * s) @ r
         w_tilde = [lh @ (w * w_scale) @ r for w in self.w_coeffs]
-        return _Eigenbasis(1.0 / gaps, tuple((w, w.conj().T) for w in w_tilde), w_scale, x0, s)
+        return _Eigenbasis(1.0 / gaps, lh, tuple((w, w.conj().T) for w in w_tilde), w_scale, x0, s)
 
     @property
     def dim(self) -> int:
@@ -279,15 +289,19 @@ def solve_order(problem: PerturbationProblem, k: int):
     if k <= len(held):
         return held[k - 1][:2]
     basis = problem._eigenbasis
-    l = problem.system.left_vectors
     # W~^(i) pairs with X^(k-1-i); the sum runs in increasing X order.
     js = range(k - min(k, len(basis.w_tilde)), k)
-    # (matrix, the scale it is held at)
-    xs = [(held[j - 1][2], 1.0) if j else (basis.x0, basis.x0_scale) for j in js]
-    scale = min((s * _pow2_scale(x) for x, s in xs), default=1.0)
+    # (matrix, the scale it is held at, _pow2_scale of it as held)
+    xs = [(held[j - 1][2], 1.0, held[j - 1][3]) if j
+          else (basis.x0, basis.x0_scale, _pow2_scale(basis.x0)) for j in js]
+    scale = min((s * own for _, s, own in xs), default=1.0)
+    # Summed from zeros, so each zero of the sum is +0.0.  A copy at factor 1
+    # could differ from x only in the sign of a zero, which changes no
+    # nonzero product or sum of finite numbers, so none is made.
     rhs = np.zeros((problem.dim, problem.dim), dtype=complex)
-    for j, (x, s) in zip(js, xs):
-        x = x * (scale / s)
+    for j, (x, s, _) in zip(js, xs):
+        if scale != s:
+            x = x * (scale / s)
         w, wh = basis.w_tilde[k - 1 - j]
         rhs += x @ w - wh @ x
     unit = scale * basis.w_scale
@@ -295,22 +309,27 @@ def solve_order(problem: PerturbationProblem, k: int):
     if kernel_res > problem.tol:
         raise SolvabilityViolatedError(k, kernel_res)
     y = rhs * basis.inv_gaps
-    t = l @ y @ l.conj().T
+    t = problem.system.left_vectors @ y @ basis.lh
     th = t.conj().T
     res = kernel_res + 0.5 * _relative_norm(t - th, t, unit)
-    t, y = t + th, y + y.conj().T
+    t += th  # th and y.conj() are copies
+    y += y.conj().T
     for a in (t, y):  # symmetrized, range-checked and unscaled in place
         a *= 0.5
-        if not math.isfinite(float(np.abs(a).max()) / scale / basis.w_scale):
+        top = float(np.maximum.reduce(np.abs(a), axis=None)) / scale / basis.w_scale
+        if not math.isfinite(top):
             raise SeriesOverflowError(k)
         a /= scale
         a /= basis.w_scale
         a.setflags(write=False)
+    # Unscaling multiplies each part by a power of two >= 1, exactly, and a
+    # modulus scales with its parts wherever the scaled one is a normal
+    # float, so _pow2(top) is _pow2_scale(X^(k)), held for the next order.
     # Held orders are only ever extended, never replaced, so a concurrent
     # caller can at worst repeat work.
     with _HOLD_LOCK:
         if problem._orders is held:
-            object.__setattr__(problem, "_orders", (*held, (t, res, y)))
+            object.__setattr__(problem, "_orders", (*held, (t, res, y, _pow2(top))))
     return t, res
 
 

@@ -96,7 +96,7 @@ class FamilySpec:
         """H at one point.  Each ``lambda_max`` probe forms its H here, on
         a linear pencil: a kg search fixes H(tau) once as H0."""
         if self.kind == "kg":
-            h = kg_hamiltonian(float(tau))
+            h = kg_hamiltonian(tau)
             if self.w0 is not None:
                 h = h + lam * self.w0
             return h

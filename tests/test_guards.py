@@ -21,6 +21,7 @@ from cryptoherm import (
     commutator_gap,
     diagonalize,
     dyson_map,
+    exact_matched_metric,
     fix_ambiguity,
     hidden_hermiticity_test,
     kg_beta,
@@ -47,6 +48,14 @@ HUGE_ROTATION = np.array([[1e300, 1e300], [-1e300, 1e300]])
 
 def kg_family():
     return MetricFamily(diagonalize(kg_hamiltonian(0.3), TOL))
+
+
+def kg_problem(*ws):
+    return PerturbationProblem.build(kg_hamiltonian(0.3), kg_metric(0.3, 0.0), ws, TOL)
+
+
+# a Taylor sum reads a lambda past the float range as inf
+TAYLOR_AT_INF = r"^a Taylor sum at lambda=np\.float64\(inf\) leaves the double-precision range$"
 
 
 class CliExit(Exception):
@@ -165,6 +174,30 @@ CASES = {
         lambda: series_vs_exact(PerturbationProblem.build(kg_hamiltonian(0.3), kg_metric(0.3, 0.0),
                                                           [np.eye(2)], TOL), 1, [10**400]),
         NonFiniteError, "lambdas contain values outside the float range"),
+    "exact_matched_metric-int-past-float-range": (
+        lambda: exact_matched_metric(kg_problem(np.eye(2)), 10**400), NonFiniteError,
+        TAYLOR_AT_INF),
+    "PerturbationProblem.hamiltonian_at-int-past-float-range": (
+        lambda: kg_problem(np.eye(2)).hamiltonian_at(10**400), NonFiniteError, TAYLOR_AT_INF),
+    # W_lambda = W0 does not depend on lambda, so the row takes a second coefficient
+    "PerturbationProblem.w_at-int-past-float-range": (
+        lambda: kg_problem(np.eye(2), np.eye(2)).w_at(10**400), NonFiniteError, TAYLOR_AT_INF),
+    "MetricSeries.truncated-int-past-float-range": (
+        lambda: metric_series(kg_problem([[0.0, 1.0], [1.0, 0.0]]), 1).truncated(10**400),
+        NonFiniteError, TAYLOR_AT_INF),
+    "v_from_w-int-past-float-range": (
+        lambda: v_from_w(np.eye(2), np.zeros((2, 2)), np.eye(2), 10**400), NonFiniteError,
+        TAYLOR_AT_INF),
+    "w_from_v-int-past-float-range": (
+        lambda: w_from_v(np.eye(2), np.zeros((2, 2)), np.eye(2), 10**400), NonFiniteError,
+        TAYLOR_AT_INF),
+    "hidden_hermiticity_test-int-past-float-range": (
+        lambda: hidden_hermiticity_test(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2),
+                                        10**400, TOL),
+        NonFiniteError, TAYLOR_AT_INF),
+    "FamilySpec.hamiltonian_at-kg-int-tau-past-float-range": (
+        lambda: FamilySpec.kg([0.0]).hamiltonian_at(0.0, 10**400), NonFiniteError,
+        "^tau must be finite$"),
     "FamilySpec.linear-int-past-float-range-in-grid": (
         lambda: FamilySpec.linear([[1.0]], [[1.0]], [10**400]), ValueError,
         "lambda grid contains values outside the float range"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import cryptoherm.metric as metric_module
 import cryptoherm.perturbation as perturbation
 from cryptoherm.spectra import _min_gap as spectra_min_gap
+from cryptoherm.spectra import _pow2_scale
 from cryptoherm import (
     BiorthogonalSystem,
     DegenerateSpectrumError,
@@ -266,7 +267,7 @@ def test_concurrent_metric_series_callers_agree():
         k = series.order
         _assert_same_series(series, MetricSeries(ref.t_coeffs[: k + 1],
                                                  ref.solvability_residuals[: k + 1]))
-    for (t, res, _), t_ref, res_ref in zip(prob._orders, ref.t_coeffs[1:],
+    for (t, res, *_), t_ref, res_ref in zip(prob._orders, ref.t_coeffs[1:],
                                             ref.solvability_residuals[1:]):
         assert np.array_equal(t, t_ref) and res == res_ref
 
@@ -608,8 +609,8 @@ def _series_outcome(h, theta, w, tol, order):
         return "DegenerateSpectrum", None
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(
+# H and W drawn with N <= 5, and a power of two 2^j to scale them by
+SCALED_SERIES_DRAWS = given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 5),
     complex_w=st.booleans(),
@@ -617,13 +618,22 @@ def _series_outcome(h, theta, w, tol, order):
     order=st.integers(1, 4),
     j=st.integers(-40, 40),
 )
-def test_metric_series_scale_covariance(seed, n, complex_w, tol, order, j):
+
+
+def _scaled_series_inputs(seed, n, complex_w, tol):
+    """(H, W, H's system, Theta) of one SCALED_SERIES_DRAWS draw."""
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
     h = s @ np.diag(np.cumsum(rng.uniform(0.2, 2.0, n)) - n) @ np.linalg.inv(s)
     w = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_w else 0.0)
     system = diagonalize(h, tol)
-    theta = assemble_metric(MetricFamily(system), rng.uniform(0.5, 2.0, n))
+    return h, w, system, assemble_metric(MetricFamily(system), rng.uniform(0.5, 2.0, n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@SCALED_SERIES_DRAWS
+def test_metric_series_scale_covariance(seed, n, complex_w, tol, order, j):
+    h, w, system, theta = _scaled_series_inputs(seed, n, complex_w, tol)
     # H^dag T - T H = rhs is homogeneous in (H, W): (2^j H, Theta, [2^j W])
     # has the same metric series in exact arithmetic.
     base, t_base = _series_outcome(h, theta, w, tol, order)
@@ -648,6 +658,34 @@ def test_metric_series_scale_covariance(seed, n, complex_w, tol, order, j):
     d = _series_error_bound(h, system, np.linalg.norm(w, 2), t_base)
     for k in range(order + 1):
         assert np.linalg.norm(t_scaled[k] - t_base[k], 2) <= 2.0 * d[k]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@SCALED_SERIES_DRAWS
+def test_each_held_order_keeps_the_pow2_scale_of_its_x(seed, n, complex_w, tol, order, j):
+    # solve_order keeps _pow2_scale(X^(k)) with each order, taken from its
+    # range check; a problem that recomputes it from the held X^(k) before
+    # every order (the rule it replaces) solves the same bytes
+    h, w, _, theta = _scaled_series_inputs(seed, n, complex_w, tol)
+    try:
+        prob = PerturbationProblem.build(2.0**j * h, theta, [2.0**j * w], tol)
+    except DegenerateSpectrumError:
+        return
+    try:
+        metric_series(prob, order)
+    except SolvabilityViolatedError:
+        pass  # the orders below the failing one are held
+    held = len(prob._orders)
+    for _, _, x, scale in prob._orders:
+        assert scale == _pow2_scale(x)
+    fresh = PerturbationProblem(prob.h, prob.theta, prob.w_coeffs, prob.system)
+    for k in range(1, held + 1):
+        solve_order(fresh, k)
+        *before, (t, res, x, _) = fresh._orders
+        object.__setattr__(fresh, "_orders", (*before, (t, res, x, _pow2_scale(x))))
+    got, want = metric_series(fresh, held), metric_series(prob, held)
+    assert [t.tobytes() for t in got.t_coeffs] == [t.tobytes() for t in want.t_coeffs]
+    assert got.solvability_residuals == want.solvability_residuals
 
 
 def _series_error_bound(h, system, w_norm, t_coeffs):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import os
 import shutil
 import struct
@@ -70,6 +71,26 @@ def test_one_flipped_bit_in_a_metric_coefficient_changes_the_series_digest(monke
 
     monkeypatch.setattr(row_digest, "metric_series", flipped)
     assert row_digest.workload_digest("series", [0]) != before
+
+
+def test_one_flipped_zero_sign_in_a_held_metric_coefficient_changes_the_edge_digest(monkeypatch):
+    before = row_digest.workload_digest("edge", [0])
+    series = row_digest.metric_series
+    flips = []
+
+    def flipped(problem, order):
+        out = series(problem, order)
+        if flips:
+            return out
+        t1 = out.t_coeffs[1].copy()
+        z = t1[0, 0]
+        assert z.imag == 0.0  # T^(1) is Hermitian: its diagonal is real
+        t1[0, 0] = complex(z.real, -math.copysign(0.0, z.imag))
+        flips.append(z)
+        return dataclasses.replace(out, t_coeffs=(out.t_coeffs[0], t1, *out.t_coeffs[2:]))
+
+    monkeypatch.setattr(row_digest, "metric_series", flipped)
+    assert row_digest.workload_digest("edge", [0]) != before and len(flips) == 1
 
 
 def test_one_more_probe_changes_the_probes_digest(monkeypatch):

@@ -144,24 +144,52 @@ def pipeline_chunks(seed: int):
                         s.left_vectors.tobytes(), repr(s.condition_number))
 
 
+def series_steps(h0, observable, w0, order: int, lambdas, theta_scale: float = 1.0):
+    """One problem's weights, metric series, Delta terms and series errors,
+    computed by the calls of the pipeline workload, with Theta assembled
+    from ``theta_scale`` times the weights; the error class where a step
+    raises."""
+    try:
+        family = MetricFamily(diagonalize(h0, TOL))
+        kappa = fix_ambiguity(family, [observable], TOL)
+        theta = assemble_metric(family, theta_scale * kappa)
+        problem = PerturbationProblem.build(h0, theta, [w0], TOL)
+        series = metric_series(problem, order)
+        arrays = (kappa, *series.t_coeffs, *dyson_from_metric(series, theta).delta_coeffs,
+                  leading_delta(w0, h0, theta, TOL))
+        rows = series_vs_exact(problem, order, lambdas)
+    except (CryptohermError, np.linalg.LinAlgError) as exc:
+        yield type(exc).__name__
+        return
+    yield from (a.tobytes() for a in arrays)
+    yield from (repr(series.solvability_residuals), repr(rows))
+
+
 def series_chunks(seed: int):
-    """Each pipeline problem's weights, metric series, Delta terms and
-    series errors, computed by the calls of the pipeline workload."""
+    """:func:`series_steps` of each pipeline problem."""
     for p in gen.pipeline_inputs(np.random.default_rng(seed)):
-        try:
-            family = MetricFamily(diagonalize(p.h0, TOL))
-            kappa = fix_ambiguity(family, [p.observable], TOL)
-            theta = assemble_metric(family, kappa)
-            problem = PerturbationProblem.build(p.h0, theta, [p.w0], TOL)
-            series = metric_series(problem, p.order)
-            arrays = (kappa, *series.t_coeffs, *dyson_from_metric(series, theta).delta_coeffs,
-                      leading_delta(p.w0, p.h0, theta, TOL))
-            rows = series_vs_exact(problem, p.order, p.lambdas)
-        except CryptohermError as exc:
-            yield type(exc).__name__
-            continue
-        yield from (a.tobytes() for a in arrays)
-        yield from (repr(series.solvability_residuals), repr(rows))
+        yield from series_steps(p.h0, p.observable, p.w0, p.order, p.lambdas)
+
+
+# (N, series order) of the edge digest's problems, and its powers of two
+EDGE_PROBLEMS = ((2, 1), (3, 2), (4, 4), (6, 8))
+EDGE_EXPONENTS = (-1000, -300, 0, 300, 1000)
+
+
+def edge_chunks(seed: int):
+    """:func:`series_steps` at the ends of the float range and on signed
+    zeros: each problem with H, Theta and W scaled by 2**j, and with Theta
+    and W alone scaled (an H scaled far down fails the degeneracy gate,
+    whose floor is absolute), for W0 and for 1j * W0, whose real parts are
+    -0.0 wherever W0 is negative."""
+    rng = np.random.default_rng(seed)
+    for n, order in EDGE_PROBLEMS:
+        p = gen.pipeline_problem(rng, n, order)
+        for w in (p.w0, 1j * p.w0):
+            for j in EDGE_EXPONENTS:
+                c = 2.0**j
+                for h in ((c * p.h0, p.h0) if j else (p.h0,)):
+                    yield from series_steps(h, p.observable, c * w, order, p.lambdas, c)
 
 
 # The README's --kg examples, with its obs.json and w0.json.
@@ -225,7 +253,7 @@ def cli_chunks(seed: int):
 
 
 WORKLOADS = {"scan": scan_chunks, "pipeline": pipeline_chunks, "series": series_chunks,
-             "cli": cli_chunks, "probes": probes_chunks}
+             "cli": cli_chunks, "probes": probes_chunks, "edge": edge_chunks}
 
 
 def workload_digest(name: str, seeds) -> str:

@@ -21,7 +21,11 @@ instead: each call's ms per problem of that size, and the share of it
 spent inside the LAPACK gufuncs of the tree's ``spectra._ROUTINES``
 (the median over rounds of each round's share), each gufunc call timed
 in place by ``tools/point_cost.py``'s meter, ``metered``, and counted to
-the pipeline call it runs inside.
+the pipeline call it runs inside.  A last column per tree holds the
+function calls per problem made inside each pipeline call, as
+``cProfile`` counts them (the call itself included, the profiler's own
+``disable`` not), from one more pass per tree, after the timed rounds and
+untimed, so that the profiler's cost reaches no ms figure.
 """
 
 import os
@@ -30,6 +34,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import cProfile  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -61,7 +66,22 @@ class Timed:
 
     def __getattr__(self, attr):
         name = f"{self._name}.{attr}" if self._name else attr
-        return Timed(getattr(self._target, attr), name, self._spent)
+        return type(self)(getattr(self._target, attr), name, self._spent)
+
+
+class Counted(Timed):
+    """``target`` with the function calls that ``cProfile`` counts inside
+    each call added to ``spent[name]``; an attribute comes wrapped in turn."""
+
+    def __call__(self, *args, **kwargs):
+        profile = cProfile.Profile()
+        try:
+            return profile.runcall(self._target, *args, **kwargs)
+        finally:
+            # per code object: pstats would merge the generated __init__ of
+            # two dataclasses, which share one (file, line, name) label
+            calls = sum(entry.callcount for entry in profile.getstats()) - 1  # not disable
+            self._spent[self._name] = self._spent.get(self._name, 0) + calls
 
 
 class Spent(dict):
@@ -88,29 +108,45 @@ def one_pass(pipeline: Pipeline, ch, by_size: bool = False) -> dict:
     return passes if by_size else passes[None]
 
 
+def call_counts(pipeline: Pipeline, ch) -> dict:
+    """The function calls cProfile counts inside each package call over one
+    pass of ``pipeline``, per problem size N."""
+    counts = {}
+    for p in pipeline.ops:
+        pipeline.ch = Counted(ch, "", counts.setdefault(p.n, {}))
+        pipeline.run(p)
+    return counts
+
+
 def by_size_tables(args, pipelines, trees) -> None:
-    """One table per N: each call's ms per problem and LAPACK share, per tree."""
+    """One table per N: each call's ms per problem, LAPACK share and
+    function calls per problem, per tree."""
     passes = [[] for _ in trees]
     for order in alternating(len(trees), args.repeats):
         for i in order:
             passes[i].append(one_pass(pipelines[i], trees[i], by_size=True))
+    calls = [call_counts(pipeline, ch) for pipeline, ch in zip(pipelines, trees)]
     counts = {}
     for p in pipelines[0].ops:
         counts[p.n] = counts.get(p.n, 0) + 1
     for n, count in sorted(counts.items()):
         print(f"\nN = {n}: ms per problem ({count} problem{'s' * (count > 1)}, seed {args.seed}) "
-              f"and the share in LAPACK gufuncs, median of {args.repeats} rounds")
-        print("| call | " + " | ".join(f"{src} | LAPACK" for src in args.src) + " |")
-        print("|---|" + "---|---|" * len(trees))
+              f"and the share in LAPACK gufuncs, median of {args.repeats} rounds, "
+              f"and the function calls per problem (cProfile, one untimed pass)")
+        print("| call | " + " | ".join(f"{src} | LAPACK | calls" for src in args.src) + " |")
+        print("|---|" + "---|---|---|" * len(trees))
         for name in (*passes[0][0][n], "total"):
             cells = []
-            for runs in passes:
+            for runs, tree_calls in zip(passes, calls):
                 spent = [run[n] for run in runs]
                 total = [sum(s.values()) if name == "total" else s.get(name, 0.0) for s in spent]
                 lapack = [sum(s.lapack.values()) if name == "total" else s.lapack.get(name, 0.0)
                           for s in spent]
                 share = statistics.median(x / t if t else 0.0 for x, t in zip(lapack, total))
-                cells.append(f"{statistics.median(total) / count * 1e3:.3f} | {share:.0%}")
+                made = tree_calls[n]
+                made = sum(made.values()) if name == "total" else made.get(name, 0)
+                cells.append(f"{statistics.median(total) / count * 1e3:.3f} | {share:.0%} | "
+                             f"{made / count:.1f}")
             print(f"| `{name}` | " + " | ".join(cells) + " |")
 
 
